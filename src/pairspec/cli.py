@@ -122,16 +122,20 @@ def _build_inputs(cfg: RunConfig, params: SystemParams):
     return grid, jsa
 
 
-def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True):
-    """Run the full pipeline for one configuration; returns RunOutputs."""
-    eps = cfg.epsilon if epsilon is None else epsilon
-    params = SystemParams(
+def _system_params(cfg: RunConfig, epsilon):
+    return SystemParams(
         omega_c=cfg.omega_c,
         material_freqs=cfg.material_freqs,
         g=cfg.g,
         sqrt_kappa=cfg.sqrt_kappa,
-        epsilon=eps,
+        epsilon=epsilon,
     )
+
+
+def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True):
+    """Run the full pipeline for one configuration; returns RunOutputs."""
+    eps = cfg.epsilon if epsilon is None else epsilon
+    params = _system_params(cfg, eps)
     grid, jsa = _build_inputs(cfg, params)
     W = build_dynamical_matrix(
         grid,
@@ -278,11 +282,15 @@ def cmd_sweep(args):
         cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
     out_dir = _resolve_out_dir(args, cfg)
     points = _sweep_points(cfg)
+    # Reject a bad point before any point runs or writes its artifacts.
+    point_cfgs = [_point_config(cfg, value, m_count) for value, m_count in points]
+    for point_cfg in point_cfgs:
+        _system_params(point_cfg, point_cfg.epsilon)
     os.makedirs(out_dir, exist_ok=True)
 
     def run_point(indexed):
         idx, (value, m_count) = indexed
-        point_cfg = _point_config(cfg, value, m_count)
+        point_cfg = point_cfgs[idx]
         outputs = execute_run(point_cfg, check_epsilon_stability=False)
         sub = os.path.join(
             out_dir, f"point_{idx:03d}_{cfg.sweep_parameter}_{value:g}_M{m_count}"

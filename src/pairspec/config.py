@@ -120,9 +120,12 @@ def _as_float(raw, key, source, default=None, required=False):
     if value is None:
         return None
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{source}: key {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{source}: key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(raw, key, source, required=False, default=None):
@@ -152,9 +155,12 @@ def _as_float_list(raw, key, source):
     if value is None or value == "":
         return ()
     try:
-        return tuple(float(v.strip()) for v in value.split(",") if v.strip() != "")
+        numbers = tuple(float(v.strip()) for v in value.split(",") if v.strip() != "")
     except ValueError:
         raise ConfigError(f"{source}: key {key!r} must be a comma list of numbers") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{source}: key {key!r} must be a comma list of finite numbers")
+    return numbers
 
 
 def _as_int_list(raw, key, source):
@@ -232,8 +238,6 @@ def config_from_raw(raw, source="<config>"):
             raise ConfigError(f"{source}: sweep.values is required when sweep.parameter is set")
         if len(set(sweep_values)) != len(sweep_values):
             raise ConfigError(f"{source}: sweep.values must be distinct")
-        if any(not math.isfinite(v) for v in sweep_values):
-            raise ConfigError(f"{source}: sweep.values must be finite")
 
     sign_convention = _get(raw, "flags.sign_convention", source, default="paper")
     if sign_convention not in ("paper", "hamiltonian"):

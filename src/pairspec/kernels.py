@@ -1,81 +1,42 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy paths.
+"""Hot numeric kernels: the triangular Sylvester solve and the two oracle loops.
 
-The compiled path is used by default when numba is importable; set the
-environment variable ``PAIRSPEC_NUMBA=0`` before import to force the numpy
-fallback.  Both implementations of every kernel are exported so tests and
-``benchmarks/bench_kernels.py`` can compare them directly.
+The triangular solve is LAPACK ``trsyl``, the compiled back-substitution of
+Bartels–Stewart; the RK4 stepper and the trapezoid accumulator are plain
+numpy loops whose cost is in the matrix products.
 """
 
-import os
-
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import ztrsyl
 
-_flag = os.environ.get("PAIRSPEC_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "no", "off")
+# Not called here: the traced benchmark wraps ``kernels.solve_triangular`` by name.
+from scipy.linalg import solve_triangular  # noqa: F401
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = _WANT_NUMBA and HAVE_NUMBA
+from .errors import NearSingularPencil
 
 
-def numba_enabled():
-    """True when the compiled kernel path is active."""
-    return USE_NUMBA
+def sylvester_triangular(R, S, F):
+    """Solve R X + X S = F for upper-triangular R (m x m) and S (n x n).
+
+    The caller screens the eigenvalue pencil first; a nonzero LAPACK info
+    (R_ii + S_kk perturbed to avoid a zero pivot) raises NearSingularPencil.
+    """
+    X, scale, info = ztrsyl(R, S, F)
+    if info != 0:
+        raise NearSingularPencil(
+            f"trsyl reported info={info}: some R_ii + S_kk is (nearly) zero"
+        )
+    return X / scale
 
 
-# ---------------------------------------------------------------------------
-# Triangular Sylvester recursion:  R X + X S = F  with R, S upper triangular.
-# Column-by-column back-substitution; the diagonal shifts R_ii + S_kk are
-# assumed nonzero (the caller screens the eigenvalue pencil first).
-# ---------------------------------------------------------------------------
+def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
+    """Integrate dT/dt = W T + T W^dag with classic RK4.
 
-def _sylvester_triangular_loops(R, S, F):
-    m = R.shape[0]
-    n = S.shape[0]
-    X = np.zeros((m, n), dtype=np.complex128)
-    for k in range(n):
-        rhs = F[:, k].copy()
-        for j in range(k):
-            s = S[j, k]
-            if s != 0:
-                for i in range(m):
-                    rhs[i] -= X[i, j] * s
-        skk = S[k, k]
-        for i in range(m - 1, -1, -1):
-            acc = rhs[i]
-            for j in range(i + 1, m):
-                acc -= R[i, j] * X[j, k]
-            X[i, k] = acc / (R[i, i] + skk)
-    return X
-
-
-def sylvester_triangular_numpy(R, S, F):
-    """Pure-numpy path: one shifted triangular solve per column."""
-    m = R.shape[0]
-    n = S.shape[0]
-    X = np.zeros((m, n), dtype=np.complex128)
-    eye = np.eye(m)
-    for k in range(n):
-        rhs = F[:, k] - X[:, :k] @ S[:k, k]
-        X[:, k] = solve_triangular(R + S[k, k] * eye, rhs, lower=False)
-    return X
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step RK4 for the matrix ODE  dT/dt = W T + T W^dag.
-# Returns (state, steps_done, overflowed); the caller turns the overflow flag
-# into an exception.
-# ---------------------------------------------------------------------------
-
-def _rk4_lyapunov_impl(W, Wd, theta, dt, steps, overflow_limit):
-    T = theta.copy()
+    Returns (state, steps_done, overflowed); the caller turns the overflow
+    flag into an exception.
+    """
+    W = np.asarray(W, dtype=np.complex128)
+    Wd = np.conj(W.T)
+    T = np.array(theta0, dtype=np.complex128)
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(steps):
@@ -93,15 +54,15 @@ def _rk4_lyapunov_impl(W, Wd, theta, dt, steps, overflow_limit):
     return T, steps, False
 
 
-# ---------------------------------------------------------------------------
-# Composite trapezoid of  E(t) theta0 E(t)^dag  on a uniform grid, with
-# E(k dt) accumulated by repeated multiplication with the one-step propagator.
-# Returns (integral, E_final) so the caller can bound the truncated tail.
-# ---------------------------------------------------------------------------
+def propagator_trapezoid(P, theta0, steps, dt):
+    """Composite trapezoid of E theta0 E^dag on a uniform grid, with E(k dt)
+    advanced by the one-step propagator P.
 
-def _propagator_trapezoid_impl(P, theta0, steps, dt):
-    d = theta0.shape[0]
-    E = np.eye(d, dtype=np.complex128)
+    Returns (integral, E_final) so the caller can bound the truncated tail.
+    """
+    P = np.asarray(P, dtype=np.complex128)
+    theta0 = np.asarray(theta0, dtype=np.complex128)
+    E = np.eye(theta0.shape[0], dtype=np.complex128)
     acc = 0.5 * theta0.copy()
     for k in range(steps):
         E = P @ E
@@ -111,84 +72,3 @@ def _propagator_trapezoid_impl(P, theta0, steps, dt):
         else:
             acc += term
     return acc * dt, E
-
-
-if HAVE_NUMBA:
-    _sylvester_triangular_jit = numba.njit(cache=True)(_sylvester_triangular_loops)
-    _rk4_lyapunov_jit = numba.njit(cache=True)(_rk4_lyapunov_impl)
-    _propagator_trapezoid_jit = numba.njit(cache=True)(_propagator_trapezoid_impl)
-else:  # pragma: no cover
-    _sylvester_triangular_jit = None
-    _rk4_lyapunov_jit = None
-    _propagator_trapezoid_jit = None
-
-
-def sylvester_triangular_numba(R, S, F):
-    """Compiled path of the triangular recursion (requires numba)."""
-    if _sylvester_triangular_jit is None:  # pragma: no cover
-        raise RuntimeError("numba is not available")
-    return _sylvester_triangular_jit(
-        np.ascontiguousarray(R), np.ascontiguousarray(S), np.ascontiguousarray(F)
-    )
-
-
-def rk4_lyapunov_numba(W, theta0, dt, steps, overflow_limit=1e12):
-    if _rk4_lyapunov_jit is None:  # pragma: no cover
-        raise RuntimeError("numba is not available")
-    return _rk4_lyapunov_jit(
-        np.ascontiguousarray(W),
-        np.ascontiguousarray(np.conj(W.T)),
-        np.ascontiguousarray(theta0),
-        float(dt),
-        int(steps),
-        float(overflow_limit),
-    )
-
-
-def rk4_lyapunov_numpy(W, theta0, dt, steps, overflow_limit=1e12):
-    return _rk4_lyapunov_impl(
-        np.asarray(W, dtype=np.complex128),
-        np.conj(W.T).astype(np.complex128),
-        np.asarray(theta0, dtype=np.complex128),
-        float(dt),
-        int(steps),
-        float(overflow_limit),
-    )
-
-
-def propagator_trapezoid_numba(P, theta0, steps, dt):
-    if _propagator_trapezoid_jit is None:  # pragma: no cover
-        raise RuntimeError("numba is not available")
-    return _propagator_trapezoid_jit(
-        np.ascontiguousarray(P), np.ascontiguousarray(theta0), int(steps), float(dt)
-    )
-
-
-def propagator_trapezoid_numpy(P, theta0, steps, dt):
-    return _propagator_trapezoid_impl(
-        np.asarray(P, dtype=np.complex128),
-        np.asarray(theta0, dtype=np.complex128),
-        int(steps),
-        float(dt),
-    )
-
-
-def sylvester_triangular(R, S, F):
-    """Solve R X + X S = F for upper-triangular R, S (active path)."""
-    if USE_NUMBA:
-        return sylvester_triangular_numba(R, S, F)
-    return sylvester_triangular_numpy(R, S, F)
-
-
-def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
-    """Integrate dT/dt = W T + T W^dag with classic RK4 (active path)."""
-    if USE_NUMBA:
-        return rk4_lyapunov_numba(W, theta0, dt, steps, overflow_limit)
-    return rk4_lyapunov_numpy(W, theta0, dt, steps, overflow_limit)
-
-
-def propagator_trapezoid(P, theta0, steps, dt):
-    """Trapezoid sum of E theta0 E^dag with E advanced by P each step (active path)."""
-    if USE_NUMBA:
-        return propagator_trapezoid_numba(P, theta0, steps, dt)
-    return propagator_trapezoid_numpy(P, theta0, steps, dt)

@@ -69,6 +69,9 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "material_freqs", tuple(float(f) for f in self.material_freqs))
+        if not np.all(np.isfinite((self.omega_c, self.g, self.sqrt_kappa, self.epsilon,
+                                   *self.material_freqs))):
+            raise InvalidRange("system parameters must be finite")
         if self.omega_c <= 0:
             raise InvalidRange("omega_c must be positive")
         if any(f <= 0 for f in self.material_freqs):

@@ -97,8 +97,9 @@ def sylvester_residual(A, B, C, X):
 def solve_sylvester(A, B, C, method="schur", pair_tol=None):
     """Solve A X + X B = -C.
 
-    method="schur" is the fast path: complex Schur factorizations of A and B
-    followed by the triangular recursion in :mod:`pairspec.kernels`, plus one
+    method="schur" is the fast path (Bartels–Stewart): complex Schur
+    factorizations of A and B, the triangular solve by LAPACK trsyl
+    (:func:`pairspec.kernels.sylvester_triangular`), plus one
     iterative-refinement pass.  method="kron" is the reference path: the
     d^2 x d^2 Kronecker system solved densely (intended for small d).
 
@@ -140,7 +141,7 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
             return QA @ Y @ QB.conj().T
 
         X = tri_solve(-C)
-        # One refinement pass reusing the factors; the raw recursion can sit
+        # One refinement pass reusing the factors; the raw solve can sit
         # within an order of magnitude of the 1e-8 hygiene gate for stiff W.
         R = A @ X + X @ B + C
         if np.linalg.norm(R) > 0:

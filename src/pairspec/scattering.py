@@ -114,17 +114,9 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, fallback_epsilon=DEFAULT_EPS
     """
     theta_mat = _raw(theta_in)
 
-    eff_eps = epsilon
-    regularized = False
-    try:
-        X, lyap_report = time_integrated_covariance(W, theta_mat, eff_eps, fallback_epsilon=0.0)
-    except NearSingularPencil:
-        if epsilon != 0.0 or fallback_epsilon <= 0.0:
-            raise
-        eff_eps = fallback_epsilon
-        X, lyap_report = time_integrated_covariance(W, theta_mat, eff_eps, fallback_epsilon=0.0)
-        regularized = True
-    lyap_report.regularized = regularized
+    X, lyap_report = time_integrated_covariance(W, theta_mat, epsilon, fallback_epsilon)
+    regularized = lyap_report.regularized
+    eff_eps = fallback_epsilon if regularized else epsilon
 
     A = _shifted(W, eff_eps)
     smat, scat_report = scattering_matrix(W, eff_eps)

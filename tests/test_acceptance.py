@@ -10,7 +10,6 @@ checks the hygiene gates on fresh data).
 import time
 
 import numpy as np
-import pytest
 
 from pairspec import (
     IntegrationConfig,
@@ -31,7 +30,6 @@ from pairspec import (
     von_neumann_entropy,
     wigner,
 )
-from pairspec import kernels
 from pairspec.model import SystemParams
 from pairspec.observables import SchmidtSpectrum
 from helpers import paper_system, small_system, tv_distance
@@ -52,18 +50,6 @@ def _report(criterion, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {criterion}] {status} - {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # Compile the jitted kernels once so the timed budgets measure the
-    # algorithms, not LLVM.
-    if kernels.HAVE_NUMBA:
-        eye = np.eye(2, dtype=complex)
-        kernels.sylvester_triangular(-eye, -eye, eye)
-        kernels.rk4_lyapunov(-eye, eye, 0.1, 2)
-        kernels.propagator_trapezoid(0.9 * eye, eye, 2, 0.1)
-    yield
 
 
 def _random_stable_instance(rng, d, freq_scale=0.3):

@@ -195,6 +195,28 @@ def test_bad_key_exits_1(tmp_path, capsys):
     assert main(["run", cfg_path]) == 1
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("system.g = 0.5", "system.g = nan"),
+        ("system.g = 0.5", "system.g = inf"),
+        ("system.material_freqs = 1809", "system.material_freqs = nan"),
+    ],
+    ids=["g-nan", "g-inf", "material_freqs-nan"],
+)
+def test_nonfinite_number_exits_1(tmp_path, capsys, line, bad):
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace(line, bad))
+    assert main(["--out", str(tmp_path / "x"), "run", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err
+
+
+def test_nonfinite_epsilon_flag_exits_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE_CONFIG)
+    assert main(["--out", str(tmp_path / "x"), "--epsilon", "nan", "run", cfg_path]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_zero_mass_file_exits_1(tmp_path):
     path = tmp_path / "zero.csv"
     path.write_text(
@@ -272,6 +294,15 @@ def test_sweep_threads_do_not_change_results(tmp_path):
     a = open(os.path.join(out_serial, "entropy.csv")).read()
     b = open(os.path.join(out_parallel, "entropy.csv")).read()
     assert a == b
+
+
+def test_sweep_rejects_bad_point_before_running(tmp_path, capsys):
+    text = BASE_CONFIG + "\nsweep.parameter = epsilon\nsweep.values = 1e-3, 0, -1\n"
+    cfg_path = write_config(tmp_path, text)
+    out_dir = tmp_path / "sweep"
+    assert main(["--out", str(out_dir), "sweep", cfg_path]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- convert -----------------------------------------------------------------------

@@ -175,3 +175,7 @@ def test_params_validation():
         SystemParams(omega_c=1.0, g=-0.1)
     with pytest.raises(InvalidRange):
         SystemParams(omega_c=1.0, material_freqs=(0.0,))
+    with pytest.raises(InvalidRange):
+        SystemParams(omega_c=1.0, epsilon=float("nan"))
+    with pytest.raises(InvalidRange):
+        SystemParams(omega_c=1.0, g=float("inf"))
