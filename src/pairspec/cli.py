@@ -190,6 +190,8 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
             "hermiticity_defect": prop.hermiticity_defect,
             "lyapunov_residual": lyap.residual_norm,
             "lyapunov_condition": lyap.condition_estimate,
+            "solver_path": lyap.path,
+            "eigenvector_condition": lyap.eigenvector_condition,
             "scattering_residual": scat.residual_norm,
         },
         "config": dict(cfg.raw),

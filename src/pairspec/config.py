@@ -24,6 +24,7 @@ Lines starting with ``#`` are comments.  Unknown keys are rejected.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -58,6 +59,10 @@ _KNOWN_KEYS = {
     "flags.sign_convention",
     "flags.entropy_variant",
 }
+
+# A run holds at most about this many dense d x d complex128 matrices at once
+# (tracemalloc peak of execute_run at n = 64, 128 and 256: 16.5 of them).
+_DENSE_MATRICES_AT_PEAK = 17
 
 _SWEEPABLE = ("sqrt_kappa", "g", "epsilon", "omega_c")
 _GAUSSIAN_KEYS = ("input.pump_center", "input.sum_width", "input.diff_width", "input.diff_offset")
@@ -173,6 +178,22 @@ def _as_int_list(raw, key, source):
         raise ConfigError(f"{source}: key {key!r} must be a comma list of integers") from None
 
 
+def _check_fits_in_memory(n, m_max, source):
+    """Refuse a grid whose dense working set exceeds physical memory (not
+    checked where the platform does not report it)."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    d = 2 * n + 1 + m_max
+    need = _DENSE_MATRICES_AT_PEAK * 16 * d * d
+    if need > have:
+        raise ConfigError(
+            f"{source}: grid.n = {n} needs about {need / 2**30:.3g} GiB for dense "
+            f"{d}x{d} matrices, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def config_from_raw(raw, source="<config>"):
     version = _get(raw, "schema_version", source, required=True)
     if version != SCHEMA_VERSION:
@@ -239,6 +260,10 @@ def config_from_raw(raw, source="<config>"):
         if len(set(sweep_values)) != len(sweep_values):
             raise ConfigError(f"{source}: sweep.values must be distinct")
 
+    sweep_material_counts = _as_int_list(raw, "sweep.material_counts", source)
+    if n is not None:
+        _check_fits_in_memory(n, max((len(material_freqs), *sweep_material_counts)), source)
+
     sign_convention = _get(raw, "flags.sign_convention", source, default="paper")
     if sign_convention not in ("paper", "hamiltonian"):
         raise ConfigError(f"{source}: flags.sign_convention must be 'paper' or 'hamiltonian'")
@@ -260,7 +285,7 @@ def config_from_raw(raw, source="<config>"):
         input_path=input_path,
         sweep_parameter=sweep_parameter,
         sweep_values=sweep_values,
-        sweep_material_counts=_as_int_list(raw, "sweep.material_counts", source),
+        sweep_material_counts=sweep_material_counts,
         output_dir=_get(raw, "output.dir", source, default="out"),
         continuum_scaling=_as_bool(raw, "flags.continuum_scaling", source),
         sign_convention=sign_convention,

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numkit
 from .errors import InvalidRange, NonPositiveInput
 
 # hc in meV*nm for wavelength <-> energy conversion.
@@ -124,6 +125,20 @@ class DynamicalMatrix:
     @property
     def dim(self):
         return self.layout.dim
+
+    def eigenbasis(self):
+        """W = V diag(lambda) V^-1 (:func:`pairspec.numkit.eigenbasis`).
+
+        Factored on first use and kept with the instance, so every solve on
+        this W at any shift shares one factorization.  ``matrix`` must not be
+        modified in place afterwards.  Two threads calling this at once on
+        one instance may both factor; either result is the same.
+        """
+        basis = self.__dict__.get("_eigenbasis")
+        if basis is None:
+            basis = numkit.eigenbasis(self.matrix)
+            object.__setattr__(self, "_eigenbasis", basis)
+        return basis
 
 
 def build_grid(n, signal_range, idler_range):

@@ -3,6 +3,12 @@
 All operations are pure functions of their arguments and safe to call from
 multiple threads.  Matrices are plain 2-D complex128 ndarrays; every public
 entry point rejects NaN/Inf inputs.
+
+:func:`eigenbasis` factors a generator once as W = V diag(lambda) V^-1;
+:func:`solve_lyapunov_eigen` and :func:`shifted_inverse` then serve every
+shift W - s from that one factorization.  They are accurate while
+cond_1(V) stays at or below :data:`EIGEN_COND_MAX`; above it callers use the
+Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
 """
 
 import warnings
@@ -19,6 +25,13 @@ from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 # Condition numbers are only estimated below this dimension (SVD cost).
 _COND_ESTIMATE_MAX_DIM = 256
 
+# Largest cond_1(V) at which the eigenbasis solves are used.  On a d=8 model
+# approaching its exceptional point, up to cond_1(V) = 4.5e5 the eigenbasis
+# Lyapunov residual stays below 1e-9 and the S residual below 1.3e-11
+# (gates 1e-8 and 1e-10); at the exceptional point (3.1e7) they reach 1.3e-5
+# and 8e-10 while the Schur and LU solves stay below 1.4e-9 and 1e-15.
+EIGEN_COND_MAX = 1e5
+
 
 @dataclass
 class SolveReport:
@@ -27,6 +40,10 @@ class SolveReport:
     residual_norm: float
     condition_estimate: float | None = None
     regularized: bool = False
+    # Set by callers that choose between the eigenbasis route and the
+    # Schur/LU fallback: "eigen" or "fallback", and the cond_1(V) it rested on.
+    path: str | None = None
+    eigenvector_condition: float | None = None
 
 
 def _as_matrix(a, name="matrix"):
@@ -97,11 +114,13 @@ def sylvester_residual(A, B, C, X):
 def solve_sylvester(A, B, C, method="schur", pair_tol=None):
     """Solve A X + X B = -C.
 
-    method="schur" is the fast path (Bartels–Stewart): complex Schur
-    factorizations of A and B, the triangular solve by LAPACK trsyl
+    method="schur" is Bartels–Stewart: complex Schur factorizations of A
+    and B, the triangular solve by LAPACK trsyl
     (:func:`pairspec.kernels.sylvester_triangular`), plus one
-    iterative-refinement pass.  method="kron" is the reference path: the
-    d^2 x d^2 Kronecker system solved densely (intended for small d).
+    iterative-refinement pass; it serves any A and B, and is the fallback
+    of the eigenbasis Lyapunov solve when cond_1(V) is too large.
+    method="kron" is the reference path: the d^2 x d^2 Kronecker system
+    solved densely (intended for small d).
 
     Raises NearSingularPencil when some |lambda_i(A) + lambda_j(B)| falls
     below ``pair_tol`` (default 1e-10 * max Frobenius norm); the offending
@@ -152,6 +171,118 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
     residual = sylvester_residual(A, B, C, X)
     cond = max(norm_a, norm_b) / gap if gap > 0 else np.inf
     return X, SolveReport(residual_norm=residual, condition_estimate=float(cond))
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """W = V diag(values) V^-1 with V^-1 formed explicitly.
+
+    ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1; it is inf (and
+    ``inverse`` None) when V is numerically singular.
+    """
+
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray | None
+    condition: float
+
+    @property
+    def usable(self):
+        """Whether cond_1(V) admits the eigenbasis solves."""
+        return self.condition <= EIGEN_COND_MAX
+
+
+def eigenbasis(W):
+    """Diagonalize W: eigenvalues, eigenvectors V, V^-1 by LU, cond_1(V).
+
+    One factorization serves the Lyapunov solve and the shifted inverse at
+    every shift, since W - s I has the eigenvectors of W.
+    """
+    W = _as_matrix(W, "W")
+    d = W.shape[0]
+    if W.shape[1] != d:
+        raise ValueError("eigenbasis requires a square matrix")
+    try:
+        values, V = np.linalg.eig(W)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    with warnings.catch_warnings():
+        # A singular V is detected from the pivots below.
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(V)
+    if np.abs(np.diag(lu)).min() > 0.0:
+        V_inv = lu_solve((lu, piv), np.eye(d, dtype=np.complex128))
+        condition = float(np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1))
+        if np.isfinite(condition):
+            return Eigenbasis(W, values, V, V_inv, condition)
+    return Eigenbasis(W, values, V, None, np.inf)
+
+
+def _require_usable(basis):
+    if basis.inverse is None:
+        raise ValueError("eigenbasis has a singular eigenvector matrix")
+
+
+def solve_lyapunov_eigen(basis, C, shift):
+    """Solve A X + X A^dag = -C for A = W - shift I from W's eigenbasis.
+
+    With Y = V^-1 X V^-dag the equation is diagonal:
+    X = V [(-V^-1 C V^-dag) / (l_i + conj(l_j))] V^dag, l = lambda - shift,
+    followed by one iterative-refinement pass as in :func:`solve_sylvester`.
+    The pencil-gap screen runs on the same eigenvalues and raises
+    NearSingularPencil (tolerance 1e-10 * ||A||_F, the default of
+    :func:`solve_sylvester`) with the offending pair.  The caller checks
+    ``basis.usable`` first.
+    """
+    _require_usable(basis)
+    C = _as_matrix(C, "C")
+    W = basis.matrix
+    d = W.shape[0]
+    if C.shape != (d, d):
+        raise ValueError(f"C must be {d}x{d}, got {C.shape}")
+    A = W - shift * np.eye(d)
+    A_h = A.conj().T
+    lam = basis.values - shift
+    norm_a = np.linalg.norm(A)
+    pair_tol = 1e-10 * max(norm_a, 1e-300)
+    gap = _pencil_gap_check(lam, lam.conj(), pair_tol, norm_a, norm_a)
+
+    V, V_inv = basis.vectors, basis.inverse
+    V_h, V_inv_h = V.conj().T, V_inv.conj().T
+    denom = lam[:, None] + lam.conj()[None, :]
+
+    def eig_solve(rhs):
+        return V @ ((V_inv @ rhs @ V_inv_h) / -denom) @ V_h
+
+    X = eig_solve(C)
+    R = A @ X + X @ A_h + C
+    if np.linalg.norm(R) > 0:
+        X = X + eig_solve(R)
+
+    residual = sylvester_residual(A, A_h, C, X)
+    cond = norm_a / gap if gap > 0 else np.inf
+    return X, SolveReport(residual_norm=residual, condition_estimate=float(cond))
+
+
+def shifted_inverse(basis, z):
+    """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis.
+
+    Raises SingularMatrix when min |lambda_i - z| falls below
+    ``1e-12 * max|W - z I|`` (the default pivot rule of
+    :func:`linear_solve`).  The caller checks ``basis.usable`` first.
+    """
+    _require_usable(basis)
+    W = basis.matrix
+    scale = np.abs(W - z * np.eye(W.shape[0])).max()
+    dist = np.abs(basis.values - z)
+    k = int(np.argmin(dist))
+    if scale == 0.0 or dist[k] < 1e-12 * scale:
+        raise SingularMatrix(
+            f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
+            f"1e-12 * max|W - z|={scale:.3e}"
+        )
+    return (basis.vectors / (basis.values - z)[None, :]) @ basis.inverse
 
 
 def svd(M):

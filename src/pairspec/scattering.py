@@ -5,6 +5,13 @@ Everything is evaluated at a real regularization epsilon > 0: the generator
 W is shifted to W - eps*I in the Lyapunov solve, in the scattering matrix,
 and in the output assembly, so the algebraic identity between the full and
 reduced forms of the output map holds exactly at the working epsilon.
+
+Both solves run in the eigenbasis of W (:func:`pairspec.numkit.eigenbasis`),
+which serves every shift: a DynamicalMatrix keeps its factorization, so all
+propagations of one W factor it once; a plain array is factored per call.
+When cond_1(V) exceeds ``numkit.EIGEN_COND_MAX`` (near an exceptional point)
+they fall back to the Schur solve of ``numkit.solve_sylvester`` and the LU
+of ``numkit.linear_solve``.  Each report records the path and cond_1(V).
 """
 
 from dataclasses import dataclass, field
@@ -52,19 +59,35 @@ def _shifted(W, eps):
     return Wm - eps * np.eye(Wm.shape[0])
 
 
+def _eigenbasis(W):
+    if isinstance(W, DynamicalMatrix):
+        return W.eigenbasis()
+    return numkit.eigenbasis(_raw(W))
+
+
+def _mark(report, basis):
+    report.path = "eigen" if basis.usable else "fallback"
+    report.eigenvector_condition = basis.condition
+
+
 def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EPSILON):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
     X is the all-time integral of the input correlations evaluated at the
-    regularized Laplace point.  If epsilon = 0 hits a singular pencil (the
-    generic case: W's spectrum is near-imaginary), the solve automatically
-    retries at ``fallback_epsilon`` and flags the report as regularized.
+    regularized Laplace point, solved in the eigenbasis of W or, when
+    cond_1(V) is too large, by the Schur path (see the module doc).  If
+    epsilon = 0 hits a singular pencil (the generic case: W's spectrum is
+    near-imaginary), the solve automatically retries at
+    ``fallback_epsilon`` and flags the report as regularized.
 
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     theta_mat = _raw(theta_in)
+    basis = _eigenbasis(W)
 
     def attempt(eps):
+        if basis.usable:
+            return numkit.solve_lyapunov_eigen(basis, theta_mat, eps)
         A = _shifted(W, eps)
         return numkit.solve_sylvester(A, A.conj().T, theta_mat)
 
@@ -77,6 +100,7 @@ def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EP
         X, report = attempt(fallback_epsilon)
         regularized = True
     report.regularized = regularized
+    _mark(report, basis)
 
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
@@ -84,17 +108,35 @@ def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EP
 
 
 def scattering_matrix(W, z):
-    """S = (W^dag - z)(W - z)^(-1), solved on the transposed system.
+    """S = (W^dag - z)(W - z)^(-1) = (W^dag - z) V (Lambda - z)^(-1) V^(-1).
 
-    Raises SingularMatrix when (W - z) is singular at the requested z; the
-    caller is expected to retry with an epsilon shift.
+    On the fallback path it is solved by LU on the transposed system.
+    Raises SingularMatrix when (W - z) is singular at the requested z
+    (min |lambda_i - z| below 1e-12 * max|W - z| on the eigenbasis path);
+    the caller is expected to retry with an epsilon shift.  The report's
+    residual is ||S A - A^dag||_F / ||A||_F for A = W - z; its condition
+    estimate is cond_1(V) max|lambda - z| / min|lambda - z| on the
+    eigenbasis path and the 2-norm cond(A) from linear_solve otherwise.
     """
-    Wm = _raw(W)
+    basis = _eigenbasis(W)
+    Wm = basis.matrix
     A = Wm - z * np.eye(Wm.shape[0])
-    # S A = A^dag  <=>  A^T S^T = conj(A)
-    St, report = numkit.linear_solve(A.T, A.conj())
-    S = St.T
-    residual = float(np.linalg.norm(S @ A - A.conj().T) / max(np.linalg.norm(Wm), 1e-300))
+    A_h = A.conj().T
+    if basis.usable:
+        S = A_h @ numkit.shifted_inverse(basis, z)
+        defect = np.linalg.norm(S @ A - A_h)
+        dist = np.abs(basis.values - z)
+        report = numkit.SolveReport(
+            residual_norm=float(defect / np.linalg.norm(A)),
+            condition_estimate=float(basis.condition * dist.max() / dist.min()),
+        )
+    else:
+        # S A = A^dag  <=>  A^T S^T = conj(A)
+        St, report = numkit.linear_solve(A.T, A.conj())
+        S = St.T
+        defect = np.linalg.norm(S @ A - A_h)
+    residual = float(defect / max(np.linalg.norm(Wm), 1e-300))
+    _mark(report, basis)
     return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
 
 

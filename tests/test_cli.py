@@ -2,12 +2,13 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi
-from pairspec.cli import main, render_heatmap
+from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi, numkit
+from pairspec.cli import execute_run, main, render_heatmap
 from pairspec.config import config_from_raw, load_config, parse_config_text
 from pairspec.errors import ConfigError
 
@@ -368,3 +369,63 @@ def test_heatmap_bytes_stable(tmp_path):
     render_heatmap(jsi, p1)
     render_heatmap(jsi, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+# --- one factorization of W per run ---------------------------------------------
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(numkit, name, counting(name, getattr(numkit, name)))
+    return calls
+
+
+def test_run_factors_w_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ("eigenbasis", "solve_sylvester", "linear_solve"))
+    cfg = config_from_raw(parse_config_text(BASE_CONFIG.replace("grid.n = 16", "grid.n = 64")))
+    out = execute_run(cfg)
+    assert out.epsilon_stability is not None  # the eps/2 check ran
+    assert calls == {"eigenbasis": 1, "solve_sylvester": 0, "linear_solve": 0}
+
+
+def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("eigenbasis", "solve_sylvester", "linear_solve"))
+    text = BASE_CONFIG + (
+        "\nsweep.parameter = sqrt_kappa\nsweep.values = 150, 488\nsweep.material_counts = 1, 2\n"
+    )
+    assert main(["--out", str(tmp_path / "sweep"), "sweep", write_config(tmp_path, text)]) == 0
+    assert calls == {"eigenbasis": 4, "solve_sylvester": 0, "linear_solve": 0}
+
+
+def test_run_records_solver_path(tmp_path):
+    out_dir = str(tmp_path / "out")
+    assert main(["--out", out_dir, "run", write_config(tmp_path, BASE_CONFIG)]) == 0
+    diag = json.loads(open(os.path.join(out_dir, "metrics.json")).read())["diagnostics"]
+    assert diag["solver_path"] == "eigen"
+    assert 1.0 <= diag["eigenvector_condition"] < 1e5
+
+
+# --- memory guard ----------------------------------------------------------------
+
+def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
+    text = BASE_CONFIG.replace("grid.n = 16", "grid.n = 200000")
+    cfg_path = write_config(tmp_path, text)
+    tracemalloc.start()
+    try:
+        code = main(["--out", str(tmp_path / "out"), "run", cfg_path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 10 * 2**20  # refused before any grid-sized allocation
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ConfigError" in err and "grid.n = 200000" in err
+    assert not os.path.exists(tmp_path / "out")

@@ -175,6 +175,62 @@ def test_sylvester_residual_definition():
     assert report.residual_norm == pytest.approx(direct, rel=1e-6, abs=1e-18)
 
 
+# --- eigenbasis solves ------------------------------------------------------
+
+@pytest.mark.parametrize("shift", [0.0, 1e-2])
+def test_eigenbasis_lyapunov_matches_kron(shift):
+    rng = np.random.default_rng(41)
+    for d in (3, 6, 11):
+        W = random_hurwitz(rng, d)
+        C = random_covariance(rng, d)
+        basis = numkit.eigenbasis(W)
+        assert basis.usable
+        X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
+        A = W - shift * np.eye(d)
+        Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
+        assert np.linalg.norm(X - Xk) / np.linalg.norm(Xk) < 1e-10
+        assert report.residual_norm == pytest.approx(
+            numkit.sylvester_residual(A, A.conj().T, C, X), rel=1e-12, abs=1e-18
+        )
+        assert report.residual_norm < 1e-12
+
+
+def test_eigenbasis_lyapunov_near_singular_pencil():
+    # Same instance as the Schur path: lambda_i + conj(lambda_i) = 0 exactly.
+    basis = numkit.eigenbasis(np.diag([1j, 2j, 3j]))
+    with pytest.raises(NearSingularPencil) as exc_info:
+        numkit.solve_lyapunov_eigen(basis, np.eye(3), 0.0)
+    lam, mu = exc_info.value.pair
+    assert abs(lam + mu) < 1e-12
+
+
+def test_eigenbasis_condition_of_normal_and_defective_matrices():
+    rng = np.random.default_rng(43)
+    normal = numkit.eigenbasis(-1j * random_hermitian(rng, 6))
+    assert 1.0 <= normal.condition < 10.0
+    assert np.allclose(normal.vectors @ normal.inverse, np.eye(6))
+    # A Jordan block has one eigenvector: V is (numerically) singular.
+    jordan = numkit.eigenbasis(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    assert jordan.condition > numkit.EIGEN_COND_MAX
+    assert not jordan.usable
+
+
+def test_shifted_inverse_matches_inverse():
+    rng = np.random.default_rng(47)
+    W = random_hurwitz(rng, 7)
+    basis = numkit.eigenbasis(W)
+    for z in (1e-3, 0.5 + 0.2j):
+        expected = np.linalg.inv(W - z * np.eye(7))
+        got = numkit.shifted_inverse(basis, z)
+        assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
+
+
+def test_shifted_inverse_singular_raises():
+    basis = numkit.eigenbasis(np.diag([-1j, -2j]))
+    with pytest.raises(SingularMatrix):
+        numkit.shifted_inverse(basis, -2j)
+
+
 # --- svd --------------------------------------------------------------------
 
 def test_svd_diagonal():

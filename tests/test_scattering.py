@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairspec import (
+    SystemParams,
+    assemble_input_covariance,
+    build_dynamical_matrix,
+    build_grid,
     extract_output_jsa,
+    gaussian_jsa,
     jsi_of,
+    numkit,
     propagate,
     quadrature_time_integral,
     scattering_matrix,
@@ -200,3 +208,82 @@ def test_output_jsi_reports_tv_against_input():
     j_in = jsi_of(jsa).values
     j_out = jsi_of(extract_output_jsa(prop.theta_out)).values
     assert tv_distance(j_in, j_out) > 0.0
+
+
+# --- eigenbasis route and its fallback ------------------------------------------
+
+def _two_level_system(sqrt_kappa, eps=1e-3):
+    # g = 0 isolates the cavity-material pair [[-1.2i, -k], [-k, -1.0i]],
+    # whose eigenvalues -1.1i +/- sqrt(k^2 - 0.01) coalesce at k = 0.1.
+    grid = build_grid(3, (0.8, 1.6), (0.8, 1.6))
+    params = SystemParams(omega_c=1.2, material_freqs=(1.0,), g=0.0, sqrt_kappa=sqrt_kappa)
+    W = build_dynamical_matrix(grid, params, material_sign="paper")
+    jsa = gaussian_jsa(grid, pump_center=2.4, sum_width=0.1, diff_width=0.35)
+    theta = assemble_input_covariance(jsa, 1)
+    A = W.matrix - eps * np.eye(W.dim)
+    return W, theta, A
+
+
+def test_exceptional_point_takes_fallback_and_matches_kron():
+    W, theta, A = _two_level_system(0.1)
+    X, report = time_integrated_covariance(W, theta, 1e-3)
+    assert report.path == "fallback"
+    assert report.eigenvector_condition > numkit.EIGEN_COND_MAX
+    assert report.residual_norm < 1e-8
+    assert sylvester_residual(A, A.conj().T, theta.matrix, X.matrix) < 1e-8
+    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
+    smat, scat_report = scattering_matrix(W, 1e-3)
+    assert scat_report.path == "fallback"
+    assert smat.residual < 1e-10
+
+
+def test_near_exceptional_point_takes_eigen_path():
+    W, theta, A = _two_level_system(0.101)
+    X, report = time_integrated_covariance(W, theta, 1e-3)
+    assert report.path == "eigen"
+    assert report.eigenvector_condition <= numkit.EIGEN_COND_MAX
+    assert report.residual_norm < 1e-8
+    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
+    _, scat_report = scattering_matrix(W, 1e-3)
+    assert scat_report.path == "eigen"
+
+
+_SMALL_MODELS = dict(
+    n=st.integers(1, 6),
+    m_count=st.integers(0, 3),
+    sqrt_kappa=st.floats(0.0, 0.5),
+    omega_c=st.floats(1.0, 1.4),
+    material_sign=st.sampled_from(["paper", "hamiltonian"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(g=st.floats(0.0, 0.5), **_SMALL_MODELS)
+def test_property_lyapunov_matches_kron_and_output_is_hermitian(
+    n, m_count, g, sqrt_kappa, omega_c, material_sign
+):
+    _, _, W, _, theta = small_system(
+        n=n, m_count=m_count, g=g, sqrt_kappa=sqrt_kappa, omega_c=omega_c,
+        material_sign=material_sign,
+    )
+    eps = 1e-3
+    X, _ = time_integrated_covariance(W, theta, eps)
+    A = W.matrix - eps * np.eye(W.dim)
+    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
+    assert propagate(theta, W, epsilon=eps).hermiticity_defect < 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(**_SMALL_MODELS)
+def test_property_g0_leaves_jsi_unchanged(n, m_count, sqrt_kappa, omega_c, material_sign):
+    _, _, W, jsa, theta = small_system(
+        n=n, m_count=m_count, g=0.0, sqrt_kappa=sqrt_kappa, omega_c=omega_c,
+        material_sign=material_sign,
+    )
+    prop = propagate(theta, W, epsilon=1e-3)
+    j_in = jsi_of(jsa).values
+    j_out = jsi_of(extract_output_jsa(prop.theta_out)).values
+    assert np.abs(j_out - j_in).max() < 1e-8

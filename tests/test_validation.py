@@ -45,3 +45,17 @@ def test_validate_cli_exit_code(monkeypatch):
 
     monkeypatch.setattr(numkit, "solve_sylvester", corrupted)
     assert main(["validate"]) == 3
+
+
+def test_corrupted_eigenbasis_lyapunov_fails_suite(monkeypatch):
+    # Mutation check on the eigenbasis route that time_integrated_covariance
+    # and propagate take: a 1e-4 relative error must trip the suite.
+    real = numkit.solve_lyapunov_eigen
+
+    def corrupted(*args, **kwargs):
+        X, report = real(*args, **kwargs)
+        return X * (1.0 + 1e-4), report
+
+    monkeypatch.setattr(numkit, "solve_lyapunov_eigen", corrupted)
+    report = run_validation(quick=True)
+    assert not report.passed
