@@ -8,6 +8,8 @@ Subcommands::
     pairspec convert IN OUT    rewrite a grid file with nm <-> meV axes
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 validation failure.
+A sweep whose points fail in the solver still writes every other point, marks
+the failed ones in entropy.csv and sweep_index.json, and exits 2.
 The output directory resolves as --out flag > PAIRSPEC_OUT_DIR env var >
 config output.dir.
 """
@@ -192,6 +194,7 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
             "lyapunov_condition": lyap.condition_estimate,
             "solver_path": lyap.path,
             "eigenvector_condition": lyap.eigenvector_condition,
+            "deflated_modes": lyap.deflated_modes,
             "scattering_residual": scat.residual_norm,
         },
         "config": dict(cfg.raw),
@@ -293,12 +296,16 @@ def cmd_sweep(args):
     def run_point(indexed):
         idx, (value, m_count) = indexed
         point_cfg = point_cfgs[idx]
-        outputs = execute_run(point_cfg, check_epsilon_stability=False)
+        try:
+            outputs = execute_run(point_cfg, check_epsilon_stability=False)
+        except _SOLVER_ERRORS as exc:
+            # One failed point must not discard the others.
+            return idx, value, m_count, None, None, f"{type(exc).__name__}: {exc}"
         sub = os.path.join(
             out_dir, f"point_{idx:03d}_{cfg.sweep_parameter}_{value:g}_M{m_count}"
         )
         _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False)
-        return idx, value, m_count, outputs, sub
+        return idx, value, m_count, outputs, sub, None
 
     workers = max(1, args.threads)
     if workers > 1:
@@ -308,22 +315,39 @@ def cmd_sweep(args):
         results = [run_point(item) for item in enumerate(points)]
 
     # Coordinator writes the index and the entropy table once, in input order.
+    # A failed point keeps its row, with empty numbers and status "failed".
     rows = ["parameter,value,material_count,entropy_nats,purity_mu,purity_log_abs_det,"
-            "lyapunov_residual,epsilon_used"]
+            "lyapunov_residual,epsilon_used,status"]
     index = []
-    for idx, value, m_count, outputs, sub in results:
-        lyap = outputs.prop.reports["lyapunov"]
-        rows.append(
-            f"{cfg.sweep_parameter},{value:.17g},{m_count},{outputs.entropy:.17g},"
-            f"{outputs.purity.mu:.17g},{outputs.purity.log_abs_det:.17g},"
-            f"{lyap.residual_norm:.17g},{outputs.prop.epsilon_used:.17g}"
-        )
-        index.append(
-            {"index": idx, "value": value, "material_count": m_count, "dir": os.path.basename(sub)}
-        )
+    failures = []
+    for idx, value, m_count, outputs, sub, error in results:
+        if error is None:
+            lyap = outputs.prop.reports["lyapunov"]
+            rows.append(
+                f"{cfg.sweep_parameter},{value:.17g},{m_count},{outputs.entropy:.17g},"
+                f"{outputs.purity.mu:.17g},{outputs.purity.log_abs_det:.17g},"
+                f"{lyap.residual_norm:.17g},{outputs.prop.epsilon_used:.17g},ok"
+            )
+        else:
+            rows.append(f"{cfg.sweep_parameter},{value:.17g},{m_count},,,,,,failed")
+            failures.append(f"point {idx} ({cfg.sweep_parameter}={value:g}, M={m_count}): {error}")
+        index.append({
+            "index": idx,
+            "value": value,
+            "material_count": m_count,
+            "dir": os.path.basename(sub) if sub else None,
+            "status": "ok" if error is None else "failed",
+            "error": error,
+        })
     with open(os.path.join(out_dir, "entropy.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     _write_json(os.path.join(out_dir, "sweep_index.json"), {"points": index})
+    if failures:
+        for line in failures:
+            print(f"solver failure during sweep: {line}", file=sys.stderr)
+        print(f"sweep finished with {len(failures)} of {len(points)} points failed; "
+              f"artifacts in {out_dir}")
+        return 2
     print(f"sweep complete: {len(points)} points, artifacts in {out_dir}")
     return 0
 

@@ -61,8 +61,8 @@ _KNOWN_KEYS = {
 }
 
 # A run holds at most about this many dense d x d complex128 matrices at once
-# (tracemalloc peak of execute_run at n = 64, 128 and 256: 16.5 of them).
-_DENSE_MATRICES_AT_PEAK = 17
+# (tracemalloc peak of execute_run at n = 64, 128 and 256: 14.1, 13.3 and 13.1).
+_DENSE_MATRICES_AT_PEAK = 15
 
 _SWEEPABLE = ("sqrt_kappa", "g", "epsilon", "omega_c")
 _GAUSSIAN_KEYS = ("input.pump_center", "input.sum_width", "input.diff_width", "input.diff_offset")

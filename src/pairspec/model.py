@@ -127,7 +127,8 @@ class DynamicalMatrix:
         return self.layout.dim
 
     def eigenbasis(self):
-        """W = V diag(lambda) V^-1 (:func:`pairspec.numkit.eigenbasis`).
+        """W = V diag(lambda) V^-1 (:func:`pairspec.numkit.eigenbasis`), with
+        equal modes deflated.
 
         Factored on first use and kept with the instance, so every solve on
         this W at any shift shares one factorization.  ``matrix`` must not be
@@ -169,6 +170,10 @@ def build_dynamical_matrix(grid, params, continuum_scaling=False, material_sign=
     on); each material mode couples only to the cavity.  material_sign
     selects the cavity-material entries: "paper" writes -sqrt_kappa in both
     positions, "hamiltonian" the antisymmetric +/-sqrt_kappa variant.
+
+    W is therefore an arrowhead with the cavity as its tip.  Signal and
+    idler modes of equal frequency and coupling (equal axes) and identical
+    materials are exactly equal modes, which the eigenbasis deflates.
     """
     if material_sign not in ("paper", "hamiltonian"):
         raise ValueError(f"material_sign must be 'paper' or 'hamiltonian', got {material_sign!r}")

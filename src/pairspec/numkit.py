@@ -9,10 +9,19 @@ entry point rejects NaN/Inf inputs.
 shift W - s from that one factorization.  They are accurate while
 cond_1(V) stays at or below :data:`EIGEN_COND_MAX`; above it callers use the
 Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
+
+The factorization reads W's structure from its entries.  When every
+off-diagonal nonzero lies in one row and column (an :class:`Arrowhead`, as
+for the cavity model), non-tip modes with exactly equal diagonal, tip-row
+and tip-column entries are combined by a real orthogonal reflection: all but
+one mode of each group decouple exactly (O'Leary & Stewart, J. Comput. Phys.
+90 (1990)), ``eig`` runs on the remaining core, products with V touch only
+the core block, and products with W - s cost O(d^2).  A W without that
+structure is factored densely.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
@@ -41,9 +50,17 @@ class SolveReport:
     condition_estimate: float | None = None
     regularized: bool = False
     # Set by callers that choose between the eigenbasis route and the
-    # Schur/LU fallback: "eigen" or "fallback", and the cond_1(V) it rested on.
+    # Schur/LU fallback: "eigen" or "fallback", the cond_1(V) it rested on,
+    # and how many modes the eigenbasis deflated exactly.
     path: str | None = None
     eigenvector_condition: float | None = None
+    deflated_modes: int | None = None
+
+
+def matrix_of(mat_like):
+    """The complex128 array of a matrix wrapper (anything with ``.matrix``,
+    such as a DynamicalMatrix, CovarianceMatrix or Eigenbasis) or of an array."""
+    return np.asarray(getattr(mat_like, "matrix", mat_like), dtype=np.complex128)
 
 
 def _as_matrix(a, name="matrix"):
@@ -173,18 +190,159 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
     return X, SolveReport(residual_norm=residual, condition_estimate=float(cond))
 
 
+def _vector_times(v, Y):
+    """v^T Y, summed like Y @ v (a contiguous copy of Y^T), so that a left and
+    a right product round alike and A X + X A^dag keeps the Hermitian
+    symmetry of X as dense products do."""
+    return np.ascontiguousarray(Y.T) @ v
+
+
+class Arrowhead:
+    """A diagonal plus one full row and column through the ``tip`` index.
+
+    The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
+    ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
+    d x d ndarray Y; ``Y - A`` and ``np.asarray(A)`` use the dense matrix.
+    """
+
+    # ndarray operators return NotImplemented for this class, so ``Y @ A``
+    # and ``Y - A`` reach __rmatmul__ and __rsub__ instead of densifying A.
+    __array_ufunc__ = None
+
+    def __init__(self, diag, col, row, tip):
+        self.diag = diag
+        self.col = col
+        self.row = row
+        self.tip = tip
+
+    def shifted(self, s):
+        return Arrowhead(self.diag - s, self.col, self.row, self.tip)
+
+    def conj(self):
+        return Arrowhead(self.diag.conj(), self.col.conj(), self.row.conj(), self.tip)
+
+    @property
+    def T(self):
+        return Arrowhead(self.diag, self.row, self.col, self.tip)
+
+    def __matmul__(self, Y):
+        out = self.diag[:, None] * Y
+        out += np.outer(self.col, Y[self.tip])
+        out[self.tip] += _vector_times(self.row, Y)
+        return out
+
+    def __rmatmul__(self, Y):
+        out = Y * self.diag[None, :]
+        out += np.outer(Y[:, self.tip], self.row)
+        out[:, self.tip] += Y @ self.col
+        return out
+
+    def lyapunov(self, X):
+        """A X + X A^dag, with the diagonal terms summed first as
+        (a_i + conj(a_j)) X_ij, so that they cancel exactly between modes of
+        equal frequency instead of leaving the rounding of two large products."""
+        t = self.tip
+        out = (self.diag[:, None] + self.diag.conj()[None, :]) * X
+        out += np.outer(self.col, X[t])
+        out += np.outer(X[:, t], self.col.conj())
+        out[t] += _vector_times(self.row, X)
+        out[:, t] += X @ self.row.conj()
+        return out
+
+    def __rsub__(self, Y):
+        return Y - np.asarray(self)
+
+    def __array__(self, dtype=None, copy=None):
+        M = np.diag(self.diag)
+        M[:, self.tip] += self.col
+        M[self.tip] += self.row
+        return M if dtype is None else M.astype(dtype)
+
+
+def _arrowhead(W):
+    """W as an Arrowhead, or None when its off-diagonal nonzeros do not all
+    lie in one row and column (the tip: the index holding the most of them,
+    the lowest such index on a tie)."""
+    off = W != 0
+    np.fill_diagonal(off, False)
+    tip = int(np.argmax(off.sum(axis=0) + off.sum(axis=1)))
+    off[tip] = False
+    off[:, tip] = False
+    if off.any():
+        return None
+    col = W[:, tip].copy()
+    row = W[tip].copy()
+    col[tip] = row[tip] = 0.0
+    return Arrowhead(W.diagonal().copy(), col, row, tip)
+
+
+def _identical_modes(arrow):
+    """Index arrays (ascending, two or more members) of the non-tip modes
+    whose diagonal, tip-column and tip-row entries are exactly equal."""
+    others = np.delete(np.arange(arrow.diag.size), arrow.tip)
+    keys = np.stack((arrow.diag[others], arrow.col[others], arrow.row[others]), axis=1)
+    _, label, count = np.unique(
+        keys.view(np.float64), axis=0, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(label.ravel(), kind="stable")
+    groups = np.split(others[order], np.cumsum(count)[:-1])
+    return [g for g in groups if g.size > 1]
+
+
+def _reflector(k):
+    """Householder H = H^T = H^-1 of size k whose first column is ones/sqrt(k)."""
+    w = np.full(k, 1.0 / np.sqrt(k))
+    w[0] -= 1.0
+    return np.eye(k) - (2.0 / (w @ w)) * np.outer(w, w)
+
+
+def _reflect_rows(Y, reflections):
+    """Q Y in place: each group's reflection H mixes that group's rows."""
+    for idx, H in reflections:
+        rows = [Y[idx[:, j]] for j in range(H.shape[0])]
+        for i in range(H.shape[0]):
+            acc = H[i, 0] * rows[0]
+            for j in range(1, H.shape[0]):
+                acc += H[i, j] * rows[j]
+            Y[idx[:, i]] = acc
+    return Y
+
+
+def _reflect(Y, reflections, rows=True, cols=True):
+    """Q Y, Y Q or Q Y Q as a new array (Q = Q^T).  Columns are reflected as
+    the rows of a transposed copy: gathering whole rows is the fast access."""
+    Y = np.array(Y, dtype=np.complex128)
+    if not reflections:
+        return Y
+    if rows:
+        _reflect_rows(Y, reflections)
+    if cols:
+        Y = np.ascontiguousarray(_reflect_rows(np.ascontiguousarray(Y.T), reflections).T)
+    return Y
+
+
 @dataclass(frozen=True)
 class Eigenbasis:
-    """W = V diag(values) V^-1 with V^-1 formed explicitly.
+    """W = V diag(values) V^-1 in factored form, V = Q (V_core (+) I).
 
-    ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1; it is inf (and
-    ``inverse`` None) when V is numerically singular.
+    When W is an arrowhead (``arrowhead`` is set), each group of k identical
+    non-tip modes is reflected by Q into one mode that couples to the tip
+    (kept at the group's first index) and k - 1 modes that decouple exactly,
+    with the group's diagonal entry as eigenvalue.  The remaining ``core``
+    indices carry the eigenvectors ``core_vectors`` of Q W Q restricted to
+    them.  A W without that structure has Q = I and every index in the core.
+
+    ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V; it is inf
+    (and ``core_inverse`` None) when V is numerically singular.
     """
 
     matrix: np.ndarray
     values: np.ndarray
-    vectors: np.ndarray
-    inverse: np.ndarray | None
+    arrowhead: Arrowhead | None
+    reflections: tuple
+    core: np.ndarray
+    core_vectors: np.ndarray
+    core_inverse: np.ndarray | None
     condition: float
 
     @property
@@ -192,10 +350,63 @@ class Eigenbasis:
         """Whether cond_1(V) admits the eigenbasis solves."""
         return self.condition <= EIGEN_COND_MAX
 
+    @property
+    def deflated_modes(self):
+        """Number of modes split off exactly before the eigendecomposition."""
+        return self.matrix.shape[0] - self.core.size
+
+    @property
+    def vectors(self):
+        """V, formed on access."""
+        V = np.eye(self.matrix.shape[0], dtype=np.complex128)
+        V[np.ix_(self.core, self.core)] = self.core_vectors
+        return _reflect(V, self.reflections, cols=False)
+
+    @property
+    def inverse(self):
+        """V^-1, formed on access; None when V is singular."""
+        if self.core_inverse is None:
+            return None
+        V_inv = np.eye(self.matrix.shape[0], dtype=np.complex128)
+        V_inv[np.ix_(self.core, self.core)] = self.core_inverse
+        return _reflect(V_inv, self.reflections, rows=False)
+
+    def shifted(self, s):
+        """A = W - s I: an Arrowhead when W is one, else a dense array."""
+        if self.arrowhead is None:
+            return self.matrix - s * np.eye(self.matrix.shape[0])
+        return self.arrowhead.shifted(s)
+
+    def lyapunov(self, X, shift):
+        """A X + X A^dag for A = W - shift I."""
+        A = self.shifted(shift)
+        if self.arrowhead is None:
+            return A @ X + X @ A.conj().T
+        return A.lyapunov(X)
+
+    def to_eigen(self, C):
+        """V^-1 C V^-dag."""
+        Z = _reflect(C, self.reflections)
+        k = self.core
+        Z[k] = self.core_inverse @ Z[k]
+        Z[:, k] = Z[:, k] @ self.core_inverse.conj().T
+        return Z
+
+    def from_eigen(self, Y):
+        """V Y V^dag."""
+        Z = np.array(Y, dtype=np.complex128)
+        k = self.core
+        Z[k] = self.core_vectors @ Z[k]
+        Z[:, k] = Z[:, k] @ self.core_vectors.conj().T
+        return _reflect(Z, self.reflections)
+
 
 def eigenbasis(W):
     """Diagonalize W: eigenvalues, eigenvectors V, V^-1 by LU, cond_1(V).
 
+    The structure is read from W's entries: when W is an arrowhead, groups
+    of exactly identical non-tip modes are deflated first (see
+    :class:`Eigenbasis`), so ``eig`` and the LU of V run on the core only.
     One factorization serves the Lyapunov solve and the shifted inverse at
     every shift, since W - s I has the eigenvectors of W.
     """
@@ -203,24 +414,38 @@ def eigenbasis(W):
     d = W.shape[0]
     if W.shape[1] != d:
         raise ValueError("eigenbasis requires a square matrix")
+    arrow = _arrowhead(W)
+    groups = _identical_modes(arrow) if arrow is not None else []
+    by_size = {}
+    for g in groups:
+        by_size.setdefault(g.size, []).append(g)
+    reflections = tuple((np.array(gs), _reflector(k)) for k, gs in sorted(by_size.items()))
+    core = np.setdiff1d(np.arange(d), [i for g in groups for i in g[1:]])
     try:
-        values, V = np.linalg.eig(W)
+        core_values, core_vectors = np.linalg.eig(
+            _reflect(W, reflections)[np.ix_(core, core)]
+        )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    values = W.diagonal().copy()
+    values[core] = core_values
+    basis = Eigenbasis(W, values, arrow, reflections, core, core_vectors, None, np.inf)
     with warnings.catch_warnings():
         # A singular V is detected from the pivots below.
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(V)
+        lu, piv = lu_factor(core_vectors)
     if np.abs(np.diag(lu)).min() > 0.0:
-        V_inv = lu_solve((lu, piv), np.eye(d, dtype=np.complex128))
-        condition = float(np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1))
+        core_inverse = lu_solve((lu, piv), np.eye(core.size, dtype=np.complex128))
+        basis = replace(basis, core_inverse=core_inverse)
+        condition = float(np.linalg.norm(basis.vectors, 1) * np.linalg.norm(basis.inverse, 1))
         if np.isfinite(condition):
-            return Eigenbasis(W, values, V, V_inv, condition)
-    return Eigenbasis(W, values, V, None, np.inf)
+            return replace(basis, condition=condition)
+        basis = replace(basis, core_inverse=None)
+    return basis
 
 
 def _require_usable(basis):
-    if basis.inverse is None:
+    if basis.core_inverse is None:
         raise ValueError("eigenbasis has a singular eigenvector matrix")
 
 
@@ -230,39 +455,34 @@ def solve_lyapunov_eigen(basis, C, shift):
     With Y = V^-1 X V^-dag the equation is diagonal:
     X = V [(-V^-1 C V^-dag) / (l_i + conj(l_j))] V^dag, l = lambda - shift,
     followed by one iterative-refinement pass as in :func:`solve_sylvester`.
-    The pencil-gap screen runs on the same eigenvalues and raises
-    NearSingularPencil (tolerance 1e-10 * ||A||_F, the default of
-    :func:`solve_sylvester`) with the offending pair.  The caller checks
-    ``basis.usable`` first.
+    Products with V touch only the core block, and products with A cost
+    O(d^2) when W is an arrowhead.  The pencil-gap screen runs on all d
+    eigenvalues and raises NearSingularPencil (tolerance 1e-10 * ||A||_F,
+    the default of :func:`solve_sylvester`) with the offending pair.  The
+    caller checks ``basis.usable`` first.
     """
     _require_usable(basis)
     C = _as_matrix(C, "C")
-    W = basis.matrix
-    d = W.shape[0]
+    d = basis.matrix.shape[0]
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
-    A = W - shift * np.eye(d)
-    A_h = A.conj().T
     lam = basis.values - shift
-    norm_a = np.linalg.norm(A)
+    norm_a = np.linalg.norm(basis.shifted(shift))
     pair_tol = 1e-10 * max(norm_a, 1e-300)
     gap = _pencil_gap_check(lam, lam.conj(), pair_tol, norm_a, norm_a)
-
-    V, V_inv = basis.vectors, basis.inverse
-    V_h, V_inv_h = V.conj().T, V_inv.conj().T
     denom = lam[:, None] + lam.conj()[None, :]
 
     def eig_solve(rhs):
-        return V @ ((V_inv @ rhs @ V_inv_h) / -denom) @ V_h
+        return basis.from_eigen(basis.to_eigen(rhs) / -denom)
 
     X = eig_solve(C)
-    R = A @ X + X @ A_h + C
+    R = basis.lyapunov(X, shift) + C
     if np.linalg.norm(R) > 0:
         X = X + eig_solve(R)
 
-    residual = sylvester_residual(A, A_h, C, X)
+    residual = np.linalg.norm(basis.lyapunov(X, shift) + C) / max(1.0, np.linalg.norm(C))
     cond = norm_a / gap if gap > 0 else np.inf
-    return X, SolveReport(residual_norm=residual, condition_estimate=float(cond))
+    return X, SolveReport(residual_norm=float(residual), condition_estimate=float(cond))
 
 
 def shifted_inverse(basis, z):
@@ -282,7 +502,10 @@ def shifted_inverse(basis, z):
             f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
             f"1e-12 * max|W - z|={scale:.3e}"
         )
-    return (basis.vectors / (basis.values - z)[None, :]) @ basis.inverse
+    core = basis.core
+    inv = np.diag(1.0 / (basis.values - z))
+    inv[np.ix_(core, core)] = (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse
+    return _reflect(inv, basis.reflections)
 
 
 def svd(M):

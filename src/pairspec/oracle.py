@@ -17,11 +17,6 @@ from .errors import NonConvergentIntegral, StepOverflow
 _MAX_STEPS = 10_000_000
 
 
-def _raw(mat_like):
-    mat = getattr(mat_like, "matrix", mat_like)
-    return np.asarray(mat, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Fixed-step 4th-order integration window."""
@@ -56,8 +51,8 @@ def integrate_sylvester(W, theta0, cfg):
     Raises StepOverflow when the state norm exceeds cfg.overflow_limit
     (expected for generators with gain and no damping).
     """
-    Wm = _raw(W)
-    theta = _raw(theta0)
+    Wm = numkit.matrix_of(W)
+    theta = numkit.matrix_of(theta0)
     out, done, overflowed = kernels.rk4_lyapunov(
         Wm, theta, cfg.dt, cfg.steps, cfg.overflow_limit
     )
@@ -78,8 +73,8 @@ def quadrature_time_integral(W_eps, theta0, t_max, dt):
     integral to exist; otherwise NonConvergentIntegral is raised.  The
     reported tail bound is ||Theta(t_max)||_F / (2 * slowest decay rate).
     """
-    Wm = _raw(W_eps)
-    theta = _raw(theta0)
+    Wm = numkit.matrix_of(W_eps)
+    theta = numkit.matrix_of(theta0)
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
     steps = int(np.ceil(t_max / dt))

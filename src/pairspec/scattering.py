@@ -8,10 +8,15 @@ reduced forms of the output map holds exactly at the working epsilon.
 
 Both solves run in the eigenbasis of W (:func:`pairspec.numkit.eigenbasis`),
 which serves every shift: a DynamicalMatrix keeps its factorization, so all
-propagations of one W factor it once; a plain array is factored per call.
-When cond_1(V) exceeds ``numkit.EIGEN_COND_MAX`` (near an exceptional point)
-they fall back to the Schur solve of ``numkit.solve_sylvester`` and the LU
-of ``numkit.linear_solve``.  Each report records the path and cond_1(V).
+propagations of one W factor it once; ``propagate`` factors a plain array
+once for both solves, and either solve also accepts a ``numkit.Eigenbasis``
+in place of W.  The cavity model's W is an arrowhead, so equal signal/idler
+modes (and identical materials) are deflated exactly before ``eig`` and
+every product with W - eps costs O(d^2).  When cond_1(V) exceeds
+``numkit.EIGEN_COND_MAX`` (near an exceptional point) they fall back to the
+Schur solve of ``numkit.solve_sylvester`` and the LU of
+``numkit.linear_solve``.  Each report records the path, cond_1(V) and the
+number of deflated modes.
 """
 
 from dataclasses import dataclass, field
@@ -48,26 +53,18 @@ class PropagationResult:
     reports: dict = field(default_factory=dict)
 
 
-def _raw(mat_like):
-    if isinstance(mat_like, (DynamicalMatrix, CovarianceMatrix)):
-        return mat_like.matrix
-    return np.asarray(mat_like, dtype=np.complex128)
-
-
-def _shifted(W, eps):
-    Wm = _raw(W)
-    return Wm - eps * np.eye(Wm.shape[0])
-
-
 def _eigenbasis(W):
+    if isinstance(W, numkit.Eigenbasis):
+        return W
     if isinstance(W, DynamicalMatrix):
         return W.eigenbasis()
-    return numkit.eigenbasis(_raw(W))
+    return numkit.eigenbasis(numkit.matrix_of(W))
 
 
 def _mark(report, basis):
     report.path = "eigen" if basis.usable else "fallback"
     report.eigenvector_condition = basis.condition
+    report.deflated_modes = basis.deflated_modes
 
 
 def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EPSILON):
@@ -80,15 +77,16 @@ def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EP
     near-imaginary), the solve automatically retries at
     ``fallback_epsilon`` and flags the report as regularized.
 
+    W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W.
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
-    theta_mat = _raw(theta_in)
+    theta_mat = numkit.matrix_of(theta_in)
     basis = _eigenbasis(W)
 
     def attempt(eps):
         if basis.usable:
             return numkit.solve_lyapunov_eigen(basis, theta_mat, eps)
-        A = _shifted(W, eps)
+        A = np.asarray(basis.shifted(eps))
         return numkit.solve_sylvester(A, A.conj().T, theta_mat)
 
     regularized = False
@@ -119,8 +117,7 @@ def scattering_matrix(W, z):
     eigenbasis path and the 2-norm cond(A) from linear_solve otherwise.
     """
     basis = _eigenbasis(W)
-    Wm = basis.matrix
-    A = Wm - z * np.eye(Wm.shape[0])
+    A = basis.shifted(z)
     A_h = A.conj().T
     if basis.usable:
         S = A_h @ numkit.shifted_inverse(basis, z)
@@ -132,10 +129,11 @@ def scattering_matrix(W, z):
         )
     else:
         # S A = A^dag  <=>  A^T S^T = conj(A)
-        St, report = numkit.linear_solve(A.T, A.conj())
+        A_dense = np.asarray(A)
+        St, report = numkit.linear_solve(A_dense.T, A_dense.conj())
         S = St.T
         defect = np.linalg.norm(S @ A - A_h)
-    residual = float(defect / max(np.linalg.norm(Wm), 1e-300))
+    residual = float(defect / max(np.linalg.norm(basis.matrix), 1e-300))
     _mark(report, basis)
     return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
 
@@ -152,21 +150,26 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, fallback_epsilon=DEFAULT_EPS
     at z = eps.  The algebraically reduced form
     Theta_out = (S X S^dag) A + A^dag (S X S^dag) follows by substituting the
     Lyapunov identity; their relative gap is recorded as a diagnostic (it
-    measures nothing but the solver residual).
+    measures nothing but the solver residual).  Every product with A costs
+    O(d^2) when W is an arrowhead (``numkit.Arrowhead``).
     """
-    theta_mat = _raw(theta_in)
+    theta_mat = numkit.matrix_of(theta_in)
+    # One factorization serves both solves: a DynamicalMatrix factors itself
+    # on first use, inside the Lyapunov solve; an array is factored here.
+    source = W if isinstance(W, DynamicalMatrix) else _eigenbasis(W)
 
-    X, lyap_report = time_integrated_covariance(W, theta_mat, epsilon, fallback_epsilon)
+    X, lyap_report = time_integrated_covariance(source, theta_mat, epsilon, fallback_epsilon)
     regularized = lyap_report.regularized
     eff_eps = fallback_epsilon if regularized else epsilon
 
-    A = _shifted(W, eff_eps)
-    smat, scat_report = scattering_matrix(W, eff_eps)
+    smat, scat_report = scattering_matrix(source, eff_eps)
     S = smat.matrix
+    A = _eigenbasis(source).shifted(eff_eps)
+    A_h = A.conj().T
 
     G = S @ X @ S.conj().T
-    cross = G @ A + A.conj().T @ G
-    theta_out = X @ A.conj().T + A @ X + cross + theta_mat
+    cross = G @ A + A_h @ G
+    theta_out = X @ A_h + A @ X + cross + theta_mat
     gap_norm = np.linalg.norm(theta_out - cross)
     out_norm = np.linalg.norm(theta_out)
     identity_gap = float(gap_norm / out_norm) if out_norm > 0 else 0.0

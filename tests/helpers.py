@@ -34,9 +34,10 @@ def random_hurwitz(rng, d, margin=0.3):
 
 def small_system(n=4, m_count=1, g=0.2, sqrt_kappa=0.3, omega_c=1.2,
                  span=(0.8, 1.6), pump=2.4, sum_width=0.1, diff_width=0.35,
-                 diff_offset=0.0, **build_kwargs):
-    """Toy model instance with O(1) frequencies."""
-    grid = build_grid(n, span, span)
+                 diff_offset=0.0, idler_span=None, **build_kwargs):
+    """Toy model instance with O(1) frequencies; the idler axis spans
+    ``idler_span`` when given, else the signal's ``span``."""
+    grid = build_grid(n, span, idler_span or span)
     params = SystemParams(
         omega_c=omega_c,
         material_freqs=(omega_c,) * m_count,

@@ -297,6 +297,39 @@ def test_sweep_threads_do_not_change_results(tmp_path):
     assert a == b
 
 
+def test_failed_sweep_point_keeps_the_others(tmp_path, monkeypatch, capsys):
+    from pairspec import cli as cli_mod
+    from pairspec.errors import NearSingularPencil
+
+    real = cli_mod.execute_run
+
+    def failing_at_150(cfg, *args, **kwargs):
+        if cfg.sqrt_kappa == 150 and len(cfg.material_freqs) == 2:
+            raise NearSingularPencil("synthetic failure", pair=(0j, 0j), gap=0.0)
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "execute_run", failing_at_150)
+    text = BASE_CONFIG + (
+        "\nsweep.parameter = sqrt_kappa\nsweep.values = 50, 150\nsweep.material_counts = 1, 2\n"
+    )
+    out_dir = str(tmp_path / "sweep")
+    assert main(["--out", out_dir, "--threads", "2", "sweep", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure during sweep" in err and "NearSingularPencil" in err
+    rows = open(os.path.join(out_dir, "entropy.csv")).read().strip().splitlines()
+    assert rows[0].endswith(",status")
+    assert [r.split(",")[-1] for r in rows[1:]] == ["ok", "ok", "ok", "failed"]
+    assert rows[4] == "sqrt_kappa,150,2,,,,,,failed"
+    points = json.loads(open(os.path.join(out_dir, "sweep_index.json")).read())["points"]
+    assert [p["status"] for p in points] == ["ok", "ok", "ok", "failed"]
+    assert points[3]["dir"] is None and "synthetic failure" in points[3]["error"]
+    for entry in points[:3]:
+        assert entry["error"] is None
+        metrics = json.loads(open(os.path.join(out_dir, entry["dir"], "metrics.json")).read())
+        # n = 16 signal/idler pairs, plus one of two identical materials.
+        assert metrics["diagnostics"]["deflated_modes"] == 16 + entry["material_count"] - 1
+
+
 def test_sweep_rejects_bad_point_before_running(tmp_path, capsys):
     text = BASE_CONFIG + "\nsweep.parameter = epsilon\nsweep.values = 1e-3, 0, -1\n"
     cfg_path = write_config(tmp_path, text)

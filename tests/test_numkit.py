@@ -8,7 +8,7 @@ from scipy.integrate import quad_vec
 
 from pairspec import numkit
 from pairspec.errors import NearSingularPencil, SingularMatrix
-from helpers import random_covariance, random_hermitian, random_hurwitz
+from helpers import random_covariance, random_hermitian, random_hurwitz, small_system
 
 
 # --- oracles ---------------------------------------------------------------
@@ -229,6 +229,102 @@ def test_shifted_inverse_singular_raises():
     basis = numkit.eigenbasis(np.diag([-1j, -2j]))
     with pytest.raises(SingularMatrix):
         numkit.shifted_inverse(basis, -2j)
+
+
+# --- structured eigenbasis of an arrowhead W -----------------------------------
+
+def _model(n=5, m_count=1, **kwargs):
+    return small_system(n=n, m_count=m_count, **kwargs)[2].matrix
+
+
+_ARROWHEAD_CASES = {
+    **{f"{sign}-M{m}": dict(m_count=m, material_sign=sign)
+       for sign in ("paper", "hamiltonian") for m in range(4)},
+    "n1": dict(n=1),
+    "g0": dict(g=0.0),
+    "continuum": dict(continuum_scaling=True),
+    "unequal-axes": dict(span=(0.8, 1.6), idler_span=(0.85, 1.75), continuum_scaling=True),
+}
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", _ARROWHEAD_CASES)
+def test_arrowhead_products_match_dense(case):
+    rng = np.random.default_rng(53)
+    W = _model(**_ARROWHEAD_CASES[case])
+    basis = numkit.eigenbasis(W)
+    assert isinstance(basis.arrowhead, numkit.Arrowhead)
+    d = W.shape[0]
+    Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for s in (0.0, 1e-3, 0.3 - 0.2j):
+        A = basis.shifted(s)
+        Ad = W - s * np.eye(d)
+        assert np.array_equal(np.asarray(A), Ad)
+        for got, want in (
+            (A @ Y, Ad @ Y),
+            (Y @ A, Y @ Ad),
+            (A.conj().T @ Y, Ad.conj().T @ Y),
+            (Y @ A.conj().T, Y @ Ad.conj().T),
+            (A.lyapunov(Y), Ad @ Y + Y @ Ad.conj().T),
+            (Y - A, Y - Ad),
+        ):
+            assert _rel(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("case", _ARROWHEAD_CASES)
+def test_structured_eigenbasis_reproduces_w(case):
+    W = _model(**_ARROWHEAD_CASES[case])
+    basis = numkit.eigenbasis(W)
+    V, V_inv = basis.vectors, basis.inverse
+    assert _rel(V @ np.diag(basis.values) @ V_inv, W) < 1e-12
+    assert _rel(V @ V_inv, np.eye(W.shape[0])) < 1e-12
+    assert basis.condition == pytest.approx(
+        np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("shift", [1e-3, 5e-4])
+def test_structured_lyapunov_and_inverse_match_dense(shift):
+    # Three identical materials exercise a reflection of size 3.
+    rng = np.random.default_rng(59)
+    W = _model(n=4, m_count=3, sqrt_kappa=0.4)
+    d = W.shape[0]
+    basis = numkit.eigenbasis(W)
+    assert basis.deflated_modes == 4 + 2
+    C = random_covariance(rng, d)
+    X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
+    A = W - shift * np.eye(d)
+    Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
+    assert _rel(X, Xk) < 1e-10
+    assert report.residual_norm < 1e-12
+    assert numkit.sylvester_residual(A, A.conj().T, C, X) < 1e-12
+    assert _rel(numkit.shifted_inverse(basis, shift), np.linalg.inv(A)) < 1e-12
+
+
+@pytest.mark.parametrize("n, m_count, idler_span, expected", [
+    (64, 1, (0.8, 1.6), 64),      # a run: every signal/idler pair
+    (64, 2, (0.8, 1.6), 65),      # a sweep point with two identical materials
+    (256, 1, (0.8, 1.6), 256),
+    (6, 3, (0.8, 1.6), 6 + 2),    # three identical materials leave one
+    (6, 2, (0.85, 1.75), 1),      # unequal axes: only the material pair
+    (6, 1, (0.85, 1.75), 0),
+])
+def test_deflated_modes_counts(n, m_count, idler_span, expected):
+    basis = numkit.eigenbasis(_model(n=n, m_count=m_count, span=(0.8, 1.6), idler_span=idler_span))
+    assert basis.deflated_modes == expected
+    assert basis.core.size == 2 * n + 1 + m_count - expected
+
+
+def test_dense_matrix_has_no_structure():
+    # The random generators of the validation suite take the dense route.
+    rng = np.random.default_rng(61)
+    basis = numkit.eigenbasis(random_hurwitz(rng, 7))
+    assert basis.arrowhead is None
+    assert basis.deflated_modes == 0
+    assert isinstance(basis.shifted(1e-3), np.ndarray)
 
 
 # --- svd --------------------------------------------------------------------

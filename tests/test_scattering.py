@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairspec import (
+    JointSpectralAmplitude,
     SystemParams,
     assemble_input_covariance,
     build_dynamical_matrix,
@@ -17,7 +18,9 @@ from pairspec import (
     propagate,
     quadrature_time_integral,
     scattering_matrix,
+    schmidt,
     time_integrated_covariance,
+    von_neumann_entropy,
 )
 from pairspec.errors import NearSingularPencil, SingularMatrix
 from pairspec.numkit import sylvester_residual
@@ -287,3 +290,65 @@ def test_property_g0_leaves_jsi_unchanged(n, m_count, sqrt_kappa, omega_c, mater
     j_in = jsi_of(jsa).values
     j_out = jsi_of(extract_output_jsa(prop.theta_out)).values
     assert np.abs(j_out - j_in).max() < 1e-8
+
+
+def test_propagate_factors_a_plain_array_once(monkeypatch):
+    calls = []
+    real = numkit.eigenbasis
+
+    def counting(W):
+        calls.append(W.shape)
+        return real(W)
+
+    monkeypatch.setattr(numkit, "eigenbasis", counting)
+    _, _, W, _, theta = small_system(n=4, m_count=2)
+    prop = propagate(theta, W.matrix, epsilon=1e-3)
+    assert len(calls) == 1
+    assert prop.reports["lyapunov"].deflated_modes == 4 + 1
+    # Both solves accept the factorization itself in place of W.
+    basis = real(W.matrix)
+    X, _ = time_integrated_covariance(basis, theta, 1e-3)
+    smat, _ = scattering_matrix(basis, 1e-3)
+    assert np.array_equal(X.matrix, prop.theta_tilde_in.matrix)
+    assert np.array_equal(smat.matrix, prop.scattering.matrix)
+    assert len(calls) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    g=st.floats(0.0, 0.5),
+    idler_span=st.sampled_from([(0.8, 1.6), (0.9, 1.5), (0.85, 1.75)]),
+    continuum_scaling=st.booleans(),
+    **_SMALL_MODELS,
+)
+def test_property_swapping_signal_and_idler_conjugate_transposes_output_jsa(
+    n, m_count, g, sqrt_kappa, omega_c, material_sign, idler_span, continuum_scaling
+):
+    kwargs = dict(n=n, m_count=m_count, g=g, sqrt_kappa=sqrt_kappa, omega_c=omega_c,
+                  material_sign=material_sign, continuum_scaling=continuum_scaling,
+                  diff_offset=0.05)
+    _, _, W, jsa, theta = small_system(span=(0.8, 1.6), idler_span=idler_span, **kwargs)
+    swapped, _, W_swapped, _, _ = small_system(span=idler_span, idler_span=(0.8, 1.6), **kwargs)
+    theta_swapped = assemble_input_covariance(
+        JointSpectralAmplitude(swapped, jsa.values.conj().T), m_count
+    )
+    F_out = extract_output_jsa(propagate(theta, W, epsilon=1e-3).theta_out).values
+    F_out_swapped = extract_output_jsa(
+        propagate(theta_swapped, W_swapped, epsilon=1e-3).theta_out
+    ).values
+    assert np.linalg.norm(F_out_swapped - F_out.conj().T) / np.linalg.norm(F_out) < 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(g=st.floats(0.0, 0.5), **_SMALL_MODELS)
+def test_property_entropy_is_between_zero_and_log_n(
+    n, m_count, g, sqrt_kappa, omega_c, material_sign
+):
+    _, _, W, _, theta = small_system(
+        n=n, m_count=m_count, g=g, sqrt_kappa=sqrt_kappa, omega_c=omega_c,
+        material_sign=material_sign,
+    )
+    prop = propagate(theta, W, epsilon=1e-3)
+    S = von_neumann_entropy(schmidt(extract_output_jsa(prop.theta_out)))
+    # Slack of 1e-12 nats for the rounding of -sum p ln p.
+    assert -1e-12 <= S <= np.log(n) + 1e-12
