@@ -359,7 +359,7 @@ def cmd_validate(args):
     n_fail = sum(1 for r in report.results if not r.passed)
     print(
         f"{len(report.results) - n_fail}/{len(report.results)} checks passed "
-        f"in {report.elapsed:.1f} s"
+        f"in {report.elapsed:.3g} s"
     )
     return 0 if report.passed else 3
 

@@ -1,8 +1,10 @@
-"""Hot numeric kernels: the triangular Sylvester solve and the two oracle loops.
+"""Hot numeric kernels: the triangular Sylvester solve and the two oracle sums.
 
 The triangular solve is LAPACK ``trsyl``, the compiled back-substitution of
-Bartels–Stewart; the RK4 stepper and the trapezoid accumulator are plain
-numpy loops whose cost is in the matrix products.
+Bartels–Stewart.  The RK4 stepper is a plain numpy loop over its steps; the
+trapezoid sum is built by binary doubling in O(log N) matrix products.  Both
+use only the one-step propagator or W itself and matrix products, so the
+oracle shares no factorization with the path it certifies.
 """
 
 import numpy as np
@@ -55,20 +57,26 @@ def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
 
 
 def propagator_trapezoid(P, theta0, steps, dt):
-    """Composite trapezoid of E theta0 E^dag on a uniform grid, with E(k dt)
-    advanced by the one-step propagator P.
+    """Composite trapezoid of E theta0 E^dag on a uniform grid, E(k dt) = P^k.
+
+    The sum S_m = sum_{k<m} P^k theta0 P^k^dag is built by binary doubling
+    (R. A. Smith, SIAM J. Appl. Math. 16, 1968): S_2m = S_m + P^m S_m P^m^dag
+    and S_m+1 = theta0 + P S_m P^dag, walking the bits of ``steps`` from the
+    top, so the cost is O(log steps) products.  The end weights then turn
+    S_N into the trapezoid: S_N - theta0/2 + E_N theta0 E_N^dag / 2.
 
     Returns (integral, E_final) so the caller can bound the truncated tail.
     """
     P = np.asarray(P, dtype=np.complex128)
     theta0 = np.asarray(theta0, dtype=np.complex128)
+    Pd = np.conj(P.T)
+    S = np.zeros_like(theta0)
     E = np.eye(theta0.shape[0], dtype=np.complex128)
-    acc = 0.5 * theta0.copy()
-    for k in range(steps):
-        E = P @ E
-        term = E @ theta0 @ np.conj(E.T)
-        if k == steps - 1:
-            acc += 0.5 * term
-        else:
-            acc += term
+    for bit in format(steps, "b"):
+        S = S + E @ S @ np.conj(E.T)
+        E = E @ E
+        if bit == "1":
+            S = theta0 + P @ S @ Pd
+            E = P @ E
+    acc = S - 0.5 * theta0 + 0.5 * (E @ theta0 @ np.conj(E.T))
     return acc * dt, E

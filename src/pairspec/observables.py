@@ -1,8 +1,10 @@
 """State metrics: Schmidt spectrum, von Neumann entropy, Wigner function, purity."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from . import numkit
 from .errors import DegenerateState, NonPositiveDeterminant, SingularCovariance
@@ -60,30 +62,58 @@ def von_neumann_entropy(spectrum):
     return float(-np.sum(p * np.log(p)))
 
 
+# Points per LU solve in wigner: a grid of any size costs O(block * d)
+# temporaries beyond its own output.
+_WIGNER_BLOCK = 1024
+
+
 def wigner(theta, alpha, mean=None):
-    """Gaussian phase-space density at point alpha:
+    """Gaussian phase-space density at the points alpha:
 
         W(alpha) = exp(-1/2 (a-m)^T Theta^(-1) (a-m)) / ((2 pi)^(d/2) sqrt|Theta|)
 
-    with d the covariance dimension (d/2 modes).  mean defaults to zero;
-    local displacements do not change the entanglement structure.
+    with d the covariance dimension (d/2 modes).  alpha has shape (..., d)
+    and the result has shape (...); a single point of shape (d,) gives a
+    float.  mean defaults to zero; local displacements do not change the
+    entanglement structure.  One LU factorization of Theta gives both
+    log|det Theta| and every solve; a pivot below 1e-12 * max|Theta| raises
+    SingularCovariance, the rule of ``numkit.linear_solve``.
     """
     mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
     mat = np.asarray(mat, dtype=np.complex128)
     d = mat.shape[0]
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(d)
-    x = alpha if mean is None else alpha - np.asarray(mean, dtype=np.complex128).reshape(d)
+    alpha = np.asarray(alpha)
+    if alpha.shape[-1:] != (d,):
+        raise ValueError(f"alpha must have shape (..., {d}), got {alpha.shape}")
+    points = alpha.reshape(-1, d)
+    if mean is not None:
+        mean = np.asarray(mean, dtype=np.complex128).reshape(d)
 
-    log_abs, _ = numkit.log_determinant(mat)
-    if not np.isfinite(log_abs):
-        raise SingularCovariance("covariance matrix is singular")
-    try:
-        y, _ = numkit.linear_solve(mat, x.reshape(d, 1))
-    except Exception as exc:
-        raise SingularCovariance(f"covariance solve failed: {exc}") from exc
-    quad = complex(x @ y[:, 0])
-    value = np.exp(-0.5 * quad) / ((2.0 * np.pi) ** (d / 2.0) * np.exp(0.5 * log_abs))
-    return float(np.real(value))
+    scale = np.abs(mat).max()
+    with warnings.catch_warnings():
+        # Singularity is detected from the pivots below; scipy's warning is noise.
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(mat)
+    pivots = np.abs(np.diag(lu))
+    if scale == 0.0 or pivots.min() < 1e-12 * scale:
+        raise SingularCovariance(
+            f"covariance matrix is singular: pivot {pivots.min():.3e} below "
+            f"1e-12 * max|Theta|={scale:.3e}"
+        )
+    log_abs = float(np.sum(np.log(pivots)))
+    norm = (2.0 * np.pi) ** (d / 2.0) * np.exp(0.5 * log_abs)
+
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _WIGNER_BLOCK):
+        x = points[start:start + _WIGNER_BLOCK].astype(np.complex128)
+        if mean is not None:
+            x -= mean
+        y = lu_solve((lu, piv), x.T).T
+        # x^T y per point as a stack of 1 x d by d x 1 products, unconjugated.
+        quad = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+        out[start:start + _WIGNER_BLOCK] = np.real(np.exp(-0.5 * quad) / norm)
+    out = out.reshape(alpha.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def purity(theta, det_tol=1e-300):
@@ -93,14 +123,22 @@ def purity(theta, det_tol=1e-300):
     complex covariance can carry a benign phase after Hermitization.  Note
     the formula is not rescaled to any vacuum convention, so e.g.
     Theta = I/2 gives mu = 2^(d/2); Theta = I gives exactly 1.
+
+    NonPositiveDeterminant is raised when |det Theta|^(1/d) / max|Theta|,
+    the geometric-mean eigenvalue magnitude against the largest entry, is
+    below det_tol.  The test is made in log space and does not depend on
+    the scale of Theta or on d: |det Theta| itself underflows for a healthy
+    Theta at large d (0.5 I at d = 998 has |det| = 2^-998).
     """
     mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
     mat = np.asarray(mat, dtype=np.complex128)
     log_abs, phase = numkit.log_determinant(mat)
-    if not np.isfinite(log_abs) or np.exp(log_abs) < det_tol:
+    if not np.isfinite(log_abs) or (
+        log_abs / mat.shape[0] - np.log(np.abs(mat).max()) < np.log(det_tol)
+    ):
         raise NonPositiveDeterminant(
-            f"|det Theta| = {np.exp(log_abs) if np.isfinite(log_abs) else 0.0:.3e} "
-            "is not positive within tolerance",
+            f"log|det Theta| = {log_abs:.6g}: |det Theta|^(1/d) / max|Theta| is below "
+            f"{det_tol:.1e}",
             determinant=complex(np.exp(log_abs) * np.exp(1j * phase)) if np.isfinite(log_abs) else 0j,
         )
     return PurityResult(mu=float(np.exp(-0.5 * log_abs)), log_abs_det=float(log_abs))

@@ -2,9 +2,11 @@
 
 Two independent routes certify the Lyapunov machinery on small instances:
 a fixed-step RK4 integration of dTheta/dt = W Theta + Theta W^dag, and a
-composite-trapezoid accumulation of e^(Wt) Theta0 e^(W^dag t).  Fixed steps
-keep the oracle simple and auditable; accuracy is verified by step halving,
-not adaptivity.
+composite trapezoid of e^(Wt) Theta0 e^(W^dag t), summed by binary doubling
+from the one-step propagator e^(W dt).  Neither uses an eigen or Schur
+factorization or a Lyapunov solve, so the oracle stays independent of the
+path it certifies.  Fixed steps keep the oracle simple and auditable;
+accuracy is verified by step halving, not adaptivity.
 """
 
 from dataclasses import dataclass

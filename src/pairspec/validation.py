@@ -172,10 +172,8 @@ def run_validation(seed=20250801, quick=False):
     mu = observables.purity(theta1).mu
     L = 6.0 * np.sqrt(np.max(np.linalg.eigvalsh(theta1).real))
     axis = np.linspace(-L, L, 161)
-    vals = np.empty((axis.size, axis.size))
-    for i, x in enumerate(axis):
-        for j, p in enumerate(axis):
-            vals[i, j] = observables.wigner(theta1, np.array([x, p])) ** 2
+    grid_xp = np.stack(np.meshgrid(axis, axis, indexing="ij", copy=False), axis=-1)
+    vals = observables.wigner(theta1, grid_xp) ** 2
     overlap = (4.0 * np.pi) * np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
     add("purity_wigner_overlap", abs(overlap - mu) / mu, 1e-4)
 

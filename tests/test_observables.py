@@ -132,6 +132,44 @@ def test_wigner_singular_covariance_raises():
         wigner(np.zeros((2, 2)), np.zeros(2))
 
 
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("with_mean", [False, True], ids=["no_mean", "mean"])
+def test_wigner_batch_matches_scalar_calls(d, with_mean):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    theta = A @ A.conj().T / d + 0.5 * np.eye(d)
+    points = rng.normal(size=(7, d))
+    mean = rng.normal(size=d) if with_mean else None
+    batch = wigner(theta, points, mean=mean)
+    assert batch.shape == (7,)
+    for point, value in zip(points, batch):
+        assert value == pytest.approx(wigner(theta, point, mean=mean), rel=1e-13)
+
+
+def test_wigner_grid_keeps_its_shape():
+    # 45 x 30 = 1350 points: more than one solve block.
+    theta = np.array([[0.7, 0.15], [0.15, 0.8]], dtype=complex)
+    grid = np.stack(
+        np.meshgrid(np.linspace(-2.0, 2.0, 45), np.linspace(-1.0, 1.0, 30), indexing="ij"),
+        axis=-1,
+    )
+    values = wigner(theta, grid)
+    assert values.shape == (45, 30)
+    for i, j in ((1, 2), (34, 4), (44, 29)):
+        assert values[i, j] == pytest.approx(wigner(theta, grid[i, j]), rel=1e-13)
+    assert isinstance(wigner(theta, grid[0, 0]), float)
+
+
+def test_wigner_batch_singular_covariance_raises():
+    with pytest.raises(SingularCovariance):
+        wigner(np.diag([1.0, 0.0]), np.zeros((4, 2)))
+
+
+def test_wigner_wrong_point_dimension_raises():
+    with pytest.raises(ValueError):
+        wigner(np.eye(2), np.zeros((4, 3)))
+
+
 # --- purity ----------------------------------------------------------------------
 
 def test_purity_identity_is_one():
@@ -158,6 +196,14 @@ def test_purity_uses_log_determinant_for_large_dim():
     result = purity(2.0 * np.eye(d))
     assert result.log_abs_det == pytest.approx(d * np.log(2.0), rel=1e-12)
     assert result.mu == pytest.approx(np.exp(-0.5 * d * np.log(2.0)))
+
+
+def test_purity_vacuum_at_large_dim():
+    # |det| = 2^-998 underflows in linear space; the gate works in log space.
+    # slogdet sums 998 logarithms, so mu carries ~1e-11 relative rounding.
+    result = purity(0.5 * np.eye(998))
+    assert result.log_abs_det == pytest.approx(998 * np.log(0.5), rel=1e-12)
+    assert result.mu == pytest.approx(2.0**499, rel=1e-10)
 
 
 def test_purity_singular_raises():

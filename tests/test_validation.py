@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairspec import numkit
+from pairspec import numkit, observables
 from pairspec.validation import run_validation
 
 
@@ -59,3 +59,17 @@ def test_corrupted_eigenbasis_lyapunov_fails_suite(monkeypatch):
     monkeypatch.setattr(numkit, "solve_lyapunov_eigen", corrupted)
     report = run_validation(quick=True)
     assert not report.passed
+
+
+def test_validation_evaluates_wigner_grid_in_one_call(monkeypatch):
+    calls = []
+    real = observables.wigner
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "wigner", counting)
+    report = run_validation(quick=True)
+    assert report.passed
+    assert len(calls) == 1
