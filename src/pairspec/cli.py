@@ -103,7 +103,7 @@ def render_heatmap(jsi, path):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -201,6 +201,11 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
     }
     if out.epsilon_stability is not None:
         payload["diagnostics"]["epsilon_half_relative_change"] = out.epsilon_stability
+    # JSON has no inf or nan: a diagnostic that is not finite (cond_1(V) of a
+    # singular V) is written as null.
+    for key, value in payload["diagnostics"].items():
+        if isinstance(value, float) and not np.isfinite(value):
+            payload["diagnostics"][key] = None
     if seed is not None:
         payload["seed"] = seed
     return payload
@@ -276,7 +281,9 @@ def cmd_run(args):
     out_dir = _resolve_out_dir(args, cfg)
     outputs = execute_run(cfg)
     _write_run_artifacts(out_dir, cfg, outputs, seed=args.seed)
-    print(f"run complete: entropy={outputs.entropy:.6f} nats, purity mu={outputs.purity.mu:.6g}")
+    mu = outputs.purity.mu
+    print(f"run complete: entropy={outputs.entropy:.6f} nats, purity mu="
+          f"{'overflow' if mu is None else f'{mu:.6g}'}")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -323,9 +330,10 @@ def cmd_sweep(args):
     for idx, value, m_count, outputs, sub, error in results:
         if error is None:
             lyap = outputs.prop.reports["lyapunov"]
+            mu = outputs.purity.mu
             rows.append(
                 f"{cfg.sweep_parameter},{value:.17g},{m_count},{outputs.entropy:.17g},"
-                f"{outputs.purity.mu:.17g},{outputs.purity.log_abs_det:.17g},"
+                f"{'' if mu is None else f'{mu:.17g}'},{outputs.purity.log_abs_det:.17g},"
                 f"{lyap.residual_norm:.17g},{outputs.prop.epsilon_used:.17g},ok"
             )
         else:
@@ -372,12 +380,10 @@ def cmd_convert(args):
     )
     target = "nm" if units == "meV" else "meV"
     if np.all(values.imag == 0):
-        cells = values.real
-        fmt = states._format_float
+        cells, cell = values.real, states._FLOAT_CELL
     else:
-        cells = values
-        fmt = states._format_complex
-    states._write_grid(args.output, signal_mev, idler_mev, cells, target, fmt)
+        cells, cell = values, states._COMPLEX_CELL
+    states._write_grid(args.output, signal_mev, idler_mev, cells, target, cell)
     print(f"wrote {args.output} ({units} -> {target})")
     return 0
 

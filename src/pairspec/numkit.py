@@ -13,11 +13,14 @@ Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
 The factorization reads W's structure from its entries.  When every
 off-diagonal nonzero lies in one row and column (an :class:`Arrowhead`, as
 for the cavity model), non-tip modes with exactly equal diagonal, tip-row
-and tip-column entries are combined by a real orthogonal reflection: all but
-one mode of each group decouple exactly (O'Leary & Stewart, J. Comput. Phys.
-90 (1990)), ``eig`` runs on the remaining core, products with V touch only
-the core block, and products with W - s cost O(d^2).  A W without that
-structure is factored densely.
+and tip-column entries are combined by a real orthogonal reflection Q: all
+but one mode of each group decouple exactly (O'Leary & Stewart, J. Comput.
+Phys. 90 (1990)).  The remaining core is an arrowhead whose eigenvalues are
+the roots of its secular equation, found all at once in O(c^2) per sweep,
+with eigenvectors in closed form (:func:`_secular_eig`); dense ``eig`` is
+the fallback.  The solves run in deflated coordinates Q W Q, where products
+with V touch only the core block and products with W - s cost O(d^2).  A W
+without that structure is factored densely.
 """
 
 import warnings
@@ -59,7 +62,8 @@ class SolveReport:
 
 def matrix_of(mat_like):
     """The complex128 array of a matrix wrapper (anything with ``.matrix``,
-    such as a DynamicalMatrix, CovarianceMatrix or Eigenbasis) or of an array."""
+    such as a DynamicalMatrix, CovarianceMatrix or an Eigenbasis in W's
+    coordinates) or of an array."""
     return np.asarray(getattr(mat_like, "matrix", mat_like), dtype=np.complex128)
 
 
@@ -252,6 +256,17 @@ class Arrowhead:
     def __rsub__(self, Y):
         return Y - np.asarray(self)
 
+    def _entries(self):
+        return np.concatenate((self.diag, self.col, self.row))
+
+    def norm(self):
+        """Frobenius norm, O(d)."""
+        return float(np.linalg.norm(self._entries()))
+
+    def abs_max(self):
+        """Largest entry magnitude, O(d)."""
+        return float(np.abs(self._entries()).max())
+
     def __array__(self, dtype=None, copy=None):
         M = np.diag(self.diag)
         M[:, self.tip] += self.col
@@ -296,29 +311,206 @@ def _reflector(k):
     return np.eye(k) - (2.0 / (w @ w)) * np.outer(w, w)
 
 
+def _as_index(a):
+    """A slice for a run of consecutive ascending indices (a view, no gather),
+    else the index array itself."""
+    if a.size > 1 and np.all(np.diff(a) == 1):
+        return slice(int(a[0]), int(a[-1]) + 1)
+    return a
+
+
 def _reflect_rows(Y, reflections):
     """Q Y in place: each group's reflection H mixes that group's rows."""
     for idx, H in reflections:
-        rows = [Y[idx[:, j]] for j in range(H.shape[0])]
+        members = [_as_index(idx[:, j]) for j in range(H.shape[0])]
+        rows = [Y[m] for m in members]
+        mixed = []
         for i in range(H.shape[0]):
             acc = H[i, 0] * rows[0]
             for j in range(1, H.shape[0]):
                 acc += H[i, j] * rows[j]
-            Y[idx[:, i]] = acc
+            mixed.append(acc)
+        for m, acc in zip(members, mixed):
+            Y[m] = acc
     return Y
 
 
-def _reflect(Y, reflections, rows=True, cols=True):
-    """Q Y, Y Q or Q Y Q as a new array (Q = Q^T).  Columns are reflected as
-    the rows of a transposed copy: gathering whole rows is the fast access."""
-    Y = np.array(Y, dtype=np.complex128)
-    if not reflections:
-        return Y
+def _reflect(Y, reflections, rows=True, cols=True, copy=True):
+    """Q Y, Y Q or Q Y Q (Q = Q^T); a new array unless ``copy`` is False and
+    Y is a complex128 array, which is then reflected in place."""
+    Y = np.array(Y, dtype=np.complex128, copy=copy or None)
     if rows:
         _reflect_rows(Y, reflections)
     if cols:
-        Y = np.ascontiguousarray(_reflect_rows(np.ascontiguousarray(Y.T), reflections).T)
+        _reflect_rows(Y.T, reflections)
     return Y
+
+
+def _eig(M):
+    try:
+        return np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+
+
+# The secular route of the arrowhead core (see :func:`_secular_eig`): at most
+# this many Aberth sweeps, and the largest accepted relative residual
+# ||W_c V_c - V_c Lambda||_F / ||W_c||_F (LAPACK eig leaves 3e-15 to 7e-15 on
+# the README cores at n = 64 to 512, the secular vectors 6e-17 to 8e-17).
+SECULAR_MAX_SWEEPS = 50
+SECULAR_RESIDUAL_MAX = 1e-13
+# Poles whose first estimate leaves half the gap to their nearest neighbour
+# (at most this many, the farthest first) are solved with the tip as one
+# small dense problem for the starting points.
+_SECULAR_STRONG_MAX = 32
+
+
+def _secular_guesses(p, uv, w):
+    """Starting points for the roots of lambda - w - sum uv/(lambda - p).
+
+    Each pole k starts at the root nearer p_k of its two-mode problem with
+    the tip, whose diagonal carries the other poles' terms at p_k; a start
+    farther than half the gap to the nearest pole is pulled back to it.  The
+    poles that reach farthest, with the tip, are solved as one small
+    arrowhead, so strong couplings (a material at sqrt_kappa ~ 500 meV) start
+    at their polaritons instead of crossing the photon poles.
+    """
+    m = p.size
+    if m == 0:
+        return np.array([w])
+    diff = p[:, None] - p[None, :]
+    np.fill_diagonal(diff, np.inf)
+    gap = np.abs(diff).min(axis=1)
+    a = 0.5 * (w + (uv / diff).sum(axis=1) - p)
+    s = np.sqrt(a * a + uv)
+    s = np.where((a.conj() * s).real >= 0, s, -s)
+    delta = -uv / (a + s)
+    reach = np.abs(delta) / gap
+    strong = np.argsort(-reach, kind="stable")[:_SECULAR_STRONG_MAX]
+    strong = strong[reach[strong] > 0.5] if reach[strong[0]] > 0.5 else strong[:1]
+    far = np.abs(delta) > 0.5 * gap
+    delta[far] *= 0.5 * gap[far] / np.abs(delta[far])
+    z = np.append(p + delta, w)
+    k = strong.size
+    sub = np.diag(np.append(p[strong], w))
+    sub[:k, k] = uv[strong]
+    sub[k, :k] = 1.0
+    z[np.append(strong, m)] = np.linalg.eigvals(sub)
+    return z
+
+
+def _aberth(p, uv, w, sweeps):
+    """All roots of the secular function at once by Aberth–Ehrlich sweeps,
+    O(m^2) each; a root stops moving once its step is below 4 ulp of its
+    magnitude or of the largest diagonal entry, the rounding floor of the
+    function.  None when a step is not finite or the roots have not settled
+    in ``sweeps``."""
+    z = _secular_guesses(p, uv, w)
+    floor = max(np.abs(p).max(initial=0.0), abs(w))
+    active = np.arange(z.size)
+    for _ in range(sweeps):
+        za = z[active]
+        D = za[:, None] - p
+        q = uv / D
+        f = za - w - q.sum(axis=1)
+        # Newton step of the polynomial f * prod(lambda - p).
+        newton = f / (1.0 + (q / D).sum(axis=1) + f * (1.0 / D).sum(axis=1))
+        Z = za[:, None] - z
+        Z[np.arange(active.size), active] = np.inf
+        step = newton / (1.0 - newton * (1.0 / Z).sum(axis=1))
+        if not np.all(np.isfinite(step)):
+            return None
+        z[active] = za - step
+        active = active[np.abs(step) > 4.0 * np.finfo(float).eps * np.maximum(np.abs(za), floor)]
+        if active.size == 0:
+            return z
+    return None
+
+
+def _secular_eig(arrow):
+    """Eigenvalues and unit eigenvectors of an arrowhead from its secular
+    equation lambda - w - sum_k u_k v_k / (lambda - d_k) = 0, or None.
+
+    Modes with both spokes zero decouple (eigenvalue d_k, vector e_k).  The
+    roots come from :func:`_aberth` and two Newton steps written about the
+    nearest pole, lambda = d_k + tau, so that every lambda - d_j is formed
+    from exact pole differences; each eigenvector is then 1 at the tip and
+    u_j / (lambda - d_j) elsewhere (Gu & Eisenstat, SIAM J. Matrix Anal.
+    Appl. 16 (1995); O'Leary & Stewart, J. Comput. Phys. 90 (1990)).  None
+    sends the caller to dense ``eig``: a mode with exactly one zero spoke,
+    two coupled modes with the same diagonal, roots that do not settle in
+    :data:`SECULAR_MAX_SWEEPS`, or a residual above
+    :data:`SECULAR_RESIDUAL_MAX`.
+    """
+    c, t = arrow.diag.size, arrow.tip
+    others = np.delete(np.arange(c), t)
+    zero_col, zero_row = arrow.col[others] == 0, arrow.row[others] == 0
+    if np.any(zero_col != zero_row):
+        return None
+    coupled = others[~zero_col]
+    p = arrow.diag[coupled]
+    uv = arrow.col[coupled] * arrow.row[coupled]
+    w = arrow.diag[t]
+    if np.unique(p).size < p.size:
+        return None
+    with np.errstate(all="ignore"):
+        roots = _aberth(p, uv, w, SECULAR_MAX_SWEEPS)
+        if roots is None:
+            return None
+        poles = np.append(p, w)
+        origin = poles[np.argmin(np.abs(roots[:, None] - poles), axis=1)]
+        tau = roots - origin
+        base = origin[:, None] - p
+        for _ in range(2):
+            D = base + tau[:, None]
+            q = uv / D
+            tau = tau - ((origin - w) + tau - q.sum(axis=1)) / (1.0 + (q / D).sum(axis=1))
+        D = base + tau[:, None]
+        at = np.append(coupled, t)
+        values = arrow.diag.copy()
+        values[at] = origin + tau
+        vectors = np.zeros((c, c), dtype=np.complex128)
+        vectors[np.ix_(coupled, at)] = arrow.col[coupled][:, None] / D.T
+        vectors[t, at] = 1.0
+        vectors[:, at] /= np.linalg.norm(vectors[:, at], axis=0)
+        decoupled = others[zero_col]
+        vectors[decoupled, decoupled] = 1.0
+        residual = np.linalg.norm(arrow @ vectors - vectors * values) / arrow.norm()
+    if not residual <= SECULAR_RESIDUAL_MAX:
+        return None
+    return values, vectors
+
+
+def _decouple(arrow, reflections, deflated):
+    """Q W Q as an Arrowhead: the spokes reflected like rows of W, with the
+    deflated modes' entries set to their exact value 0."""
+    col, row = (_reflect_rows(s.copy()[:, None], reflections)[:, 0] for s in (arrow.col, arrow.row))
+    col[deflated] = row[deflated] = 0.0
+    return Arrowhead(arrow.diag, col, row, arrow.tip)
+
+
+def _condition(core_vectors, core_inverse, core, reflections):
+    """cond_1(V) = ||V||_1 ||V^-1||_1 of V = Q (V_core (+) I), from the core
+    blocks and the reflections, without forming V.
+
+    A group's first member (a core index) spreads over the group by the
+    first column of H, its other members are the columns of H beyond the
+    first; every other index keeps one entry per column."""
+    weight = np.ones(core.size)
+    inv_sums = np.abs(core_inverse).sum(axis=0)
+    plain = np.ones(core.size, dtype=bool)
+    norm_v = norm_inv = 0.0
+    for idx, H in reflections:
+        absH = np.abs(H)
+        at = np.searchsorted(core, idx[:, 0])
+        weight[at] = absH[:, 0].sum()
+        plain[at] = False
+        norm_v = max(norm_v, absH[:, 1:].sum(axis=0).max())
+        norm_inv = max(norm_inv, (np.outer(inv_sums[at], absH[0]) + absH[1:].sum(axis=0)).max())
+    norm_v = max(norm_v, (weight[:, None] * np.abs(core_vectors)).sum(axis=0).max())
+    if plain.any():
+        norm_inv = max(norm_inv, inv_sums[plain].max())
+    return float(norm_v * norm_inv)
 
 
 @dataclass(frozen=True)
@@ -330,13 +522,23 @@ class Eigenbasis:
     (kept at the group's first index) and k - 1 modes that decouple exactly,
     with the group's diagonal entry as eigenvalue.  The remaining ``core``
     indices carry the eigenvectors ``core_vectors`` of Q W Q restricted to
-    them.  A W without that structure has Q = I and every index in the core.
+    them, found from the core's secular equation (``core_method`` "secular")
+    or by dense ``eig`` ("eig").  A W without that structure has Q = I,
+    every index in the core and ``eig``.
 
-    ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V; it is inf
-    (and ``core_inverse`` None) when V is numerically singular.
+    ``deflated`` is the same factorization in the coordinates of Q W Q,
+    where the deflated modes are decoupled and V is V_core (+) I; it is None
+    when Q = I.  Its ``matrix`` is None: Q W Q is held as its arrowhead.
+    :meth:`q` gives whichever basis works in deflated coordinates and
+    :meth:`rotate` maps matrices between the two (Y -> Q Y Q).  Products with
+    V touch only the core block.
+
+    ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V in W's
+    coordinates (shared by ``deflated``); it is inf (and ``core_inverse``
+    None) when V is numerically singular.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     values: np.ndarray
     arrowhead: Arrowhead | None
     reflections: tuple
@@ -344,6 +546,8 @@ class Eigenbasis:
     core_vectors: np.ndarray
     core_inverse: np.ndarray | None
     condition: float
+    core_method: str
+    deflated: "Eigenbasis | None" = None
 
     @property
     def usable(self):
@@ -351,14 +555,30 @@ class Eigenbasis:
         return self.condition <= EIGEN_COND_MAX
 
     @property
+    def dim(self):
+        return self.values.size
+
+    @property
     def deflated_modes(self):
         """Number of modes split off exactly before the eigendecomposition."""
-        return self.matrix.shape[0] - self.core.size
+        return self.dim - self.core.size
+
+    @property
+    def q(self):
+        """The basis in deflated coordinates: ``deflated``, or self when Q = I."""
+        return self if self.deflated is None else self.deflated
+
+    def rotate(self, Y, copy=True):
+        """Q Y Q (Q = Q^T = Q^-1): a new array, or Y rotated in place when
+        ``copy`` is False; Y itself when Q = I."""
+        if not self.reflections:
+            return np.asarray(Y, dtype=np.complex128)
+        return _reflect(Y, self.reflections, copy=copy)
 
     @property
     def vectors(self):
         """V, formed on access."""
-        V = np.eye(self.matrix.shape[0], dtype=np.complex128)
+        V = np.eye(self.dim, dtype=np.complex128)
         V[np.ix_(self.core, self.core)] = self.core_vectors
         return _reflect(V, self.reflections, cols=False)
 
@@ -367,14 +587,14 @@ class Eigenbasis:
         """V^-1, formed on access; None when V is singular."""
         if self.core_inverse is None:
             return None
-        V_inv = np.eye(self.matrix.shape[0], dtype=np.complex128)
+        V_inv = np.eye(self.dim, dtype=np.complex128)
         V_inv[np.ix_(self.core, self.core)] = self.core_inverse
         return _reflect(V_inv, self.reflections, rows=False)
 
     def shifted(self, s):
         """A = W - s I: an Arrowhead when W is one, else a dense array."""
         if self.arrowhead is None:
-            return self.matrix - s * np.eye(self.matrix.shape[0])
+            return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
 
     def lyapunov(self, X, shift):
@@ -384,64 +604,88 @@ class Eigenbasis:
             return A @ X + X @ A.conj().T
         return A.lyapunov(X)
 
-    def to_eigen(self, C):
-        """V^-1 C V^-dag."""
-        Z = _reflect(C, self.reflections)
+    def block_congruence(self, M, Y, rest=None):
+        """B Y B^dag for B = M (+) diag(rest) in deflated coordinates: M acts
+        on the core indices, the diagonal ``rest`` (default ones) on the
+        others.  Every function of Q W Q has this form, since the deflated
+        modes are decoupled there.  A new array."""
         k = self.core
-        Z[k] = self.core_inverse @ Z[k]
-        Z[:, k] = Z[:, k] @ self.core_inverse.conj().T
+        if k.size == self.dim:
+            return M @ Y @ M.conj().T
+        Z = np.array(Y, dtype=np.complex128)
+        Z[k] = M @ Z[k]
+        Z[:, k] = Z[:, k] @ M.conj().T
+        if rest is not None:
+            others = np.setdiff1d(np.arange(self.dim), k)
+            Z[others] *= rest[others, None]
+            Z[:, others] *= rest[others].conj()
         return Z
 
+    def to_eigen(self, C):
+        """V^-1 C V^-dag, for C in deflated coordinates."""
+        return self.block_congruence(self.core_inverse, C)
+
     def from_eigen(self, Y):
-        """V Y V^dag."""
-        Z = np.array(Y, dtype=np.complex128)
-        k = self.core
-        Z[k] = self.core_vectors @ Z[k]
-        Z[:, k] = Z[:, k] @ self.core_vectors.conj().T
-        return _reflect(Z, self.reflections)
+        """V Y V^dag, in deflated coordinates."""
+        return self.block_congruence(self.core_vectors, Y)
 
 
 def eigenbasis(W):
     """Diagonalize W: eigenvalues, eigenvectors V, V^-1 by LU, cond_1(V).
 
     The structure is read from W's entries: when W is an arrowhead, groups
-    of exactly identical non-tip modes are deflated first (see
-    :class:`Eigenbasis`), so ``eig`` and the LU of V run on the core only.
-    One factorization serves the Lyapunov solve and the shifted inverse at
-    every shift, since W - s I has the eigenvectors of W.
+    of exactly identical non-tip modes are deflated first and the core is
+    solved from its secular equation, with dense ``eig`` as the fallback
+    (see :class:`Eigenbasis` and :func:`_secular_eig`); otherwise W goes to
+    ``eig`` whole.  The LU of V runs on the core only.  One factorization
+    serves the Lyapunov solve and the shifted inverse at every shift, since
+    W - s I has the eigenvectors of W.
     """
     W = _as_matrix(W, "W")
     d = W.shape[0]
     if W.shape[1] != d:
         raise ValueError("eigenbasis requires a square matrix")
     arrow = _arrowhead(W)
-    groups = _identical_modes(arrow) if arrow is not None else []
+    if arrow is None:
+        values, core_vectors = _eig(W)
+        return _with_inverse(Eigenbasis(W, values, None, (), np.arange(d), core_vectors,
+                                        None, np.inf, "eig"), ())
+    groups = sorted(_identical_modes(arrow), key=lambda g: g[0])
     by_size = {}
     for g in groups:
         by_size.setdefault(g.size, []).append(g)
     reflections = tuple((np.array(gs), _reflector(k)) for k, gs in sorted(by_size.items()))
-    core = np.setdiff1d(np.arange(d), [i for g in groups for i in g[1:]])
-    try:
-        core_values, core_vectors = np.linalg.eig(
-            _reflect(W, reflections)[np.ix_(core, core)]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    values = W.diagonal().copy()
-    values[core] = core_values
-    basis = Eigenbasis(W, values, arrow, reflections, core, core_vectors, None, np.inf)
+    deflated = [i for g in groups for i in g[1:]]
+    core = np.setdiff1d(np.arange(d), deflated)
+    arrow_q = _decouple(arrow, reflections, deflated)
+    core_arrow = Arrowhead(arrow_q.diag[core], arrow_q.col[core], arrow_q.row[core],
+                           int(np.searchsorted(core, arrow.tip)))
+    solved, method = _secular_eig(core_arrow), "secular"
+    if solved is None:
+        solved, method = _eig(np.asarray(core_arrow)), "eig"
+    values = arrow.diag.copy()
+    values[core] = solved[0]
+    inner = _with_inverse(Eigenbasis(None, values, arrow_q, (), core, solved[1], None,
+                                     np.inf, method), reflections)
+    if not reflections:
+        return replace(inner, matrix=W)
+    return replace(inner, matrix=W, arrowhead=arrow, reflections=reflections, deflated=inner)
+
+
+def _with_inverse(basis, reflections):
+    """The basis with V_core^-1 by LU and cond_1(V) of V = Q (V_core (+) I),
+    Q given by ``reflections``, when V is invertible."""
     with warnings.catch_warnings():
         # A singular V is detected from the pivots below.
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(core_vectors)
-    if np.abs(np.diag(lu)).min() > 0.0:
-        core_inverse = lu_solve((lu, piv), np.eye(core.size, dtype=np.complex128))
-        basis = replace(basis, core_inverse=core_inverse)
-        condition = float(np.linalg.norm(basis.vectors, 1) * np.linalg.norm(basis.inverse, 1))
-        if np.isfinite(condition):
-            return replace(basis, condition=condition)
-        basis = replace(basis, core_inverse=None)
-    return basis
+        lu, piv = lu_factor(basis.core_vectors)
+    if not np.abs(np.diag(lu)).min() > 0.0:
+        return basis
+    core_inverse = lu_solve((lu, piv), np.eye(basis.core.size, dtype=np.complex128))
+    condition = _condition(basis.core_vectors, core_inverse, basis.core, reflections)
+    if not np.isfinite(condition):
+        return basis
+    return replace(basis, core_inverse=core_inverse, condition=condition)
 
 
 def _require_usable(basis):
@@ -455,19 +699,23 @@ def solve_lyapunov_eigen(basis, C, shift):
     With Y = V^-1 X V^-dag the equation is diagonal:
     X = V [(-V^-1 C V^-dag) / (l_i + conj(l_j))] V^dag, l = lambda - shift,
     followed by one iterative-refinement pass as in :func:`solve_sylvester`.
-    Products with V touch only the core block, and products with A cost
-    O(d^2) when W is an arrowhead.  The pencil-gap screen runs on all d
-    eigenvalues and raises NearSingularPencil (tolerance 1e-10 * ||A||_F,
-    the default of :func:`solve_sylvester`) with the offending pair.  The
-    caller checks ``basis.usable`` first.
+    The solve runs in deflated coordinates (C is rotated in and X out once),
+    where products with V touch only the core block and products with A
+    cost O(d^2).  The pencil-gap screen runs on all d eigenvalues and raises
+    NearSingularPencil (tolerance 1e-10 * ||A||_F, the default of
+    :func:`solve_sylvester`) with the offending pair.  The caller checks
+    ``basis.usable`` first.
     """
     _require_usable(basis)
     C = _as_matrix(C, "C")
-    d = basis.matrix.shape[0]
+    d = basis.dim
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
+    if basis.deflated is not None:
+        X, report = solve_lyapunov_eigen(basis.deflated, basis.rotate(C), shift)
+        return basis.rotate(X, copy=False), report
     lam = basis.values - shift
-    norm_a = np.linalg.norm(basis.shifted(shift))
+    norm_a = frobenius_norm(basis.shifted(shift))
     pair_tol = 1e-10 * max(norm_a, 1e-300)
     gap = _pencil_gap_check(lam, lam.conj(), pair_tol, norm_a, norm_a)
     denom = lam[:, None] + lam.conj()[None, :]
@@ -485,6 +733,11 @@ def solve_lyapunov_eigen(basis, C, shift):
     return X, SolveReport(residual_norm=float(residual), condition_estimate=float(cond))
 
 
+def frobenius_norm(A):
+    """||A||_F of an Arrowhead (O(d)) or an array."""
+    return A.norm() if isinstance(A, Arrowhead) else float(np.linalg.norm(A))
+
+
 def shifted_inverse(basis, z):
     """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis.
 
@@ -493,8 +746,10 @@ def shifted_inverse(basis, z):
     :func:`linear_solve`).  The caller checks ``basis.usable`` first.
     """
     _require_usable(basis)
-    W = basis.matrix
-    scale = np.abs(W - z * np.eye(W.shape[0])).max()
+    if basis.deflated is not None:
+        return basis.rotate(shifted_inverse(basis.deflated, z), copy=False)
+    A = basis.shifted(z)
+    scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     dist = np.abs(basis.values - z)
     k = int(np.argmin(dist))
     if scale == 0.0 or dist[k] < 1e-12 * scale:
@@ -505,7 +760,7 @@ def shifted_inverse(basis, z):
     core = basis.core
     inv = np.diag(1.0 / (basis.values - z))
     inv[np.ix_(core, core)] = (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse
-    return _reflect(inv, basis.reflections)
+    return inv
 
 
 def svd(M):

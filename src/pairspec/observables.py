@@ -24,9 +24,10 @@ class SchmidtSpectrum:
 @dataclass
 class PurityResult:
     """mu = 1 / sqrt|det Theta|, with the log-determinant kept alongside
-    since det itself under/overflows beyond dim ~100."""
+    since det itself under/overflows beyond dim ~100.  mu is None when it
+    exceeds float64 (log|det Theta| < -1419.6); log_abs_det still holds it."""
 
-    mu: float
+    mu: float | None
     log_abs_det: float
 
 
@@ -122,7 +123,8 @@ def purity(theta, det_tol=1e-300):
     The determinant magnitude is used as printed in the defining formula; a
     complex covariance can carry a benign phase after Hermitization.  Note
     the formula is not rescaled to any vacuum convention, so e.g.
-    Theta = I/2 gives mu = 2^(d/2); Theta = I gives exactly 1.
+    Theta = I/2 gives mu = 2^(d/2); Theta = I gives exactly 1.  mu is None
+    when 1 / sqrt|det Theta| overflows float64; ``log_abs_det`` carries it.
 
     NonPositiveDeterminant is raised when |det Theta|^(1/d) / max|Theta|,
     the geometric-mean eigenvalue magnitude against the largest entry, is
@@ -141,4 +143,6 @@ def purity(theta, det_tol=1e-300):
             f"{det_tol:.1e}",
             determinant=complex(np.exp(log_abs) * np.exp(1j * phase)) if np.isfinite(log_abs) else 0j,
         )
-    return PurityResult(mu=float(np.exp(-0.5 * log_abs)), log_abs_det=float(log_abs))
+    with np.errstate(over="ignore"):
+        mu = float(np.exp(-0.5 * log_abs))
+    return PurityResult(mu=mu if np.isfinite(mu) else None, log_abs_det=float(log_abs))

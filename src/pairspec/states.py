@@ -24,7 +24,10 @@ from .model import BlockLayout, FrequencyGrid, mev_to_nm, nm_to_mev
 
 CORNER_LABEL = "wavelength_nm\\omega"
 
-_FLOAT_FMT = "{:.17g}"
+# Cell patterns of the grid writer; one % operation formats a whole row,
+# and "%.17g" prints what "{:.17g}".format does.
+_FLOAT_CELL = "%.17g"
+_COMPLEX_CELL = "%.17g%+.17gj"
 
 
 @dataclass
@@ -162,15 +165,6 @@ def assemble_input_covariance(jsa, n_material):
 # Grid file I/O
 # ---------------------------------------------------------------------------
 
-def _format_float(x):
-    return _FLOAT_FMT.format(float(x))
-
-
-def _format_complex(z):
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def _axes_to_units(axis_mev, units):
     if units == "meV":
         return axis_mev
@@ -292,20 +286,27 @@ def load_jsa(path):
     return JointSpectralAmplitude(grid, values)
 
 
-def _write_grid(path, signal_mev, idler_mev, cells, units, fmt):
-    sig = _axes_to_units(signal_mev, units)
-    idl = _axes_to_units(idler_mev, units)
-    lines = [f"# units: {units}"]
-    lines.append(",".join([CORNER_LABEL] + [_format_float(w) for w in idl]))
-    for r in range(len(sig)):
-        lines.append(",".join([_format_float(sig[r])] + [fmt(v) for v in cells[r]]))
+def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
+    """Write a grid file; ``cell`` is _FLOAT_CELL or _COMPLEX_CELL."""
+    sig = np.asarray(_axes_to_units(signal_mev, units), dtype=np.float64)
+    idl = np.asarray(_axes_to_units(idler_mev, units), dtype=np.float64)
+    if cell == _COMPLEX_CELL:
+        cells = np.asarray(cells, dtype=np.complex128)
+        cells = np.stack((cells.real, cells.imag), axis=-1).reshape(sig.size, -1)
+    else:
+        cells = np.asarray(cells, dtype=np.float64)
+    row = ",".join([_FLOAT_CELL] + [cell] * idl.size)
+    lines = [f"# units: {units}", ",".join([CORNER_LABEL] + [_FLOAT_CELL] * idl.size)
+             % tuple(idl.tolist())]
+    for s, values in zip(sig.tolist(), cells.tolist()):
+        lines.append(row % (s, *values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def save_jsi(jsi, path, units="meV"):
-    _write_grid(path, jsi.grid.signal, jsi.grid.idler, jsi.values, units, _format_float)
+    _write_grid(path, jsi.grid.signal, jsi.grid.idler, jsi.values, units)
 
 
 def save_jsa(jsa, path, units="meV"):
-    _write_grid(path, jsa.grid.signal, jsa.grid.idler, jsa.values, units, _format_complex)
+    _write_grid(path, jsa.grid.signal, jsa.grid.idler, jsa.values, units, _COMPLEX_CELL)

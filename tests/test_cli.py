@@ -1,13 +1,17 @@
 """CLI surface: config parsing, artifacts, determinism, exit codes."""
 
+import ast
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi, numkit
+from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi, numkit, observables
 from pairspec.cli import execute_run, main, render_heatmap
 from pairspec.config import config_from_raw, load_config, parse_config_text
 from pairspec.errors import ConfigError
@@ -462,3 +466,97 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "ConfigError" in err and "grid.n = 200000" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+# --- README and JSON validity ------------------------------------------------------
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _strict_json(path):
+    """Parse JSON, rejecting the Infinity/NaN tokens json.loads would accept."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
+def test_readme_config_block_runs_verbatim(tmp_path):
+    with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+    assert "grid.n = 64" in block
+    cfg_path = write_config(tmp_path, block)
+    out_dir = str(tmp_path / "out")
+    assert main(["run", cfg_path, "--out", out_dir]) == 0
+    metrics = _strict_json(os.path.join(out_dir, "metrics.json"))
+    assert metrics["config"]["grid.signal_min"] == "1740"
+
+
+def _overflowing_purity(monkeypatch):
+    # log|det| = 900 ln 0.2 = -1448.5: 1/sqrt|det| exceeds float64.
+    real = observables.purity
+    monkeypatch.setattr(observables, "purity", lambda theta: real(0.2 * np.eye(900)))
+
+
+def test_overflowing_purity_is_written_as_null(tmp_path, monkeypatch, capsys):
+    _overflowing_purity(monkeypatch)
+    cfg_path = write_config(tmp_path, BASE_CONFIG)
+    out_dir = str(tmp_path / "out")
+    assert main(["run", cfg_path, "--out", out_dir]) == 0
+    metrics = _strict_json(os.path.join(out_dir, "metrics.json"))
+    assert metrics["purity"]["mu"] is None
+    assert metrics["purity"]["log_abs_det"] == pytest.approx(900 * np.log(0.2), rel=1e-12)
+    assert "purity mu=overflow" in capsys.readouterr().out
+
+
+def test_overflowing_purity_leaves_sweep_cell_empty(tmp_path, monkeypatch):
+    _overflowing_purity(monkeypatch)
+    text = BASE_CONFIG + "\nsweep.parameter = sqrt_kappa\nsweep.values = 100, 200\n"
+    out_dir = str(tmp_path / "sweep")
+    assert main(["--out", out_dir, "sweep", write_config(tmp_path, text)]) == 0
+    rows = open(os.path.join(out_dir, "entropy.csv")).read().strip().splitlines()
+    header = rows[0].split(",")
+    for row in rows[1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert cells["purity_mu"] == ""
+        assert float(cells["purity_log_abs_det"]) == pytest.approx(900 * np.log(0.2))
+        assert cells["status"] == "ok"
+
+
+def test_write_json_refuses_nan():
+    from pairspec.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(os.devnull, {"x": float("inf")})
+
+
+def test_nonfinite_diagnostic_is_written_as_null(tmp_path, monkeypatch):
+    # cond_1(V) is inf when V is singular; JSON gets null, not Infinity.
+    real = numkit.eigenbasis
+    monkeypatch.setattr(
+        numkit, "eigenbasis",
+        lambda W: dataclasses.replace(real(W), condition=float("inf"), deflated=None,
+                                      reflections=(), arrowhead=None),
+    )
+    cfg_path = write_config(tmp_path, BASE_CONFIG.replace("grid.n = 16", "grid.n = 4"))
+    out_dir = str(tmp_path / "out")
+    assert main(["run", cfg_path, "--out", out_dir]) == 0
+    metrics = _strict_json(os.path.join(out_dir, "metrics.json"))
+    assert metrics["diagnostics"]["eigenvector_condition"] is None
+    assert metrics["diagnostics"]["solver_path"] == "fallback"
+
+
+def test_import_loads_no_scipy_subpackage_beyond_linalg():
+    # A scipy subpackage such as scipy.optimize costs more at import than
+    # the whole set-up of a run.
+    code = (
+        "import sys, pairspec; "
+        "print(sorted({m.split('.')[1] for m in sys.modules"
+        " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')}))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert set(ast.literal_eval(out)) <= {"linalg", "version"}

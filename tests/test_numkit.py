@@ -1,10 +1,12 @@
 """Linear-algebra kernel contracts, each checked against an independent oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.optimize import linear_sum_assignment
 
 from pairspec import numkit
 from pairspec.errors import NearSingularPencil, SingularMatrix
@@ -325,6 +327,119 @@ def test_dense_matrix_has_no_structure():
     assert basis.arrowhead is None
     assert basis.deflated_modes == 0
     assert isinstance(basis.shifted(1e-3), np.ndarray)
+
+
+# --- secular eigensolve of the arrowhead core ---------------------------------
+
+def _dense_route(W):
+    """The factorization of W with the core sent to dense eig."""
+    with mock.patch.object(numkit, "_secular_eig", return_value=None):
+        basis = numkit.eigenbasis(W)
+    assert basis.core_method == "eig"
+    return basis
+
+
+def _matched(values, reference):
+    """values reordered to pair with reference at the least total distance."""
+    _, order = linear_sum_assignment(np.abs(reference[:, None] - values[None, :]))
+    return values[order]
+
+
+@pytest.mark.parametrize("case", _ARROWHEAD_CASES)
+def test_secular_core_matches_dense_eig_and_kron(case):
+    # n = 4 (and a cavity off the n = 1 midpoint) keeps every photon pole
+    # off the material's, which would send the core to eig.
+    rng = np.random.default_rng(67)
+    W = _model(**{"n": 4, **_ARROWHEAD_CASES[case], **({"omega_c": 1.25} if case == "n1" else {})})
+    d = W.shape[0]
+    basis = numkit.eigenbasis(W)
+    dense = _dense_route(W)
+    assert basis.core_method == "secular"
+    assert np.abs(_matched(basis.values, dense.values) - dense.values).max() < 1e-12
+    assert basis.condition == pytest.approx(dense.condition, rel=1e-8)
+    C = random_covariance(rng, d)
+    for shift in (1e-3, 5e-4):
+        A = W - shift * np.eye(d)
+        X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
+        Xd, _ = numkit.solve_lyapunov_eigen(dense, C, shift)
+        Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
+        assert _rel(X, Xk) < 1e-10
+        assert _rel(X, Xd) < 1e-10
+        assert report.residual_norm < 1e-10
+        assert _rel(numkit.shifted_inverse(basis, shift), np.linalg.inv(A)) < 1e-12
+
+
+def test_secular_vectors_are_accurate_near_poles():
+    # README-scale core at n = 128: roots sit within 1e-3 of their poles, and
+    # the residual is at the rounding level of the entries.
+    W = _model(n=128, span=(1740.0, 1860.0), omega_c=1809.0, g=0.5, sqrt_kappa=488.0,
+               pump=3609.0, sum_width=8.0, diff_width=30.0)
+    basis = numkit.eigenbasis(W)
+    assert basis.core_method == "secular"
+    assert _rel(basis.vectors @ np.diag(basis.values) @ basis.inverse, W) < 1e-14
+    dense = _dense_route(W)
+    assert np.abs(_matched(basis.values, dense.values) - dense.values).max() < 1e-9
+    assert basis.condition == pytest.approx(dense.condition, rel=1e-8)
+
+
+def _arrowhead_model(n=4, **kwargs):
+    return _model(n=n, span=(0.8, 1.6), idler_span=(0.85, 1.75), **kwargs).copy()
+
+
+def _assert_dense_route_is_correct(W):
+    basis = numkit.eigenbasis(W)
+    assert basis.arrowhead is not None or np.count_nonzero(W - np.diag(np.diag(W))) > 0
+    assert basis.core_method == "eig"
+    assert _rel(basis.vectors @ np.diag(basis.values) @ basis.inverse, W) < 1e-12
+    C = random_covariance(np.random.default_rng(71), W.shape[0])
+    A = W - 1e-3 * np.eye(W.shape[0])
+    X, _ = numkit.solve_lyapunov_eigen(basis, C, 1e-3)
+    Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
+    assert _rel(X, Xk) < 1e-10
+
+
+def test_fallback_when_not_an_arrowhead():
+    W = random_hurwitz(np.random.default_rng(73), 6)
+    assert numkit.eigenbasis(W).arrowhead is None
+    _assert_dense_route_is_correct(W)
+
+
+def test_fallback_when_one_spoke_is_zero():
+    W = _arrowhead_model()
+    tip = 2 * 4
+    W[1, tip] = 0.0          # mode 1 still feeds the tip, but the tip not it
+    _assert_dense_route_is_correct(W)
+
+
+def test_fallback_when_two_poles_coincide():
+    # Equal axes pair signal k with idler k; unequal spokes keep the pair
+    # from being deflated, leaving two coupled modes with one diagonal.
+    W = _model(n=4).copy()
+    tip = 2 * 4
+    W[4, tip] *= 1.5
+    W[tip, 4] *= 1.5
+    _assert_dense_route_is_correct(W)
+
+
+def test_fallback_when_roots_do_not_settle(monkeypatch):
+    monkeypatch.setattr(numkit, "SECULAR_MAX_SWEEPS", 0)
+    _assert_dense_route_is_correct(_arrowhead_model())
+
+
+def test_fallback_when_residual_is_too_large(monkeypatch):
+    monkeypatch.setattr(numkit, "SECULAR_RESIDUAL_MAX", 0.0)
+    _assert_dense_route_is_correct(_arrowhead_model())
+
+
+def test_modes_with_both_spokes_zero_decouple():
+    # g = 0 cuts every photon off the cavity; the core still takes the
+    # secular route, with e_k eigenvectors for the photons.
+    W = _arrowhead_model(g=0.0)
+    basis = numkit.eigenbasis(W)
+    assert basis.core_method == "secular"
+    photons = np.arange(8)
+    assert np.array_equal(basis.values[photons], np.diag(W)[photons])
+    assert _rel(basis.vectors @ np.diag(basis.values) @ basis.inverse, W) < 1e-14
 
 
 # --- svd --------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Schmidt spectrum, entropy, Wigner function, purity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,17 @@ def test_purity_vacuum_at_large_dim():
     result = purity(0.5 * np.eye(998))
     assert result.log_abs_det == pytest.approx(998 * np.log(0.5), rel=1e-12)
     assert result.mu == pytest.approx(2.0**499, rel=1e-10)
+
+
+def test_purity_mu_overflow_is_none():
+    # log|det| = 900 ln 0.2 = -1448.5 < -1419.6: mu exceeds float64.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = purity(0.2 * np.eye(900))
+    assert result.mu is None
+    assert result.log_abs_det == pytest.approx(900 * np.log(0.2), rel=1e-12)
+    # Just inside the range mu is still a float.
+    assert purity(0.21 * np.eye(900)).mu == pytest.approx(0.21 ** -450, rel=1e-10)
 
 
 def test_purity_singular_raises():

@@ -1,5 +1,7 @@
 """The core pipeline: Lyapunov solve, scattering matrix, covariance map."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,3 +354,55 @@ def test_property_entropy_is_between_zero_and_log_n(
     S = von_neumann_entropy(schmidt(extract_output_jsa(prop.theta_out)))
     # Slack of 1e-12 nats for the rounding of -sum p ln p.
     assert -1e-12 <= S <= np.log(n) + 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(g=st.floats(0.0, 0.5), **_SMALL_MODELS)
+def test_property_secular_core_matches_eig_based_solves(
+    n, m_count, g, sqrt_kappa, omega_c, material_sign
+):
+    _, _, W, _, theta = small_system(
+        n=n, m_count=m_count, g=g, sqrt_kappa=sqrt_kappa, omega_c=omega_c,
+        material_sign=material_sign,
+    )
+    basis = numkit.eigenbasis(W.matrix)
+    with mock.patch.object(numkit, "_secular_eig", return_value=None):
+        dense = numkit.eigenbasis(W.matrix)
+    assert dense.core_method == "eig"
+    for eps in (1e-3, 5e-4):
+        X, _ = time_integrated_covariance(basis, theta, eps)
+        Xd, _ = time_integrated_covariance(dense, theta, eps)
+        S, _ = scattering_matrix(basis, eps)
+        Sd, _ = scattering_matrix(dense, eps)
+        assert np.linalg.norm(X.matrix - Xd.matrix) / np.linalg.norm(Xd.matrix) < 1e-8
+        assert np.linalg.norm(S.matrix - Sd.matrix) / np.linalg.norm(Sd.matrix) < 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=6, m_count=1),
+    dict(n=5, m_count=3, material_sign="hamiltonian"),
+    dict(n=4, m_count=2, idler_span=(0.85, 1.75), continuum_scaling=True),
+])
+def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
+    # propagate reports residuals measured in deflated coordinates; the same
+    # quantities recomputed with dense products on the returned,
+    # original-coordinate X, S and Theta_out agree with them.
+    _, _, W, _, theta = small_system(**kwargs)
+    eps = 1e-3
+    prop = propagate(theta, W, epsilon=eps)
+    A = W.matrix - eps * np.eye(W.dim)
+    X, S, out = prop.theta_tilde_in.matrix, prop.scattering.matrix, prop.theta_out.matrix
+    lyap = sylvester_residual(A, A.conj().T, theta.matrix, X)
+    scat = np.linalg.norm(S @ A - A.conj().T) / np.linalg.norm(W.matrix)
+    G = S @ X @ S.conj().T
+    cross = G @ A + A.conj().T @ G
+    verbatim = X @ A.conj().T + A @ X + cross + theta.matrix
+    gap = np.linalg.norm(verbatim - cross) / np.linalg.norm(verbatim)
+    herm = np.linalg.norm(out - out.conj().T) / np.linalg.norm(out)
+    assert np.linalg.norm(verbatim - out) / np.linalg.norm(out) < 1e-12
+    for reported, dense in ((prop.reports["lyapunov"].residual_norm, lyap),
+                            (prop.scattering.residual, scat),
+                            (prop.identity_gap, gap),
+                            (prop.hermiticity_defect, herm)):
+        assert reported < 1e-12 and dense < 1e-12
+        assert abs(reported - dense) < 1e-13

@@ -21,6 +21,7 @@ from pairspec.errors import (
     NonUniformAxis,
     ParseError,
 )
+from pairspec import states
 from pairspec.states import JointSpectralIntensity
 from pairspec.observables import schmidt, von_neumann_entropy
 
@@ -217,3 +218,41 @@ def test_nm_file_loads_to_increasing_mev(tmp_path):
     assert jsi.grid.signal[0] == pytest.approx(1700.0, rel=1e-9)
     # Both axes were flipped, so the 3.0 cell lands at the high-energy corner.
     assert jsi.values[2, 2] > jsi.values[0, 0]
+
+
+def _per_cell_grid(signal, idler, cells, complex_cells):
+    """The grid text as the writer formatted it cell by cell."""
+    def fmt(x):
+        return "{:.17g}".format(float(x))
+
+    def fmt_complex(z):
+        z = complex(z)
+        return f"{z.real:.17g}{z.imag:+.17g}j"
+
+    cell = fmt_complex if complex_cells else fmt
+    lines = ["# units: meV", ",".join(["wavelength_nm\\omega"] + [fmt(w) for w in idler])]
+    for r in range(len(signal)):
+        lines.append(",".join([fmt(signal[r])] + [cell(v) for v in cells[r]]))
+    return "\n".join(lines) + "\n"
+
+
+_AWKWARD = [-0.0, 0.0, 1e-320, 5e-324, 1e300, -1e300, float("inf"), float("-inf"), float("nan"),
+            1.0, 0.1, 2.0 / 3.0, 1e16, 123456789012345678.0, -2.5e-7]
+
+
+@pytest.mark.parametrize("complex_cells", [False, True])
+def test_row_formatter_matches_per_cell_formatting(tmp_path, complex_cells):
+    rng = np.random.default_rng(83)
+    n = 8
+    signal = np.linspace(1740.0, 1860.0, n)
+    idler = np.linspace(1745.0, 1875.0, n)
+    values = np.exp(rng.normal(scale=20.0, size=(n, n))) * rng.choice([-1.0, 1.0], size=(n, n))
+    values.flat[: len(_AWKWARD)] = _AWKWARD
+    if complex_cells:
+        imag = rng.normal(size=(n, n))
+        imag.flat[-len(_AWKWARD):] = _AWKWARD
+        values = values + 1j * imag
+    path = tmp_path / "grid.csv"
+    states._write_grid(str(path), signal, idler, values, "meV",
+                       states._COMPLEX_CELL if complex_cells else states._FLOAT_CELL)
+    assert path.read_bytes() == _per_cell_grid(signal, idler, values, complex_cells).encode()

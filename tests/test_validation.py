@@ -73,3 +73,22 @@ def test_validation_evaluates_wigner_grid_in_one_call(monkeypatch):
     report = run_validation(quick=True)
     assert report.passed
     assert len(calls) == 1
+
+
+def test_perturbed_secular_root_fails_suite(monkeypatch):
+    # Mutation check on the secular route of the arrowhead core: one root
+    # off by 1e-6, past the solver's own residual check, must trip the suite.
+    real = numkit._secular_eig
+
+    def perturbed(arrow):
+        solved = real(arrow)
+        if solved is None:
+            return None
+        values, vectors = solved
+        values = values.copy()
+        values[arrow.tip] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(numkit, "_secular_eig", perturbed)
+    report = run_validation(quick=True)
+    assert not report.passed
