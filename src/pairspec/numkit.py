@@ -529,7 +529,7 @@ class Eigenbasis:
     ``deflated`` is the same factorization in the coordinates of Q W Q,
     where the deflated modes are decoupled and V is V_core (+) I; it is None
     when Q = I.  Its ``matrix`` is None: Q W Q is held as its arrowhead.
-    :meth:`q` gives whichever basis works in deflated coordinates and
+    ``q`` gives whichever basis works in deflated coordinates and
     :meth:`rotate` maps matrices between the two (Y -> Q Y Q).  Products with
     V touch only the core block.
 

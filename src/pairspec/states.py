@@ -295,9 +295,9 @@ def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
         cells = np.stack((cells.real, cells.imag), axis=-1).reshape(sig.size, -1)
     else:
         cells = np.asarray(cells, dtype=np.float64)
+    header = ",".join([CORNER_LABEL] + [_FLOAT_CELL] * idl.size) % tuple(idl.tolist())
     row = ",".join([_FLOAT_CELL] + [cell] * idl.size)
-    lines = [f"# units: {units}", ",".join([CORNER_LABEL] + [_FLOAT_CELL] * idl.size)
-             % tuple(idl.tolist())]
+    lines = [f"# units: {units}", header]
     for s, values in zip(sig.tolist(), cells.tolist()):
         lines.append(row % (s, *values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
