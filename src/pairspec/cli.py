@@ -107,7 +107,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _build_inputs(cfg: RunConfig, params: SystemParams):
+def _build_inputs(cfg: RunConfig):
     if cfg.input_kind == "gaussian":
         grid = build_grid(cfg.n, cfg.signal_range, cfg.idler_range)
         jsa = gaussian_jsa(
@@ -134,11 +134,14 @@ def _system_params(cfg: RunConfig, epsilon):
     )
 
 
-def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True):
-    """Run the full pipeline for one configuration; returns RunOutputs."""
+def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True, inputs=None):
+    """Run the full pipeline for one configuration; returns RunOutputs.
+
+    ``inputs`` is a ``(grid, jsa)`` pair already built from ``cfg``'s grid and
+    input settings (a sweep shares one); None builds it here."""
     eps = cfg.epsilon if epsilon is None else epsilon
     params = _system_params(cfg, eps)
-    grid, jsa = _build_inputs(cfg, params)
+    grid, jsa = _build_inputs(cfg) if inputs is None else inputs
     W = build_dynamical_matrix(
         grid,
         params,
@@ -211,9 +214,16 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
     return payload
 
 
-def _write_run_artifacts(out_dir, cfg: RunConfig, out: RunOutputs, seed=None, heatmaps=True):
+def _write_run_artifacts(out_dir, cfg: RunConfig, out: RunOutputs, seed=None, heatmaps=True,
+                         input_text=None):
+    """``input_text`` is input_jsi.csv already formatted; None formats it here."""
     os.makedirs(out_dir, exist_ok=True)
-    save_jsi(out.jsi_in, os.path.join(out_dir, "input_jsi.csv"))
+    if input_text is None:
+        save_jsi(out.jsi_in, os.path.join(out_dir, "input_jsi.csv"))
+    else:
+        with open(os.path.join(out_dir, "input_jsi.csv"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(input_text)
     save_jsi(out.jsi_out, os.path.join(out_dir, "output_jsi.csv"))
     save_jsi(out.jsi_out_raw, os.path.join(out_dir, "output_jsi_raw.csv"))
     with open(os.path.join(out_dir, "schmidt.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -298,20 +308,28 @@ def cmd_sweep(args):
     point_cfgs = [_point_config(cfg, value, m_count) for value, m_count in points]
     for point_cfg in point_cfgs:
         _system_params(point_cfg, point_cfg.epsilon)
+    # No sweep parameter touches grid.* or input.*, so every point shares one
+    # input, loaded and formatted here; a bad input file fails before any
+    # directory exists.  Read-only arrays make an in-place write from a worker
+    # thread raise instead of changing the other points' input.
+    inputs = grid, jsa = _build_inputs(cfg)
+    for shared in (grid.signal, grid.idler, jsa.values):
+        shared.flags.writeable = False
+    input_text = states.format_grid(grid.signal, grid.idler, states.jsi_of(jsa).values, "meV")
     os.makedirs(out_dir, exist_ok=True)
 
     def run_point(indexed):
         idx, (value, m_count) = indexed
         point_cfg = point_cfgs[idx]
         try:
-            outputs = execute_run(point_cfg, check_epsilon_stability=False)
+            outputs = execute_run(point_cfg, check_epsilon_stability=False, inputs=inputs)
         except _SOLVER_ERRORS as exc:
             # One failed point must not discard the others.
             return idx, value, m_count, None, None, f"{type(exc).__name__}: {exc}"
         sub = os.path.join(
             out_dir, f"point_{idx:03d}_{cfg.sweep_parameter}_{value:g}_M{m_count}"
         )
-        _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False)
+        _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False, input_text=input_text)
         return idx, value, m_count, outputs, sub, None
 
     workers = max(1, args.threads)

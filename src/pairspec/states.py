@@ -286,8 +286,8 @@ def load_jsa(path):
     return JointSpectralAmplitude(grid, values)
 
 
-def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
-    """Write a grid file; ``cell`` is _FLOAT_CELL or _COMPLEX_CELL."""
+def format_grid(signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
+    """Text of a grid file; ``cell`` is _FLOAT_CELL or _COMPLEX_CELL."""
     sig = np.asarray(_axes_to_units(signal_mev, units), dtype=np.float64)
     idl = np.asarray(_axes_to_units(idler_mev, units), dtype=np.float64)
     if cell == _COMPLEX_CELL:
@@ -300,8 +300,13 @@ def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
     lines = [f"# units: {units}", header]
     for s, values in zip(sig.tolist(), cells.tolist()):
         lines.append(row % (s, *values))
+    return "\n".join(lines) + "\n"
+
+
+def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
+    text = format_grid(signal_mev, idler_mev, cells, units, cell)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def save_jsi(jsi, path, units="meV"):

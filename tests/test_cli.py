@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_run_emits_artifacts(tmp_path):
         "output_jsi.json",
     ):
         assert os.path.exists(os.path.join(out_dir, name)), name
-    metrics = json.loads(open(os.path.join(out_dir, "metrics.json")).read())
+    metrics = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())
     assert metrics["entropy_nats"] > 0
     diag = metrics["diagnostics"]
     assert diag["lyapunov_residual"] < 1e-8
@@ -262,7 +263,7 @@ def test_epsilon_flag_overrides(tmp_path):
     cfg_path = write_config(tmp_path, BASE_CONFIG)
     out_dir = str(tmp_path / "eps")
     assert main(["--out", out_dir, "--epsilon", "1e-2", "run", cfg_path]) == 0
-    metrics = json.loads(open(os.path.join(out_dir, "metrics.json")).read())
+    metrics = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())
     assert metrics["diagnostics"]["epsilon_used"] == pytest.approx(1e-2)
 
 
@@ -277,12 +278,12 @@ def test_sweep_entropy_rows(tmp_path):
     cfg_path = write_config(tmp_path, text)
     out_dir = str(tmp_path / "sweep")
     assert main(["--out", out_dir, "--threads", "2", "sweep", cfg_path]) == 0
-    rows = open(os.path.join(out_dir, "entropy.csv")).read().strip().splitlines()
+    rows = Path(os.path.join(out_dir, "entropy.csv")).read_text().strip().splitlines()
     assert len(rows) == 1 + 4 * 2
     assert rows[0].startswith("parameter,value,material_count,entropy_nats")
     seen = [(float(r.split(",")[1]), int(r.split(",")[2])) for r in rows[1:]]
     assert seen == [(v, m) for v in (50.0, 150.0, 300.0, 488.0) for m in (1, 2)]
-    index = json.loads(open(os.path.join(out_dir, "sweep_index.json")).read())
+    index = json.loads(Path(os.path.join(out_dir, "sweep_index.json")).read_text())
     assert len(index["points"]) == 8
     # Per-point artifacts exist with unique names.
     for entry in index["points"]:
@@ -290,15 +291,43 @@ def test_sweep_entropy_rows(tmp_path):
 
 
 def test_sweep_threads_do_not_change_results(tmp_path):
-    text = BASE_CONFIG + "\nsweep.parameter = g\nsweep.values = 0.1, 0.3\n"
+    # Every point shares one read-only input; more workers than cores and a
+    # 1 us switch interval interleave them as finely as the GIL allows.
+    from pairspec import save_jsi
+
+    grid = build_grid(16, (1740.0, 1860.0), (1740.0, 1860.0))
+    jsi_path = tmp_path / "input_grid.csv"
+    save_jsi(jsi_of(gaussian_jsa(grid, 3609.0, 8.0, 30.0, -29.0)), jsi_path, units="nm")
+    text = f"""
+schema_version = 1
+system.omega_c = 1809
+system.material_freqs = 1809
+system.sqrt_kappa = 488
+input.kind = file
+input.path = {jsi_path}
+sweep.parameter = g
+sweep.values = 0.1, 0.3
+sweep.material_counts = 1, 2
+"""
     cfg_path = write_config(tmp_path, text)
-    out_serial = str(tmp_path / "s1")
-    out_parallel = str(tmp_path / "s4")
-    assert main(["--out", out_serial, "sweep", cfg_path]) == 0
-    assert main(["--out", out_parallel, "--threads", "4", "sweep", cfg_path]) == 0
-    a = open(os.path.join(out_serial, "entropy.csv")).read()
-    b = open(os.path.join(out_parallel, "entropy.csv")).read()
-    assert a == b
+    out_serial = tmp_path / "s1"
+    out_parallel = tmp_path / "s4"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(["--out", str(out_serial), "--threads", "1", "sweep", cfg_path]) == 0
+        assert main(["--out", str(out_parallel), "--threads", "4", "sweep", cfg_path]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    points = json.loads((out_serial / "sweep_index.json").read_text())["points"]
+    names = ["entropy.csv", "sweep_index.json"]
+    for entry in points:
+        files = sorted(os.listdir(out_serial / entry["dir"]))
+        assert files == sorted(os.listdir(out_parallel / entry["dir"]))
+        names += [os.path.join(entry["dir"], name) for name in files]
+    assert len(names) == 2 + 4 * 5
+    for name in names:
+        assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes(), name
 
 
 def test_failed_sweep_point_keeps_the_others(tmp_path, monkeypatch, capsys):
@@ -320,16 +349,16 @@ def test_failed_sweep_point_keeps_the_others(tmp_path, monkeypatch, capsys):
     assert main(["--out", out_dir, "--threads", "2", "sweep", write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert "solver failure during sweep" in err and "NearSingularPencil" in err
-    rows = open(os.path.join(out_dir, "entropy.csv")).read().strip().splitlines()
+    rows = Path(os.path.join(out_dir, "entropy.csv")).read_text().strip().splitlines()
     assert rows[0].endswith(",status")
     assert [r.split(",")[-1] for r in rows[1:]] == ["ok", "ok", "ok", "failed"]
     assert rows[4] == "sqrt_kappa,150,2,,,,,,failed"
-    points = json.loads(open(os.path.join(out_dir, "sweep_index.json")).read())["points"]
+    points = json.loads(Path(os.path.join(out_dir, "sweep_index.json")).read_text())["points"]
     assert [p["status"] for p in points] == ["ok", "ok", "ok", "failed"]
     assert points[3]["dir"] is None and "synthetic failure" in points[3]["error"]
     for entry in points[:3]:
         assert entry["error"] is None
-        metrics = json.loads(open(os.path.join(out_dir, entry["dir"], "metrics.json")).read())
+        metrics = json.loads(Path(os.path.join(out_dir, entry["dir"], "metrics.json")).read_text())
         # n = 16 signal/idler pairs, plus one of two identical materials.
         assert metrics["diagnostics"]["deflated_modes"] == 16 + entry["material_count"] - 1
 
@@ -340,6 +369,27 @@ def test_sweep_rejects_bad_point_before_running(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     assert main(["--out", str(out_dir), "sweep", cfg_path]) == 1
     assert "nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_rejects_bad_input_before_creating_out_dir(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text(
+        "# units: meV\nwavelength_nm\\omega,1800,1810\n1700,0,0\n1710,0,0\n",
+        encoding="utf-8",
+    )
+    text = f"""
+schema_version = 1
+system.omega_c = 1809
+input.kind = file
+input.path = {path}
+sweep.parameter = sqrt_kappa
+sweep.values = 100, 200
+"""
+    out_dir = tmp_path / "sweep"
+    assert main(["--out", str(out_dir), "--threads", "2", "sweep", write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero total mass" in err
     assert not out_dir.exists()
 
 
@@ -355,7 +405,7 @@ def test_convert_round_trip(tmp_path):
     as_nm = str(tmp_path / "nm.csv")
     back = str(tmp_path / "back.csv")
     assert main(["convert", src, as_nm]) == 0
-    assert "# units: nm" in open(as_nm).read().splitlines()[0]
+    assert "# units: nm" in Path(as_nm).read_text().splitlines()[0]
     assert main(["convert", as_nm, back]) == 0
     reloaded = load_jsi(back)
     assert np.allclose(reloaded.values, jsi.values, rtol=1e-9)
@@ -382,7 +432,7 @@ def test_heatmap_constant_is_uniform(tmp_path):
     render_heatmap(jsi, path)
     data = _read_pgm(path)
     assert np.all(data == 255)
-    meta = json.loads(open(str(tmp_path / "flat.json")).read())
+    meta = json.loads((tmp_path / "flat.json").read_text())
     assert meta["n"] == 6
 
 
@@ -405,7 +455,7 @@ def test_heatmap_bytes_stable(tmp_path):
     p1, p2 = str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
     render_heatmap(jsi, p1)
     render_heatmap(jsi, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 # --- one factorization of W per run ---------------------------------------------
@@ -444,7 +494,7 @@ def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):
 def test_run_records_solver_path(tmp_path):
     out_dir = str(tmp_path / "out")
     assert main(["--out", out_dir, "run", write_config(tmp_path, BASE_CONFIG)]) == 0
-    diag = json.loads(open(os.path.join(out_dir, "metrics.json")).read())["diagnostics"]
+    diag = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())["diagnostics"]
     assert diag["solver_path"] == "eigen"
     assert 1.0 <= diag["eigenvector_condition"] < 1e5
 
@@ -516,7 +566,7 @@ def test_overflowing_purity_leaves_sweep_cell_empty(tmp_path, monkeypatch):
     text = BASE_CONFIG + "\nsweep.parameter = sqrt_kappa\nsweep.values = 100, 200\n"
     out_dir = str(tmp_path / "sweep")
     assert main(["--out", out_dir, "sweep", write_config(tmp_path, text)]) == 0
-    rows = open(os.path.join(out_dir, "entropy.csv")).read().strip().splitlines()
+    rows = Path(os.path.join(out_dir, "entropy.csv")).read_text().strip().splitlines()
     header = rows[0].split(",")
     for row in rows[1:]:
         cells = dict(zip(header, row.split(",")))

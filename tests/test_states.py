@@ -251,7 +251,9 @@ def test_row_formatter_matches_per_cell_formatting(tmp_path, complex_cells):
     if complex_cells:
         imag = rng.normal(size=(n, n))
         imag.flat[-len(_AWKWARD):] = _AWKWARD
-        values = values + 1j * imag
+        # Set .imag rather than add 1j * imag: 1j * inf has a nan real part.
+        values = values.astype(np.complex128)
+        values.imag = imag
     path = tmp_path / "grid.csv"
     states._write_grid(str(path), signal, idler, values, "meV",
                        states._COMPLEX_CELL if complex_cells else states._FLOAT_CELL)
