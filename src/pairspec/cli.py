@@ -7,7 +7,8 @@ Subcommands::
     pairspec validate          oracle-equivalence and invariant suite
     pairspec convert IN OUT    rewrite a grid file with nm <-> meV axes
 
-Exit codes: 0 success, 1 config error, 2 solver failure, 3 validation failure.
+Exit codes: 0 success, 1 config or usage error, 2 solver failure, 3 validation
+failure.
 A sweep whose points fail in the solver still writes every other point, marks
 the failed ones in entropy.csv and sweep_index.json, and exits 2.
 The output directory resolves as --out flag > PAIRSPEC_OUT_DIR env var >
@@ -332,9 +333,8 @@ def cmd_sweep(args):
         _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False, input_text=input_text)
         return idx, value, m_count, outputs, sub, None
 
-    workers = max(1, args.threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(run_point, enumerate(points)))
     else:
         results = [run_point(item) for item in enumerate(points)]
@@ -406,6 +406,26 @@ def cmd_convert(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the config-error code
+    (argparse exits 2, which here means a solver failure).  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _thread_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return count
+
+
 def _add_common_flags(parser, suppress=False):
     # The same flags are accepted before or after the subcommand; the
     # subparser copies use SUPPRESS defaults so they never clobber values
@@ -416,14 +436,14 @@ def _add_common_flags(parser, suppress=False):
     parser.add_argument("--seed", type=int, default=default, help="reserved; echoed into metrics")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=argparse.SUPPRESS if suppress else 1,
         help="sweep worker threads",
     )
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairspec",
         description="Photon-pair spectral propagation through cavity-material systems.",
     )

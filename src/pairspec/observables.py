@@ -45,7 +45,7 @@ def schmidt(jsa, use_magnitude=False):
         F = np.asarray(jsa, dtype=np.complex128)
     if use_magnitude:
         F = np.abs(F)
-    _, s, _ = numkit.svd(F)
+    s = numkit.svd(F)
     total = np.sum(s**2)
     if total <= 0.0:
         raise DegenerateState("all-zero amplitude has no Schmidt spectrum")

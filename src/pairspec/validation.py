@@ -179,7 +179,7 @@ def run_validation(seed=20250801, quick=False):
 
     # --- Determinant vs singular-value product ------------------------------
     Mrand = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
-    _, sv, _ = numkit.svd(Mrand)
+    sv = numkit.svd(Mrand)
     prod = float(np.prod(sv))
     add(
         "determinant_vs_svd_product",

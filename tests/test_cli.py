@@ -238,6 +238,29 @@ input.path = {path}
     assert main(["run", write_config(tmp_path, text)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "{cfg}", "--epsilon", "abc"], 1),
+        (["run", "{cfg}", "--seed", "abc"], 1),
+        (["nosuchcommand", "{cfg}"], 1),
+        (["sweep", "{cfg}", "--threads", "0"], 1),
+        (["sweep", "{cfg}", "--threads", "-3"], 1),
+        (["sweep", "--help"], 0),
+    ],
+    ids=["epsilon-abc", "seed-abc", "unknown-subcommand", "threads-0", "threads-negative", "help"],
+)
+def test_usage_exit_codes(tmp_path, capsys, argv, code):
+    # Exit 2 means a solver failure, so argparse's usage errors exit 1.
+    cfg_path = write_config(tmp_path, BASE_CONFIG + "\nsweep.parameter = g\nsweep.values = 0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "out")] + [a.format(cfg=cfg_path) for a in argv])
+    assert exc.value.code == code
+    if code:
+        assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     from pairspec import cli as cli_mod
     from pairspec.errors import SingularMatrix
@@ -474,12 +497,30 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def test_run_factors_w_once(monkeypatch):
+# A run makes two propagate calls.  Each takes two core congruences for the
+# Lyapunov first pass and one for S X S^dag; the refinement pass adds two
+# only where the first pass is above numkit.REFINE_ABOVE.  At n = 41 a photon
+# grid point lands on the 1809 meV material, so the core goes to dense eig,
+# whose first pass (about 1e-9) is refined.
+@pytest.mark.parametrize(
+    "n, core_method, congruences", [(64, "secular", 6), (41, "eig", 10)], ids=["secular", "eig"]
+)
+def test_run_factors_w_once(monkeypatch, n, core_method, congruences):
     calls = _count_calls(monkeypatch, ("eigenbasis", "solve_sylvester", "linear_solve"))
-    cfg = config_from_raw(parse_config_text(BASE_CONFIG.replace("grid.n = 16", "grid.n = 64")))
+    methods = []
+    real = numkit.Eigenbasis.block_congruence
+
+    def counting(self, *args, **kwargs):
+        methods.append(self.core_method)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(numkit.Eigenbasis, "block_congruence", counting)
+    cfg = config_from_raw(parse_config_text(BASE_CONFIG.replace("grid.n = 16", f"grid.n = {n}")))
     out = execute_run(cfg)
     assert out.epsilon_stability is not None  # the eps/2 check ran
     assert calls == {"eigenbasis": 1, "solve_sylvester": 0, "linear_solve": 0}
+    assert methods == [core_method] * congruences
+    assert out.prop.reports["lyapunov"].residual_norm < 1e-11
 
 
 def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):

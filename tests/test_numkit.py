@@ -446,7 +446,7 @@ def test_modes_with_both_spokes_zero_decouple():
 # --- svd --------------------------------------------------------------------
 
 def test_svd_diagonal():
-    _, s, _ = numkit.svd(np.diag([3.0, 1.0]).astype(complex))
+    s = numkit.svd(np.diag([3.0, 1.0]).astype(complex))
     assert np.allclose(s, [3.0, 1.0])
 
 
@@ -454,27 +454,26 @@ def test_svd_diagonal():
 def test_svd_symmetric_2x2_analytic(a, b):
     # Analytic singular values of [[a, b], [b, a]] are |a+b|, |a-b|.
     M = np.array([[a, b], [b, a]], dtype=complex)
-    _, s, _ = numkit.svd(M)
+    s = numkit.svd(M)
     expected = sorted([abs(a + b), abs(a - b)], reverse=True)
     assert np.allclose(s, expected)
 
 
-def test_svd_reconstruction_and_unitarity():
+def test_svd_values_match_gram_eigenvalues():
     rng = np.random.default_rng(8)
     M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    U, s, Vh = numkit.svd(M)
-    assert np.linalg.norm(U @ np.diag(s) @ Vh - M) / np.linalg.norm(M) < 1e-10
-    assert np.linalg.norm(U.conj().T @ U - np.eye(6)) < 1e-10
-    assert np.linalg.norm(Vh @ Vh.conj().T - np.eye(6)) < 1e-10
+    s = numkit.svd(M)
+    gram = np.linalg.eigvalsh(M.conj().T @ M)[::-1]
+    assert np.max(np.abs(s**2 - gram) / gram) < 1e-12
     assert np.all(np.diff(s) <= 0)
 
 
 def test_svd_permutation_invariant():
     rng = np.random.default_rng(13)
     M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    _, s0, _ = numkit.svd(M)
+    s0 = numkit.svd(M)
     perm = rng.permutation(5)
-    _, s1, _ = numkit.svd(M[perm][:, perm])
+    s1 = numkit.svd(M[perm][:, perm])
     assert np.allclose(s0, s1)
 
 
@@ -512,7 +511,7 @@ def test_log_determinant_large_dim_no_overflow():
 def test_determinant_vs_singular_values():
     rng = np.random.default_rng(19)
     M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 2 * np.eye(6)
-    _, s, _ = numkit.svd(M)
+    s = numkit.svd(M)
     prod = np.prod(s)
     assert abs(abs(numkit.determinant(M)) - prod) / prod < 1e-8
 
