@@ -397,11 +397,8 @@ def cmd_convert(args):
         text, complex_values=True, source=args.input
     )
     target = "nm" if units == "meV" else "meV"
-    if np.all(values.imag == 0):
-        cells, cell = values.real, states._FLOAT_CELL
-    else:
-        cells, cell = values, states._COMPLEX_CELL
-    states._write_grid(args.output, signal_mev, idler_mev, cells, target, cell)
+    cells = values.real if np.all(values.imag == 0) else values
+    states._write_grid(args.output, signal_mev, idler_mev, cells, target)
     print(f"wrote {args.output} ({units} -> {target})")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gridtext
 from .errors import (
     DegenerateWidth,
     InvalidRange,
@@ -23,11 +24,6 @@ from .errors import (
 from .model import BlockLayout, FrequencyGrid, mev_to_nm, nm_to_mev
 
 CORNER_LABEL = "wavelength_nm\\omega"
-
-# Cell patterns of the grid writer; one % operation formats a whole row,
-# and "%.17g" prints what "{:.17g}".format does.
-_FLOAT_CELL = "%.17g"
-_COMPLEX_CELL = "%.17g%+.17gj"
 
 
 @dataclass
@@ -260,9 +256,15 @@ def _grid_from_axes(signal_axis, idler_axis, source):
         raise NonUniformAxis(f"{source}: {exc}") from exc
 
 
+def _require_finite(values, path):
+    if not np.all(np.isfinite(values)):
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{path}: non-finite cell {values[r, c]} at row {r}, col {c}")
+
+
 def load_jsi(path):
-    """Load an intensity grid; values are validated nonnegative and the
-    result is unit-mass normalized."""
+    """Load an intensity grid; values are validated finite and nonnegative
+    and the result is unit-mass normalized."""
     signal_axis, idler_axis, values, _ = read_grid_file(path, complex_values=False)
     if values.shape[0] != values.shape[1]:
         raise ParseError(f"{path}: intensity grid must be square")
@@ -271,6 +273,7 @@ def load_jsi(path):
         raise NegativeIntensity(
             f"{path}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
         )
+    _require_finite(values, path)
     if values.sum() == 0.0:
         raise ParseError(f"{path}: intensity grid has zero total mass")
     grid = _grid_from_axes(signal_axis, idler_axis, str(path))
@@ -278,35 +281,34 @@ def load_jsi(path):
 
 
 def load_jsa(path):
-    """Load a complex amplitude grid (re+imj cells)."""
+    """Load a complex amplitude grid (re+imj cells, all finite)."""
     signal_axis, idler_axis, values, _ = read_grid_file(path, complex_values=True)
     if values.shape[0] != values.shape[1]:
         raise ParseError(f"{path}: amplitude grid must be square")
+    _require_finite(values, path)
     grid = _grid_from_axes(signal_axis, idler_axis, str(path))
     return JointSpectralAmplitude(grid, values)
 
 
-def format_grid(signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
-    """Text of a grid file; ``cell`` is _FLOAT_CELL or _COMPLEX_CELL."""
+def _grid_bytes(signal_mev, idler_mev, cells, units):
+    """ASCII of a grid file, a block of rows at a time."""
     sig = np.asarray(_axes_to_units(signal_mev, units), dtype=np.float64)
     idl = np.asarray(_axes_to_units(idler_mev, units), dtype=np.float64)
-    if cell == _COMPLEX_CELL:
-        cells = np.asarray(cells, dtype=np.complex128)
-        cells = np.stack((cells.real, cells.imag), axis=-1).reshape(sig.size, -1)
-    else:
-        cells = np.asarray(cells, dtype=np.float64)
-    header = ",".join([CORNER_LABEL] + [_FLOAT_CELL] * idl.size) % tuple(idl.tolist())
-    row = ",".join([_FLOAT_CELL] + [cell] * idl.size)
-    lines = [f"# units: {units}", header]
-    for s, values in zip(sig.tolist(), cells.tolist()):
-        lines.append(row % (s, *values))
-    return "\n".join(lines) + "\n"
+    cells = np.asarray(cells, dtype=np.complex128 if np.iscomplexobj(cells) else np.float64)
+    yield f"# units: {units}\n{CORNER_LABEL}".encode("ascii")
+    yield from gridtext.lines(idl[None, :])
+    yield from gridtext.lines(cells, sig)
 
 
-def _write_grid(path, signal_mev, idler_mev, cells, units, cell=_FLOAT_CELL):
-    text = format_grid(signal_mev, idler_mev, cells, units, cell)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def format_grid(signal_mev, idler_mev, cells, units):
+    """Text of a grid file.  A complex ``cells`` array gives re+imj cells,
+    a real one real cells; every number reads as "%.17g" prints it."""
+    return b"".join(_grid_bytes(signal_mev, idler_mev, cells, units)).decode("ascii")
+
+
+def _write_grid(path, signal_mev, idler_mev, cells, units):
+    with open(path, "wb") as fh:
+        fh.writelines(_grid_bytes(signal_mev, idler_mev, cells, units))
 
 
 def save_jsi(jsi, path, units="meV"):
@@ -314,4 +316,4 @@ def save_jsi(jsi, path, units="meV"):
 
 
 def save_jsa(jsa, path, units="meV"):
-    _write_grid(path, jsa.grid.signal, jsa.grid.idler, jsa.values, units, _COMPLEX_CELL)
+    _write_grid(path, jsa.grid.signal, jsa.grid.idler, jsa.values, units)

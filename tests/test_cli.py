@@ -416,6 +416,39 @@ sweep.values = 100, 200
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_nonfinite_input_cell_exits_1(tmp_path, capsys, command, bad):
+    from pairspec import save_jsi
+
+    grid = build_grid(16, (1740.0, 1860.0), (1740.0, 1860.0))
+    path = tmp_path / "jsi.csv"
+    save_jsi(jsi_of(gaussian_jsa(grid, 3609.0, 8.0, 30.0, -29.0)), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[4] = bad
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = f"""
+schema_version = 1
+system.omega_c = 1809
+input.kind = file
+input.path = {path}
+sweep.parameter = sqrt_kappa
+sweep.values = 100, 200
+"""
+    out_dir = tmp_path / "out"
+    argv = ["--out", str(out_dir), "--threads", "2", command, write_config(tmp_path, text)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"non-finite cell {bad} at row 3, col 3" in err
+    assert not out_dir.exists()
+    # convert copies the grid as it is.
+    assert main(["convert", str(path), str(tmp_path / "nm.csv")]) == 0
+    assert f",{bad}," in (tmp_path / "nm.csv").read_text(encoding="utf-8")
+
+
 # --- convert -----------------------------------------------------------------------
 
 def test_convert_round_trip(tmp_path):

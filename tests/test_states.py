@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pairspec import (
     assemble_input_covariance,
@@ -238,23 +241,65 @@ def _per_cell_grid(signal, idler, cells, complex_cells):
 
 _AWKWARD = [-0.0, 0.0, 1e-320, 5e-324, 1e300, -1e300, float("inf"), float("-inf"), float("nan"),
             1.0, 0.1, 2.0 / 3.0, 1e16, 123456789012345678.0, -2.5e-7]
+# Exact half-even ties at 17 digits: the writer hands these to Python.
+_TIES = [0.00390720367431640625, 0.250003814697265625, 8.00000762939453125,
+         16.0000152587890625]
+
+
+def _exactness_values():
+    """Values whose 17-digit text is easy to get wrong, then random doubles."""
+    powers = np.array([10.0**k for k in range(-307, 309)])
+    edges = [
+        5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0,
+        # fixed notation runs from decimal exponent -4 to 16
+        0.0001, 9.9999999999999991e-05, 0.00010000000000000002, 1e-05,
+        9999999999999998.0, 1e16, 99999999999999984.0, 1e17, 100000000000000016.0,
+    ]
+    bits = np.random.default_rng(83).integers(0, 2**64, size=2**16, dtype=np.uint64)
+    return np.concatenate([
+        _AWKWARD, _TIES, edges, powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf), bits.view(np.float64),
+    ])
 
 
 @pytest.mark.parametrize("complex_cells", [False, True])
 def test_row_formatter_matches_per_cell_formatting(tmp_path, complex_cells):
-    rng = np.random.default_rng(83)
-    n = 8
-    signal = np.linspace(1740.0, 1860.0, n)
-    idler = np.linspace(1745.0, 1875.0, n)
-    values = np.exp(rng.normal(scale=20.0, size=(n, n))) * rng.choice([-1.0, 1.0], size=(n, n))
-    values.flat[: len(_AWKWARD)] = _AWKWARD
+    values = _exactness_values()
+    n = 256
+    rows = -(-values.size // n)
+    idler = values[:n]
+    signal = values[n : n + rows]
+    cells = np.resize(values, (rows, n))
     if complex_cells:
-        imag = rng.normal(size=(n, n))
-        imag.flat[-len(_AWKWARD):] = _AWKWARD
+        imag = np.random.default_rng(84).permutation(cells.ravel()).reshape(rows, n)
         # Set .imag rather than add 1j * imag: 1j * inf has a nan real part.
-        values = values.astype(np.complex128)
-        values.imag = imag
+        cells = cells.astype(np.complex128)
+        cells.imag = imag
+    text = states.format_grid(signal, idler, cells, "meV")
+    assert text == _per_cell_grid(signal, idler, cells, complex_cells)
     path = tmp_path / "grid.csv"
-    states._write_grid(str(path), signal, idler, values, "meV",
-                       states._COMPLEX_CELL if complex_cells else states._FLOAT_CELL)
-    assert path.read_bytes() == _per_cell_grid(signal, idler, values, complex_cells).encode()
+    states._write_grid(str(path), signal, idler, cells, "meV")
+    assert path.read_bytes() == text.encode()
+    header = states.format_grid([1.0], _TIES, [_TIES], "meV").splitlines()[1]
+    assert header.endswith(
+        ",0.0039072036743164062,0.25000381469726562,8.0000076293945312,16.000015258789062")
+
+
+_GRID_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+
+
+@pytest.mark.parametrize("complex_cells", [False, True])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_writer_matches_per_cell_formatting(data, complex_cells):
+    def floats(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
+
+    rows, cols = data.draw(_GRID_SHAPES)
+    cells = floats((rows, cols))
+    if complex_cells:
+        cells = cells.astype(np.complex128)
+        cells.imag = floats((rows, cols))
+    signal, idler = floats(rows), floats(cols)
+    text = states.format_grid(signal, idler, cells, "meV")
+    assert text == _per_cell_grid(signal, idler, cells, complex_cells)
