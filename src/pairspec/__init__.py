@@ -6,8 +6,13 @@ Lyapunov equation for the all-time-integrated correlations, apply the
 scattering map to obtain the output covariance, and extract spectra and
 entanglement metrics.  A brute-force time-domain oracle certifies the
 algebraic path on small instances.
+
+``__all__`` holds the pipeline and the observables.  The linear-algebra
+kernels and the time-domain oracle are the submodules ``pairspec.numkit``
+and ``pairspec.oracle``.
 """
 
+from . import numkit, oracle
 from .model import (
     BlockLayout,
     DynamicalMatrix,
@@ -18,15 +23,6 @@ from .model import (
     mev_to_nm,
     nm_to_mev,
 )
-from .numkit import (
-    SolveReport,
-    determinant,
-    linear_solve,
-    log_determinant,
-    matrix_exponential,
-    solve_sylvester,
-    svd,
-)
 from .observables import (
     PurityResult,
     SchmidtSpectrum,
@@ -35,7 +31,6 @@ from .observables import (
     von_neumann_entropy,
     wigner,
 )
-from .oracle import IntegrationConfig, integrate_sylvester, quadrature_time_integral
 from .scattering import (
     DEFAULT_EPSILON,
     PropagationResult,
@@ -67,40 +62,30 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DynamicalMatrix",
     "FrequencyGrid",
-    "IntegrationConfig",
     "JointSpectralAmplitude",
     "JointSpectralIntensity",
     "PropagationResult",
     "PurityResult",
     "ScatteringMatrix",
     "SchmidtSpectrum",
-    "SolveReport",
     "SystemParams",
     "assemble_input_covariance",
     "build_dynamical_matrix",
     "build_grid",
-    "determinant",
     "extract_output_jsa",
     "gaussian_jsa",
-    "integrate_sylvester",
     "jsa_from_jsi",
     "jsi_of",
-    "linear_solve",
     "load_jsa",
     "load_jsi",
-    "log_determinant",
-    "matrix_exponential",
     "mev_to_nm",
     "nm_to_mev",
     "propagate",
     "purity",
-    "quadrature_time_integral",
     "save_jsa",
     "save_jsi",
     "scattering_matrix",
     "schmidt",
-    "solve_sylvester",
-    "svd",
     "time_integrated_covariance",
     "von_neumann_entropy",
     "wigner",

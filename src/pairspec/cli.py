@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables, scattering, states
-from .config import RunConfig, load_config
+from .config import RunConfig, check_epsilon, load_config
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -125,23 +125,21 @@ def _build_inputs(cfg: RunConfig):
     return grid, jsa
 
 
-def _system_params(cfg: RunConfig, epsilon):
+def _system_params(cfg: RunConfig):
     return SystemParams(
         omega_c=cfg.omega_c,
         material_freqs=cfg.material_freqs,
         g=cfg.g,
         sqrt_kappa=cfg.sqrt_kappa,
-        epsilon=epsilon,
     )
 
 
-def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True, inputs=None):
+def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     """Run the full pipeline for one configuration; returns RunOutputs.
 
     ``inputs`` is a ``(grid, jsa)`` pair already built from ``cfg``'s grid and
     input settings (a sweep shares one); None builds it here."""
-    eps = cfg.epsilon if epsilon is None else epsilon
-    params = _system_params(cfg, eps)
+    params = _system_params(cfg)
     grid, jsa = _build_inputs(cfg) if inputs is None else inputs
     W = build_dynamical_matrix(
         grid,
@@ -150,7 +148,7 @@ def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True, inpu
         material_sign=cfg.sign_convention,
     )
     theta_in = states.assemble_input_covariance(jsa, params.n_material)
-    prop = scattering.propagate(theta_in, W, epsilon=eps)
+    prop = scattering.propagate(theta_in, W, epsilon=cfg.epsilon)
 
     jsa_out = scattering.extract_output_jsa(prop.theta_out)
     jsi_out_raw = states.jsi_of(jsa_out, normalize=False)
@@ -179,7 +177,7 @@ def execute_run(cfg: RunConfig, epsilon=None, check_epsilon_stability=True, inpu
     )
 
 
-def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
+def _metrics_payload(cfg: RunConfig, out: RunOutputs):
     prop = out.prop
     lyap = prop.reports["lyapunov"]
     scat = prop.reports["scattering"]
@@ -210,13 +208,10 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs, seed=None):
     for key, value in payload["diagnostics"].items():
         if isinstance(value, float) and not np.isfinite(value):
             payload["diagnostics"][key] = None
-    if seed is not None:
-        payload["seed"] = seed
     return payload
 
 
-def _write_run_artifacts(out_dir, cfg: RunConfig, out: RunOutputs, seed=None, heatmaps=True,
-                         input_text=None):
+def _write_run_artifacts(out_dir, cfg: RunConfig, out: RunOutputs, heatmaps=True, input_text=None):
     """``input_text`` is input_jsi.csv already formatted; None formats it here."""
     os.makedirs(out_dir, exist_ok=True)
     if input_text is None:
@@ -231,7 +226,7 @@ def _write_run_artifacts(out_dir, cfg: RunConfig, out: RunOutputs, seed=None, he
         fh.write("index,coefficient\n")
         for i, r in enumerate(out.schmidt.values):
             fh.write(f"{i},{r:.17g}\n")
-    _write_json(os.path.join(out_dir, "metrics.json"), _metrics_payload(cfg, out, seed=seed))
+    _write_json(os.path.join(out_dir, "metrics.json"), _metrics_payload(cfg, out))
     if heatmaps:
         render_heatmap(out.jsi_in, os.path.join(out_dir, "input_jsi.pgm"))
         render_heatmap(out.jsi_out, os.path.join(out_dir, "output_jsi.pgm"))
@@ -285,13 +280,19 @@ def _point_config(cfg: RunConfig, value, m_count):
     )
 
 
-def cmd_run(args):
+def _load_config(args):
+    """The config file, with a checked --epsilon in place of its epsilon."""
     cfg = load_config(args.config)
     if args.epsilon is not None:
-        cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
+        cfg = dataclasses.replace(cfg, epsilon=check_epsilon(args.epsilon, "--epsilon"))
+    return cfg
+
+
+def cmd_run(args):
+    cfg = _load_config(args)
     out_dir = _resolve_out_dir(args, cfg)
     outputs = execute_run(cfg)
-    _write_run_artifacts(out_dir, cfg, outputs, seed=args.seed)
+    _write_run_artifacts(out_dir, cfg, outputs)
     mu = outputs.purity.mu
     print(f"run complete: entropy={outputs.entropy:.6f} nats, purity mu="
           f"{'overflow' if mu is None else f'{mu:.6g}'}")
@@ -300,15 +301,14 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    if args.epsilon is not None:
-        cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
+    cfg = _load_config(args)
     out_dir = _resolve_out_dir(args, cfg)
     points = _sweep_points(cfg)
     # Reject a bad point before any point runs or writes its artifacts.
     point_cfgs = [_point_config(cfg, value, m_count) for value, m_count in points]
-    for point_cfg in point_cfgs:
-        _system_params(point_cfg, point_cfg.epsilon)
+    for idx, point_cfg in enumerate(point_cfgs):
+        _system_params(point_cfg)
+        check_epsilon(point_cfg.epsilon, f"{args.config}: sweep point {idx}")
     # No sweep parameter touches grid.* or input.*, so every point shares one
     # input, loaded and formatted here; a bad input file fails before any
     # directory exists.  Read-only arrays make an in-place write from a worker
@@ -430,7 +430,6 @@ def _add_common_flags(parser, suppress=False):
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--out", default=default, help="output directory (overrides env and config)")
     parser.add_argument("--epsilon", type=float, default=default, help="regularization override (meV)")
-    parser.add_argument("--seed", type=int, default=default, help="reserved; echoed into metrics")
     parser.add_argument(
         "--threads",
         type=_thread_count,

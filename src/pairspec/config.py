@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .model import nm_to_mev
+from .scattering import DEFAULT_EPSILON
 
 SCHEMA_VERSION = "1"
 
@@ -194,6 +195,13 @@ def _check_fits_in_memory(n, m_max, source):
         )
 
 
+def check_epsilon(epsilon, source):
+    """epsilon, or ConfigError unless it is finite and nonnegative."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigError(f"{source}: epsilon must be finite and nonnegative, got {epsilon!r}")
+    return epsilon
+
+
 def config_from_raw(raw, source="<config>"):
     version = _get(raw, "schema_version", source, required=True)
     if version != SCHEMA_VERSION:
@@ -224,9 +232,8 @@ def config_from_raw(raw, source="<config>"):
     idler_range = axis_range("grid.idler_min", "grid.idler_max")
 
     material_freqs = _as_float_list(raw, "system.material_freqs", source)
-    epsilon = _as_float(raw, "system.epsilon", source, default="1e-3")
-    if epsilon < 0:
-        raise ConfigError(f"{source}: system.epsilon must be >= 0")
+    epsilon = check_epsilon(_as_float(raw, "system.epsilon", source, default=DEFAULT_EPSILON),
+                            f"{source}: system.epsilon")
 
     kind = _get(raw, "input.kind", source, required=True)
     if kind not in ("gaussian", "file"):

@@ -5,7 +5,7 @@ parameters come in meV/nm.  The mode vector is ordered
 (signal_1..signal_n, idler_1..idler_n, cavity, material_1..material_M).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,17 @@ class SystemParams:
     material_freqs: tuple = ()
     g: float = 0.0
     sqrt_kappa: float = 0.0
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "material_freqs", tuple(float(f) for f in self.material_freqs))
-        if not np.all(np.isfinite((self.omega_c, self.g, self.sqrt_kappa, self.epsilon,
-                                   *self.material_freqs))):
+        if not np.all(np.isfinite((self.omega_c, self.g, self.sqrt_kappa, *self.material_freqs))):
             raise InvalidRange("system parameters must be finite")
         if self.omega_c <= 0:
             raise InvalidRange("omega_c must be positive")
         if any(f <= 0 for f in self.material_freqs):
             raise InvalidRange("material frequencies must be positive")
-        if self.g < 0 or self.sqrt_kappa < 0 or self.epsilon < 0:
-            raise InvalidRange("g, sqrt_kappa and epsilon must be nonnegative")
+        if self.g < 0 or self.sqrt_kappa < 0:
+            raise InvalidRange("g and sqrt_kappa must be nonnegative")
 
     @property
     def n_material(self):

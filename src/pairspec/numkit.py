@@ -44,6 +44,13 @@ _COND_ESTIMATE_MAX_DIM = 256
 # and 8e-10 while the Schur and LU solves stay below 1.4e-9 and 1e-15.
 EIGEN_COND_MAX = 1e5
 
+# A pivot below PIVOT_TOL * max|A| makes A singular (linear_solve,
+# shifted_inverse, observables.wigner).
+PIVOT_TOL = 1e-12
+# A pair |lambda_i(A) + lambda_j(B)| below PENCIL_GAP_TOL * max(||A||_F,
+# ||B||_F) makes a Sylvester pencil near-singular.
+PENCIL_GAP_TOL = 1e-10
+
 
 @dataclass
 class SolveReport:
@@ -76,11 +83,11 @@ def _as_matrix(a, name="matrix"):
     return m
 
 
-def linear_solve(A, B, pivot_tol=1e-12):
+def linear_solve(A, B):
     """Solve A X = B by LU with partial pivoting.
 
     Raises SingularMatrix when a pivot magnitude falls below
-    ``pivot_tol * max|A|``.  The report carries the relative residual
+    ``PIVOT_TOL * max|A|``.  The report carries the relative residual
     ||A X - B||_F / ||B||_F and a 2-norm condition estimate (None for
     dimensions where the SVD would dominate the solve cost).
     """
@@ -98,11 +105,11 @@ def linear_solve(A, B, pivot_tol=1e-12):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(A)
     pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < pivot_tol * scale:
+    if scale == 0.0 or pivots.min() < PIVOT_TOL * scale:
         k = int(np.argmin(pivots)) if scale > 0 else 0
         raise SingularMatrix(
             f"pivot {pivots.min() if scale > 0 else 0.0:.3e} below tolerance "
-            f"{pivot_tol:.1e} * max|A|={scale:.3e} at index {k}"
+            f"{PIVOT_TOL:.1e} * max|A|={scale:.3e} at index {k}"
         )
     X = lu_solve((lu, piv), B)
 
@@ -112,7 +119,8 @@ def linear_solve(A, B, pivot_tol=1e-12):
     return X, SolveReport(residual_norm=float(residual), condition_estimate=cond)
 
 
-def _pencil_gap_check(eig_a, eig_b, tol, norm_a, norm_b):
+def _pencil_gap_check(eig_a, eig_b, norm_a, norm_b):
+    tol = PENCIL_GAP_TOL * max(norm_a, norm_b, 1e-300)
     sums = np.abs(eig_a[:, None] + eig_b[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
     gap = float(sums[i, j])
@@ -132,7 +140,7 @@ def sylvester_residual(A, B, C, X):
     return float(num / max(1.0, np.linalg.norm(C)))
 
 
-def solve_sylvester(A, B, C, method="schur", pair_tol=None):
+def solve_sylvester(A, B, C, method="schur"):
     """Solve A X + X B = -C.
 
     method="schur" is Bartels–Stewart: complex Schur factorizations of A
@@ -144,8 +152,8 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
     solved densely (intended for small d).
 
     Raises NearSingularPencil when some |lambda_i(A) + lambda_j(B)| falls
-    below ``pair_tol`` (default 1e-10 * max Frobenius norm); the offending
-    pair is attached to the exception.
+    below ``PENCIL_GAP_TOL * max(||A||_F, ||B||_F)``; the offending pair is
+    attached to the exception.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -158,13 +166,11 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
 
     norm_a = np.linalg.norm(A)
     norm_b = np.linalg.norm(B)
-    if pair_tol is None:
-        pair_tol = 1e-10 * max(norm_a, norm_b, 1e-300)
 
     if method == "kron":
         eig_a = np.linalg.eigvals(A)
         eig_b = np.linalg.eigvals(B)
-        gap = _pencil_gap_check(eig_a, eig_b, pair_tol, norm_a, norm_b)
+        gap = _pencil_gap_check(eig_a, eig_b, norm_a, norm_b)
         big = np.kron(np.eye(q), A) + np.kron(B.T, np.eye(p))
         vec = np.linalg.solve(big, -C.flatten(order="F"))
         X = vec.reshape((p, q), order="F")
@@ -173,7 +179,7 @@ def solve_sylvester(A, B, C, method="schur", pair_tol=None):
         TB, QB = schur(B, output="complex")
         eig_a = np.diag(TA)
         eig_b = np.diag(TB)
-        gap = _pencil_gap_check(eig_a, eig_b, pair_tol, norm_a, norm_b)
+        gap = _pencil_gap_check(eig_a, eig_b, norm_a, norm_b)
 
         def tri_solve(rhs):
             F = QA.conj().T @ rhs @ QB
@@ -712,7 +718,7 @@ def solve_lyapunov_eigen(basis, C, shift):
     The solve runs in deflated coordinates (C is rotated in and X out once),
     where products with V touch only the core block and products with A
     cost O(d^2).  The pencil-gap screen runs on all d eigenvalues and raises
-    NearSingularPencil (tolerance 1e-10 * ||A||_F, the default of
+    NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``, as in
     :func:`solve_sylvester`) with the offending pair.  The caller checks
     ``basis.usable`` first.
     """
@@ -726,8 +732,7 @@ def solve_lyapunov_eigen(basis, C, shift):
         return basis.rotate(X, copy=False), report
     lam = basis.values - shift
     norm_a = frobenius_norm(basis.shifted(shift))
-    pair_tol = 1e-10 * max(norm_a, 1e-300)
-    gap = _pencil_gap_check(lam, lam.conj(), pair_tol, norm_a, norm_a)
+    gap = _pencil_gap_check(lam, lam.conj(), norm_a, norm_a)
     denom = lam[:, None] + lam.conj()[None, :]
 
     def eig_solve(rhs):
@@ -753,8 +758,8 @@ def shifted_inverse(basis, z):
     """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
-    ``1e-12 * max|W - z I|`` (the default pivot rule of
-    :func:`linear_solve`).  The caller checks ``basis.usable`` first.
+    ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`linear_solve`).
+    The caller checks ``basis.usable`` first.
     """
     _require_usable(basis)
     if basis.deflated is not None:
@@ -763,10 +768,10 @@ def shifted_inverse(basis, z):
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     dist = np.abs(basis.values - z)
     k = int(np.argmin(dist))
-    if scale == 0.0 or dist[k] < 1e-12 * scale:
+    if scale == 0.0 or dist[k] < PIVOT_TOL * scale:
         raise SingularMatrix(
             f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
-            f"1e-12 * max|W - z|={scale:.3e}"
+            f"{PIVOT_TOL:g} * max|W - z|={scale:.3e}"
         )
     core = basis.core
     inv = np.diag(1.0 / (basis.values - z))

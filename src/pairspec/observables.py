@@ -77,8 +77,8 @@ def wigner(theta, alpha, mean=None):
     and the result has shape (...); a single point of shape (d,) gives a
     float.  mean defaults to zero; local displacements do not change the
     entanglement structure.  One LU factorization of Theta gives both
-    log|det Theta| and every solve; a pivot below 1e-12 * max|Theta| raises
-    SingularCovariance, the rule of ``numkit.linear_solve``.
+    log|det Theta| and every solve; a pivot below ``numkit.PIVOT_TOL *
+    max|Theta|`` raises SingularCovariance, as in ``numkit.linear_solve``.
     """
     mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
     mat = np.asarray(mat, dtype=np.complex128)
@@ -96,10 +96,10 @@ def wigner(theta, alpha, mean=None):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(mat)
     pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < 1e-12 * scale:
+    if scale == 0.0 or pivots.min() < numkit.PIVOT_TOL * scale:
         raise SingularCovariance(
             f"covariance matrix is singular: pivot {pivots.min():.3e} below "
-            f"1e-12 * max|Theta|={scale:.3e}"
+            f"{numkit.PIVOT_TOL:g} * max|Theta|={scale:.3e}"
         )
     log_abs = float(np.sum(np.log(pivots)))
     norm = (2.0 * np.pi) ** (d / 2.0) * np.exp(0.5 * log_abs)
@@ -117,7 +117,10 @@ def wigner(theta, alpha, mean=None):
     return float(out) if out.ndim == 0 else out
 
 
-def purity(theta, det_tol=1e-300):
+PURITY_DET_TOL = 1e-300
+
+
+def purity(theta):
     """mu = 1 / sqrt|det Theta| via the log-determinant.
 
     The determinant magnitude is used as printed in the defining formula; a
@@ -128,19 +131,19 @@ def purity(theta, det_tol=1e-300):
 
     NonPositiveDeterminant is raised when |det Theta|^(1/d) / max|Theta|,
     the geometric-mean eigenvalue magnitude against the largest entry, is
-    below det_tol.  The test is made in log space and does not depend on
-    the scale of Theta or on d: |det Theta| itself underflows for a healthy
-    Theta at large d (0.5 I at d = 998 has |det| = 2^-998).
+    below PURITY_DET_TOL.  The test is made in log space and does not depend
+    on the scale of Theta or on d: |det Theta| itself underflows for a
+    healthy Theta at large d (0.5 I at d = 998 has |det| = 2^-998).
     """
     mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
     mat = np.asarray(mat, dtype=np.complex128)
     log_abs, phase = numkit.log_determinant(mat)
     if not np.isfinite(log_abs) or (
-        log_abs / mat.shape[0] - np.log(np.abs(mat).max()) < np.log(det_tol)
+        log_abs / mat.shape[0] - np.log(np.abs(mat).max()) < np.log(PURITY_DET_TOL)
     ):
         raise NonPositiveDeterminant(
             f"log|det Theta| = {log_abs:.6g}: |det Theta|^(1/d) / max|Theta| is below "
-            f"{det_tol:.1e}",
+            f"{PURITY_DET_TOL:.1e}",
             determinant=complex(np.exp(log_abs) * np.exp(1j * phase)) if np.isfinite(log_abs) else 0j,
         )
     with np.errstate(over="ignore"):

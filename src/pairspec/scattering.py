@@ -32,7 +32,8 @@ from .errors import NearSingularPencil
 from .model import DynamicalMatrix
 from .states import CovarianceMatrix, JointSpectralAmplitude, jsi_of  # noqa: F401
 
-# Default regularization (meV); every solve records whether it fired.
+# Default regularization (meV), and the one a solve at epsilon = 0 retries at
+# when the pencil is singular; every solve records whether it fired.
 DEFAULT_EPSILON = 1e-3
 
 
@@ -71,7 +72,7 @@ def _mark(report, basis):
     report.deflated_modes = basis.deflated_modes
 
 
-def _lyapunov_q(basis, theta_q, epsilon, fallback_epsilon):
+def _lyapunov_q(basis, theta_q, epsilon):
     """The Lyapunov solve of :func:`time_integrated_covariance` on a basis
     in deflated coordinates."""
 
@@ -85,16 +86,16 @@ def _lyapunov_q(basis, theta_q, epsilon, fallback_epsilon):
     try:
         X, report = attempt(epsilon)
     except NearSingularPencil:
-        if epsilon != 0.0 or fallback_epsilon <= 0.0:
+        if epsilon != 0.0:
             raise
-        X, report = attempt(fallback_epsilon)
+        X, report = attempt(DEFAULT_EPSILON)
         regularized = True
     report.regularized = regularized
     _mark(report, basis)
     return X, report
 
 
-def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EPSILON):
+def time_integrated_covariance(W, theta_in, epsilon):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
     X is the all-time integral of the input correlations evaluated at the
@@ -103,14 +104,14 @@ def time_integrated_covariance(W, theta_in, epsilon, fallback_epsilon=DEFAULT_EP
     deflated coordinates: Theta_in is rotated in and X out.  If
     epsilon = 0 hits a singular pencil (the generic case: W's spectrum is
     near-imaginary), the solve automatically retries at
-    ``fallback_epsilon`` and flags the report as regularized.
+    ``DEFAULT_EPSILON`` and flags the report as regularized.
 
     W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W.
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     basis = _eigenbasis(W)
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
-    X, report = _lyapunov_q(basis.q, theta_q, epsilon, fallback_epsilon)
+    X, report = _lyapunov_q(basis.q, theta_q, epsilon)
     X = basis.rotate(X, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
@@ -146,8 +147,8 @@ def scattering_matrix(W, z):
     Formed in deflated coordinates and rotated out; on the fallback path it
     is solved by LU on the transposed system.  Raises SingularMatrix when
     (W - z) is singular at the requested z (min |lambda_i - z| below
-    1e-12 * max|W - z| on the eigenbasis path); the caller is expected to
-    retry with an epsilon shift.  The report's residual is
+    ``numkit.PIVOT_TOL * max|W - z|`` on the eigenbasis path); the caller
+    is expected to retry with an epsilon shift.  The report's residual is
     ||S A - A^dag||_F / ||A||_F for A = W - z; its condition estimate is
     cond_1(V) max|lambda - z| / min|lambda - z| on the eigenbasis path and
     the 2-norm cond(A) from linear_solve otherwise.
@@ -158,7 +159,7 @@ def scattering_matrix(W, z):
     return smat, report
 
 
-def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, fallback_epsilon=DEFAULT_EPSILON):
+def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     """Map the input covariance to the output covariance.
 
     Output assembly (all operators at the shared regularized shift
@@ -185,9 +186,9 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, fallback_epsilon=DEFAULT_EPS
     q = basis.q
     theta_q = basis.rotate(theta_mat)
 
-    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon, fallback_epsilon)
+    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon)
     regularized = lyap_report.regularized
-    eff_eps = fallback_epsilon if regularized else epsilon
+    eff_eps = DEFAULT_EPSILON if regularized else epsilon
 
     smat, scat_report = scattering_matrix(q, eff_eps)
     S = smat.matrix

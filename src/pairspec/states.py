@@ -167,21 +167,15 @@ def _axes_to_units(axis_mev, units):
     return np.array([mev_to_nm(e) for e in axis_mev])
 
 
-def read_grid_file(path, complex_values=False):
-    """Low-level reader; returns (signal_mev, idler_mev, values, units).
-
-    Axes are converted to meV and sorted ascending (rows/columns permuted
-    accordingly), so the result always maps onto an increasing FrequencyGrid.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_grid_text(text, complex_values=complex_values, source=str(path))
-
-
 def parse_grid_text(text, complex_values=False, source="<string>"):
+    """(signal_mev, idler_mev, values, units) of a grid file's text, with
+    both axes in increasing energy (rows/columns permuted accordingly), so
+    the result always maps onto an increasing FrequencyGrid."""
+    signal_axis, idler_axis, values, units = _parse_in_file_order(text, complex_values, source)
+    return (*_ascending(signal_axis, idler_axis, values), units)
+
+
+def _parse_in_file_order(text, complex_values, source):
     units = None
     rows = []
     for line in text.splitlines():
@@ -240,54 +234,60 @@ def parse_grid_text(text, complex_values=False, source="<string>"):
         d = np.diff(axis)
         if axis.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
             raise NonUniformAxis(f"{source}: {name} axis is not strictly monotone")
+    return signal_axis, idler_axis, values, units
+
+
+def _ascending(signal_axis, idler_axis, values):
+    """Both axes in increasing energy, with the rows and columns of values."""
     if signal_axis.size > 1 and signal_axis[0] > signal_axis[-1]:
         signal_axis = signal_axis[::-1]
         values = values[::-1, :]
     if idler_axis.size > 1 and idler_axis[0] > idler_axis[-1]:
         idler_axis = idler_axis[::-1]
         values = values[:, ::-1]
-    return signal_axis, idler_axis, np.ascontiguousarray(values), units
+    return signal_axis, idler_axis, np.ascontiguousarray(values)
 
 
-def _grid_from_axes(signal_axis, idler_axis, source):
+def _load_grid(path, complex_values):
+    """(FrequencyGrid, values) of a grid file, axes in increasing energy.
+
+    Cells are checked in the file's order, so a bad cell is named by its
+    0-based data row and column in the file."""
     try:
-        return FrequencyGrid(signal=signal_axis, idler=idler_axis)
-    except InvalidRange as exc:
-        raise NonUniformAxis(f"{source}: {exc}") from exc
-
-
-def _require_finite(values, path):
-    if not np.all(np.isfinite(values)):
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{path}: non-finite cell {values[r, c]} at row {r}, col {c}")
-
-
-def load_jsi(path):
-    """Load an intensity grid; values are validated finite and nonnegative
-    and the result is unit-mass normalized."""
-    signal_axis, idler_axis, values, _ = read_grid_file(path, complex_values=False)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    signal_axis, idler_axis, values, _ = _parse_in_file_order(text, complex_values, str(path))
     if values.shape[0] != values.shape[1]:
-        raise ParseError(f"{path}: intensity grid must be square")
-    if np.any(values < 0):
+        raise ParseError(f"{path}: {'amplitude' if complex_values else 'intensity'} grid "
+                         "must be square")
+    if not complex_values and np.any(values < 0):
         r, c = np.argwhere(values < 0)[0]
         raise NegativeIntensity(
             f"{path}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
         )
-    _require_finite(values, path)
-    if values.sum() == 0.0:
+    if not np.all(np.isfinite(values)):
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{path}: non-finite cell {values[r, c]} at row {r}, col {c}")
+    if not complex_values and values.sum() == 0.0:
         raise ParseError(f"{path}: intensity grid has zero total mass")
-    grid = _grid_from_axes(signal_axis, idler_axis, str(path))
-    return JointSpectralIntensity(grid, values).normalized()
+    signal_axis, idler_axis, values = _ascending(signal_axis, idler_axis, values)
+    try:
+        return FrequencyGrid(signal=signal_axis, idler=idler_axis), values
+    except InvalidRange as exc:
+        raise NonUniformAxis(f"{path}: {exc}") from exc
+
+
+def load_jsi(path):
+    """Load an intensity grid whose cells are finite and nonnegative, with
+    nonzero mass; the result is unit-mass normalized."""
+    return JointSpectralIntensity(*_load_grid(path, complex_values=False)).normalized()
 
 
 def load_jsa(path):
     """Load a complex amplitude grid (re+imj cells, all finite)."""
-    signal_axis, idler_axis, values, _ = read_grid_file(path, complex_values=True)
-    if values.shape[0] != values.shape[1]:
-        raise ParseError(f"{path}: amplitude grid must be square")
-    _require_finite(values, path)
-    grid = _grid_from_axes(signal_axis, idler_axis, str(path))
-    return JointSpectralAmplitude(grid, values)
+    return JointSpectralAmplitude(*_load_grid(path, complex_values=True))
 
 
 def _grid_bytes(signal_mev, idler_mev, cells, units):

@@ -65,9 +65,8 @@ def _small_model(n=6, m_count=1, g=0.2, sqrt_kappa=0.0):
     return grid, W, jsa, theta
 
 
-def run_validation(seed=20250801, quick=False):
-    """Run every check; ``quick`` trims instance counts for use inside the
-    test suite."""
+def run_validation(seed=20250801):
+    """Run every check on instances drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     t0 = time.monotonic()
     results = []
@@ -77,11 +76,10 @@ def run_validation(seed=20250801, quick=False):
 
     # --- Sylvester: reference (Kronecker) vs the Schur path and the
     # eigenbasis path that time_integrated_covariance takes ----------------
-    dims = (4, 7) if quick else (4, 7, 10, 12)
     agree = 0.0
     res_max = 0.0
     herm_max = 0.0
-    for d in dims:
+    for d in (4, 7, 10, 12):
         A = -1j * _random_hermitian(rng, d) - 0.05 * np.eye(d)
         C = _random_covariance(rng, d)
         Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
@@ -101,12 +99,12 @@ def run_validation(seed=20250801, quick=False):
     # --- Lyapunov solve vs time-domain quadrature -------------------------
     eps = 1e-2
     worst = 0.0
-    instances = []
     d = 6
-    instances.append((-1j * _random_hermitian(rng, d, scale=0.5), _random_covariance(rng, d)))
-    if not quick:
-        _, Wm, _, theta = _small_model(n=3, m_count=1, g=0.15, sqrt_kappa=0.0)
-        instances.append((Wm.matrix, theta.matrix))
+    _, Wm, _, theta = _small_model(n=3, m_count=1, g=0.15, sqrt_kappa=0.0)
+    instances = [
+        (-1j * _random_hermitian(rng, d, scale=0.5), _random_covariance(rng, d)),
+        (Wm.matrix, theta.matrix),
+    ]
     for Wmat, theta0 in instances:
         X, _ = scattering.time_integrated_covariance(Wmat, theta0, eps)
         A = Wmat - eps * np.eye(Wmat.shape[0])
@@ -134,13 +132,13 @@ def run_validation(seed=20250801, quick=False):
     add("scattering_identity", smat.residual, 1e-10)
 
     # --- Governing equation on a small grid -------------------------------
-    _, Wg, jsa, theta_in = _small_model(n=4 if quick else 6, g=0.1, sqrt_kappa=0.4)
+    _, Wg, jsa, theta_in = _small_model(n=6, g=0.1, sqrt_kappa=0.4)
     prop = scattering.propagate(theta_in, Wg, epsilon=1e-3)
     add("governing_identity_gap", prop.identity_gap, 1e-8)
     add("theta_out_hermiticity", prop.hermiticity_defect, 1e-8)
 
     # --- g = 0 leaves the JSI unchanged ------------------------------------
-    grid0, W0, jsa0, theta0_in = _small_model(n=4 if quick else 8, g=0.0, sqrt_kappa=0.4)
+    grid0, W0, jsa0, theta0_in = _small_model(n=8, g=0.0, sqrt_kappa=0.4)
     prop0 = scattering.propagate(theta0_in, W0, epsilon=1e-3)
     j_in = states.jsi_of(jsa0).values
     j_out = states.jsi_of(scattering.extract_output_jsa(prop0.theta_out)).values

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from pairspec import (
-    IntegrationConfig,
     assemble_input_covariance,
     build_dynamical_matrix,
     build_grid,
@@ -23,7 +22,6 @@ from pairspec import (
     load_jsi,
     propagate,
     purity,
-    quadrature_time_integral,
     save_jsi,
     schmidt,
     time_integrated_covariance,
@@ -32,6 +30,7 @@ from pairspec import (
 )
 from pairspec.model import SystemParams
 from pairspec.observables import SchmidtSpectrum
+from pairspec.oracle import quadrature_time_integral
 from helpers import paper_system, small_system, tv_distance
 
 # Residuals and hermiticity defects accumulated across criteria for the

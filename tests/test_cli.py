@@ -217,10 +217,25 @@ def test_nonfinite_number_exits_1(tmp_path, capsys, line, bad):
     assert err.count("\n") == 1 and "finite" in err
 
 
-def test_nonfinite_epsilon_flag_exits_1(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, BASE_CONFIG)
-    assert main(["--out", str(tmp_path / "x"), "--epsilon", "nan", "run", cfg_path]) == 1
-    assert "finite" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+def test_nonfinite_epsilon_flag_exits_1(tmp_path, capsys, command, bad):
+    text = BASE_CONFIG + "\nsweep.parameter = sqrt_kappa\nsweep.values = 100, 200\n"
+    out_dir = tmp_path / "x"
+    argv = ["--out", str(out_dir), "--epsilon", bad, command, write_config(tmp_path, text)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite and nonnegative" in err
+    assert not out_dir.exists()
+
+
+def test_seed_flag_is_unrecognized(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out_dir), "run", write_config(tmp_path, BASE_CONFIG), "--seed", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_zero_mass_file_exits_1(tmp_path):
@@ -242,13 +257,12 @@ input.path = {path}
     "argv, code",
     [
         (["run", "{cfg}", "--epsilon", "abc"], 1),
-        (["run", "{cfg}", "--seed", "abc"], 1),
         (["nosuchcommand", "{cfg}"], 1),
         (["sweep", "{cfg}", "--threads", "0"], 1),
         (["sweep", "{cfg}", "--threads", "-3"], 1),
         (["sweep", "--help"], 0),
     ],
-    ids=["epsilon-abc", "seed-abc", "unknown-subcommand", "threads-0", "threads-negative", "help"],
+    ids=["epsilon-abc", "unknown-subcommand", "threads-0", "threads-negative", "help"],
 )
 def test_usage_exit_codes(tmp_path, capsys, argv, code):
     # Exit 2 means a solver failure, so argparse's usage errors exit 1.
@@ -417,14 +431,29 @@ sweep.values = 100, 200
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_nonfinite_input_cell_exits_1(tmp_path, capsys, command, bad):
+@pytest.mark.parametrize(
+    "bad, units, message",
+    [
+        ("nan", "meV", "non-finite cell nan"),
+        ("inf", "meV", "non-finite cell inf"),
+        ("nan", "nm", "non-finite cell nan"),
+        ("-1", "nm", "negative intensity -1"),
+    ],
+    ids=["nan", "inf", "nm-nan", "nm-negative"],
+)
+def test_nonfinite_input_cell_exits_1(tmp_path, capsys, command, bad, units, message):
     from pairspec import save_jsi
 
     grid = build_grid(16, (1740.0, 1860.0), (1740.0, 1860.0))
     path = tmp_path / "jsi.csv"
-    save_jsi(jsi_of(gaussian_jsa(grid, 3609.0, 8.0, 30.0, -29.0)), path)
+    save_jsi(jsi_of(gaussian_jsa(grid, 3609.0, 8.0, 30.0, -29.0)), path, units=units)
     lines = path.read_text(encoding="utf-8").splitlines()
+    if units == "nm":
+        # Wavelength ascending, as a spectrometer writes it: the loader sorts
+        # rows and columns into increasing energy, the reverse of this file.
+        rows = [line.split(",") for line in lines[1:]]
+        rows = [rows[0][:1] + rows[0][:0:-1]] + [row[:1] + row[:0:-1] for row in rows[:0:-1]]
+        lines = lines[:1] + [",".join(row) for row in rows]
     cells = lines[5].split(",")
     cells[4] = bad
     lines[5] = ",".join(cells)
@@ -442,7 +471,8 @@ sweep.values = 100, 200
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert f"non-finite cell {bad} at row 3, col 3" in err
+    # Data row 3, column 3 of the file, whatever order the loader sorts into.
+    assert f"{message} at row 3, col 3" in err
     assert not out_dir.exists()
     # convert copies the grid as it is.
     assert main(["convert", str(path), str(tmp_path / "nm.csv")]) == 0

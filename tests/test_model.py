@@ -176,6 +176,4 @@ def test_params_validation():
     with pytest.raises(InvalidRange):
         SystemParams(omega_c=1.0, material_freqs=(0.0,))
     with pytest.raises(InvalidRange):
-        SystemParams(omega_c=1.0, epsilon=float("nan"))
-    with pytest.raises(InvalidRange):
         SystemParams(omega_c=1.0, g=float("inf"))

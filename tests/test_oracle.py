@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from pairspec import (
-    IntegrationConfig,
-    integrate_sylvester,
-    matrix_exponential,
-    quadrature_time_integral,
-    solve_sylvester,
-)
+from pairspec.numkit import matrix_exponential, solve_sylvester
+from pairspec.oracle import IntegrationConfig, integrate_sylvester, quadrature_time_integral
 from pairspec.errors import NonConvergentIntegral, StepOverflow
 from helpers import random_covariance, random_hermitian, small_system
 

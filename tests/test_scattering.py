@@ -18,14 +18,14 @@ from pairspec import (
     jsi_of,
     numkit,
     propagate,
-    quadrature_time_integral,
     scattering_matrix,
     schmidt,
     time_integrated_covariance,
     von_neumann_entropy,
 )
-from pairspec.errors import NearSingularPencil, SingularMatrix
+from pairspec.errors import SingularMatrix
 from pairspec.numkit import sylvester_residual
+from pairspec.oracle import quadrature_time_integral
 from helpers import random_covariance, small_system, tv_distance
 
 
@@ -50,19 +50,13 @@ def test_eq13_instance_residual():
 
 def test_epsilon_zero_autoretries_on_singular_pencil():
     # Anti-Hermitian W at epsilon = 0 is exactly singular; the solve must
-    # retry at the fallback and flag it.
+    # retry at DEFAULT_EPSILON = 1e-3 and flag it.
     W = np.diag([-1j, -2j, -3j])
     theta = 0.5 * np.eye(3, dtype=complex)
-    X, report = time_integrated_covariance(W, theta, 0.0, fallback_epsilon=1e-3)
+    X, report = time_integrated_covariance(W, theta, 0.0)
     assert report.regularized
     # Diagonal of the solution is theta_ii / (2 eps).
     assert np.allclose(np.diag(X), 0.5 / (2e-3))
-
-
-def test_epsilon_zero_without_fallback_raises():
-    W = np.diag([-1j, -2j])
-    with pytest.raises(NearSingularPencil):
-        time_integrated_covariance(W, np.eye(2, dtype=complex), 0.0, fallback_epsilon=0.0)
 
 
 def test_matches_time_domain_quadrature():
@@ -142,7 +136,7 @@ def test_theta_out_hermitian_for_random_hermitian_input():
 
 def test_propagate_epsilon_zero_regularizes():
     _, _, W, _, theta = small_system(n=3, g=0.1, sqrt_kappa=0.0)
-    prop = propagate(theta, W, epsilon=0.0, fallback_epsilon=1e-3)
+    prop = propagate(theta, W, epsilon=0.0)
     assert prop.regularized
     assert prop.epsilon_used == pytest.approx(1e-3)
     assert prop.scattering.z_used == pytest.approx(1e-3)

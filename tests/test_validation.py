@@ -8,12 +8,12 @@ from pairspec.validation import run_validation
 
 
 def test_suite_passes_quick():
-    report = run_validation(quick=True)
+    report = run_validation()
     assert report.passed, "\n".join(report.lines())
 
 
 def test_report_lists_every_check_with_residual():
-    report = run_validation(quick=True)
+    report = run_validation()
     assert len(report.results) >= 12
     for line in report.lines():
         assert "measured=" in line and "tol=" in line
@@ -30,7 +30,7 @@ def test_corrupted_sylvester_solver_fails_suite(monkeypatch):
         return X, report
 
     monkeypatch.setattr(numkit, "solve_sylvester", corrupted)
-    report = run_validation(quick=True)
+    report = run_validation()
     assert not report.passed
 
 
@@ -57,7 +57,7 @@ def test_corrupted_eigenbasis_lyapunov_fails_suite(monkeypatch):
         return X * (1.0 + 1e-4), report
 
     monkeypatch.setattr(numkit, "solve_lyapunov_eigen", corrupted)
-    report = run_validation(quick=True)
+    report = run_validation()
     assert not report.passed
 
 
@@ -70,7 +70,7 @@ def test_validation_evaluates_wigner_grid_in_one_call(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(observables, "wigner", counting)
-    report = run_validation(quick=True)
+    report = run_validation()
     assert report.passed
     assert len(calls) == 1
 
@@ -90,5 +90,5 @@ def test_perturbed_secular_root_fails_suite(monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(numkit, "_secular_eig", perturbed)
-    report = run_validation(quick=True)
+    report = run_validation()
     assert not report.passed
