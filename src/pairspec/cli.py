@@ -253,31 +253,12 @@ def _sweep_points(cfg: RunConfig):
 
 
 def _point_config(cfg: RunConfig, value, m_count):
-    """Derive the per-point parameter set (material frequencies replicate the
-    first configured one when the requested count exceeds the list)."""
-    freqs = list(cfg.material_freqs)
-    if m_count > len(freqs):
-        if not freqs:
-            raise ConfigError(
-                "sweep.material_counts requires at least one system.material_freqs entry"
-            )
-        freqs = freqs + [freqs[0]] * (m_count - len(freqs))
-    freqs = tuple(freqs[:m_count])
-    overrides = {
-        "sqrt_kappa": cfg.sqrt_kappa,
-        "g": cfg.g,
-        "epsilon": cfg.epsilon,
-        "omega_c": cfg.omega_c,
-    }
-    overrides[cfg.sweep_parameter] = value
-    return dataclasses.replace(
-        cfg,
-        material_freqs=freqs,
-        sqrt_kappa=overrides["sqrt_kappa"],
-        g=overrides["g"],
-        epsilon=overrides["epsilon"],
-        omega_c=overrides["omega_c"],
-    )
+    """The point's config: ``value`` for the swept parameter and ``m_count``
+    material frequencies (the first configured one replicates when the count
+    exceeds the list)."""
+    freqs = cfg.material_freqs
+    freqs = freqs[:m_count] + freqs[:1] * (m_count - len(freqs))
+    return dataclasses.replace(cfg, material_freqs=freqs, **{cfg.sweep_parameter: value})
 
 
 def _load_config(args):

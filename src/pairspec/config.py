@@ -20,7 +20,8 @@ Example::
     input.diff_offset = -29
     output.dir = out
 
-Lines starting with ``#`` are comments.  Unknown keys are rejected.
+Lines starting with ``#`` are comments.  Unknown keys are rejected.  ``KEYS``
+lists every key with its parser or allowed values and its default.
 """
 
 import math
@@ -33,40 +34,86 @@ from .scattering import DEFAULT_EPSILON
 
 SCHEMA_VERSION = "1"
 
-_KNOWN_KEYS = {
-    "schema_version",
-    "grid.n",
-    "grid.signal_min",
-    "grid.signal_max",
-    "grid.idler_min",
-    "grid.idler_max",
-    "grid.units",
-    "system.omega_c",
-    "system.material_freqs",
-    "system.g",
-    "system.sqrt_kappa",
-    "system.epsilon",
-    "input.kind",
-    "input.pump_center",
-    "input.sum_width",
-    "input.diff_width",
-    "input.diff_offset",
-    "input.path",
-    "sweep.parameter",
-    "sweep.values",
-    "sweep.material_counts",
-    "output.dir",
-    "flags.continuum_scaling",
-    "flags.sign_convention",
-    "flags.entropy_variant",
-}
-
 # A run holds at most about this many dense d x d complex128 matrices at once
 # (tracemalloc peak of execute_run at n = 64, 128 and 256: 14.1, 13.3 and 13.1).
 _DENSE_MATRICES_AT_PEAK = 15
 
-_SWEEPABLE = ("sqrt_kappa", "g", "epsilon", "omega_c")
-_GAUSSIAN_KEYS = ("input.pump_center", "input.sum_width", "input.diff_width", "input.diff_offset")
+
+# A parser turns a value's text into the value, or raises ValueError naming
+# what the text must be.
+def _number(text):
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError("a number") from None
+    if not math.isfinite(number):
+        raise ValueError("finite")
+    return number
+
+
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("an integer") from None
+
+
+def _boolean(text):
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("a boolean")
+
+
+def _numbers(text):
+    try:
+        return tuple(_number(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        raise ValueError("a comma list of finite numbers") from None
+
+
+def _integers(text):
+    try:
+        return tuple(int(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        raise ValueError("a comma list of integers") from None
+
+
+_REQUIRED = object()
+
+# The schema: key -> (parser or tuple of allowed values, default).  Every
+# config sets the _REQUIRED keys; a None default is a key that config_from_raw
+# requires for one input kind only.
+KEYS = {
+    "schema_version": ((SCHEMA_VERSION,), _REQUIRED),
+    "grid.n": (_integer, None),
+    "grid.signal_min": (_number, None),
+    "grid.signal_max": (_number, None),
+    "grid.idler_min": (_number, None),
+    "grid.idler_max": (_number, None),
+    "grid.units": (("meV", "nm"), "meV"),
+    "system.omega_c": (_number, _REQUIRED),
+    "system.material_freqs": (_numbers, ()),
+    "system.g": (_number, 0.0),
+    "system.sqrt_kappa": (_number, 0.0),
+    "system.epsilon": (_number, DEFAULT_EPSILON),
+    "input.kind": (("gaussian", "file"), _REQUIRED),
+    "input.pump_center": (_number, None),
+    "input.sum_width": (_number, None),
+    "input.diff_width": (_number, None),
+    "input.diff_offset": (_number, 0.0),
+    "input.path": (str, None),
+    # Each allowed value names the RunConfig field that a sweep point sets.
+    "sweep.parameter": (("sqrt_kappa", "g", "epsilon", "omega_c"), None),
+    "sweep.values": (_numbers, ()),
+    "sweep.material_counts": (_integers, ()),
+    "output.dir": (str, "out"),
+    "flags.continuum_scaling": (_boolean, False),
+    "flags.sign_convention": (("paper", "hamiltonian"), "paper"),
+    "flags.entropy_variant": (("amplitude", "magnitude"), "amplitude"),
+}
 
 
 @dataclass
@@ -105,7 +152,7 @@ def parse_config_text(text, source="<config>"):
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -113,70 +160,26 @@ def parse_config_text(text, source="<config>"):
     return raw
 
 
-def _get(raw, key, source, default=None, required=False):
-    if key in raw:
-        return raw[key]
-    if required:
-        raise ConfigError(f"{source}: missing required key {key!r}")
-    return default
-
-
-def _as_float(raw, key, source, default=None, required=False):
-    value = _get(raw, key, source, default=default, required=required)
-    if value is None:
-        return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}: key {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{source}: key {key!r} must be finite, got {value!r}")
-    return number
-
-
-def _as_int(raw, key, source, required=False, default=None):
-    value = _get(raw, key, source, default=default, required=required)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}: key {key!r} must be an integer, got {value!r}") from None
-
-
-def _as_bool(raw, key, source, default=False):
-    value = _get(raw, key, source)
-    if value is None:
-        return default
-    lowered = str(value).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{source}: key {key!r} must be a boolean, got {value!r}")
-
-
-def _as_float_list(raw, key, source):
-    value = _get(raw, key, source)
-    if value is None or value == "":
-        return ()
-    try:
-        numbers = tuple(float(v.strip()) for v in value.split(",") if v.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} must be a comma list of numbers") from None
-    if not all(math.isfinite(v) for v in numbers):
-        raise ConfigError(f"{source}: key {key!r} must be a comma list of finite numbers")
-    return numbers
-
-
-def _as_int_list(raw, key, source):
-    value = _get(raw, key, source)
-    if value is None or value == "":
-        return ()
-    try:
-        return tuple(int(v.strip()) for v in value.split(",") if v.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} must be a comma list of integers") from None
+def _parse_values(raw, source):
+    """Each key of KEYS mapped to its parsed value or its default."""
+    values = {}
+    for key, (parse, default) in KEYS.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"{source}: missing required key {key!r}")
+            values[key] = default
+            continue
+        text = raw[key]
+        try:
+            if isinstance(parse, tuple):
+                if text not in parse:
+                    raise ValueError(" or ".join(map(repr, parse)))
+                values[key] = text
+            else:
+                values[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: key {key!r} must be {exc}, got {text!r}") from None
+    return values
 
 
 def _check_fits_in_memory(n, m_max, source):
@@ -203,100 +206,77 @@ def check_epsilon(epsilon, source):
 
 
 def config_from_raw(raw, source="<config>"):
-    version = _get(raw, "schema_version", source, required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{source}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    values = _parse_values(raw, source)
 
-    units = _get(raw, "grid.units", source, default="meV")
-    if units not in ("meV", "nm"):
-        raise ConfigError(f"{source}: grid.units must be 'meV' or 'nm', got {units!r}")
+    # Exactly one input source: a gaussian takes the grid.* keys and every
+    # input.* key but input.path; a file takes input.path alone.
+    kind = values["input.kind"]
+    gaussian_keys = [key for key in KEYS
+                     if key.startswith("input.") and key not in ("input.kind", "input.path")]
+    if kind == "gaussian":
+        needed = [key for key in KEYS if key.startswith("grid.")] + gaussian_keys
+        excluded = ["input.path"]
+    else:
+        needed, excluded = ["input.path"], gaussian_keys
+    for key in excluded:
+        if key in raw:
+            raise ConfigError(f"{source}: input.kind={kind} excludes {key} (exactly one input source)")
+    for key in needed:
+        if values[key] is None:
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    gaussian = ({key[len("input."):]: values[key] for key in gaussian_keys}
+                if kind == "gaussian" else None)
 
-    kind_early = _get(raw, "input.kind", source, required=True)
-    grid_required = kind_early == "gaussian"
-
-    n = _as_int(raw, "grid.n", source, required=grid_required)
+    n = values["grid.n"]
     if n is not None and n < 1:
         raise ConfigError(f"{source}: grid.n must be >= 1")
 
-    def axis_range(lo_key, hi_key):
-        lo = _as_float(raw, lo_key, source, required=grid_required)
-        hi = _as_float(raw, hi_key, source, required=grid_required)
+    def axis_range(axis):
+        lo, hi = values[f"grid.{axis}_min"], values[f"grid.{axis}_max"]
         if lo is None or hi is None:
             return None
-        if units == "nm":
+        if values["grid.units"] == "nm":
             # nm ranges invert under conversion to energy.
             lo, hi = sorted((nm_to_mev(lo), nm_to_mev(hi)))
         return (lo, hi)
 
-    signal_range = axis_range("grid.signal_min", "grid.signal_max")
-    idler_range = axis_range("grid.idler_min", "grid.idler_max")
-
-    material_freqs = _as_float_list(raw, "system.material_freqs", source)
-    epsilon = check_epsilon(_as_float(raw, "system.epsilon", source, default=DEFAULT_EPSILON),
-                            f"{source}: system.epsilon")
-
-    kind = _get(raw, "input.kind", source, required=True)
-    if kind not in ("gaussian", "file"):
-        raise ConfigError(f"{source}: input.kind must be 'gaussian' or 'file', got {kind!r}")
-    gaussian = None
-    input_path = None
-    if kind == "gaussian":
-        if "input.path" in raw:
-            raise ConfigError(f"{source}: input.kind=gaussian excludes input.path (exactly one input source)")
-        gaussian = {
-            "pump_center": _as_float(raw, "input.pump_center", source, required=True),
-            "sum_width": _as_float(raw, "input.sum_width", source, required=True),
-            "diff_width": _as_float(raw, "input.diff_width", source, required=True),
-            "diff_offset": _as_float(raw, "input.diff_offset", source, default="0"),
-        }
-    else:
-        for key in _GAUSSIAN_KEYS:
-            if key in raw:
-                raise ConfigError(f"{source}: input.kind=file excludes {key} (exactly one input source)")
-        input_path = _get(raw, "input.path", source, required=True)
-
-    sweep_parameter = _get(raw, "sweep.parameter", source)
-    sweep_values = _as_float_list(raw, "sweep.values", source)
-    if sweep_parameter is not None:
-        if sweep_parameter not in _SWEEPABLE:
-            raise ConfigError(
-                f"{source}: sweep.parameter must be one of {_SWEEPABLE}, got {sweep_parameter!r}"
-            )
+    sweep_values = values["sweep.values"]
+    if values["sweep.parameter"] is not None:
         if not sweep_values:
             raise ConfigError(f"{source}: sweep.values is required when sweep.parameter is set")
         if len(set(sweep_values)) != len(sweep_values):
             raise ConfigError(f"{source}: sweep.values must be distinct")
+    material_freqs = values["system.material_freqs"]
+    counts = values["sweep.material_counts"]
+    if len(set(counts)) != len(counts) or min(counts, default=0) < 0:
+        raise ConfigError(f"{source}: sweep.material_counts must be distinct and nonnegative")
+    if max(counts, default=0) > 0 and not material_freqs:
+        raise ConfigError(
+            f"{source}: sweep.material_counts requires at least one system.material_freqs entry"
+        )
 
-    sweep_material_counts = _as_int_list(raw, "sweep.material_counts", source)
     if n is not None:
-        _check_fits_in_memory(n, max((len(material_freqs), *sweep_material_counts)), source)
-
-    sign_convention = _get(raw, "flags.sign_convention", source, default="paper")
-    if sign_convention not in ("paper", "hamiltonian"):
-        raise ConfigError(f"{source}: flags.sign_convention must be 'paper' or 'hamiltonian'")
-    entropy_variant = _get(raw, "flags.entropy_variant", source, default="amplitude")
-    if entropy_variant not in ("amplitude", "magnitude"):
-        raise ConfigError(f"{source}: flags.entropy_variant must be 'amplitude' or 'magnitude'")
+        _check_fits_in_memory(n, max((len(material_freqs), *counts)), source)
 
     return RunConfig(
         n=n,
-        signal_range=signal_range,
-        idler_range=idler_range,
-        omega_c=_as_float(raw, "system.omega_c", source, required=True),
+        signal_range=axis_range("signal"),
+        idler_range=axis_range("idler"),
+        omega_c=values["system.omega_c"],
         material_freqs=material_freqs,
-        g=_as_float(raw, "system.g", source, default="0"),
-        sqrt_kappa=_as_float(raw, "system.sqrt_kappa", source, default="0"),
-        epsilon=epsilon,
+        g=values["system.g"],
+        sqrt_kappa=values["system.sqrt_kappa"],
+        epsilon=check_epsilon(values["system.epsilon"], f"{source}: system.epsilon"),
         input_kind=kind,
         gaussian=gaussian,
-        input_path=input_path,
-        sweep_parameter=sweep_parameter,
+        input_path=values["input.path"],
+        sweep_parameter=values["sweep.parameter"],
         sweep_values=sweep_values,
-        sweep_material_counts=sweep_material_counts,
-        output_dir=_get(raw, "output.dir", source, default="out"),
-        continuum_scaling=_as_bool(raw, "flags.continuum_scaling", source),
-        sign_convention=sign_convention,
-        entropy_variant=entropy_variant,
+        sweep_material_counts=counts,
+        output_dir=values["output.dir"],
+        continuum_scaling=values["flags.continuum_scaling"],
+        sign_convention=values["flags.sign_convention"],
+        entropy_variant=values["flags.entropy_variant"],
         raw=dict(raw),
     )
 

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels: solves, Sylvester, SVD, determinants, expm.
+"""Dense complex linear-algebra kernels: solves, Sylvester, SVD, log-determinants, expm.
 
 All operations are pure functions of their arguments and safe to call from
 multiple threads.  Matrices are plain 2-D complex128 ndarrays; every public
@@ -790,17 +790,6 @@ def svd(M):
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-
-
-def determinant(M):
-    """det(M) as a complex number (pivot product with sign tracking)."""
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("determinant requires a square matrix")
-    sign, logabs = np.linalg.slogdet(M)
-    if sign == 0:
-        return 0j
-    return complex(sign * np.exp(logabs))
 
 
 def log_determinant(M):

@@ -175,13 +175,12 @@ def run_validation(seed=20250801):
     overlap = (4.0 * np.pi) * np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
     add("purity_wigner_overlap", abs(overlap - mu) / mu, 1e-4)
 
-    # --- Determinant vs singular-value product ------------------------------
+    # --- Log-determinant (what purity uses) vs singular values ---------------
     Mrand = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
-    sv = numkit.svd(Mrand)
-    prod = float(np.prod(sv))
+    log_abs_det, _ = numkit.log_determinant(Mrand)
     add(
-        "determinant_vs_svd_product",
-        abs(abs(numkit.determinant(Mrand)) - prod) / prod,
+        "log_determinant_vs_svd",
+        abs(log_abs_det - float(np.sum(np.log(numkit.svd(Mrand))))),
         1e-8,
     )
 

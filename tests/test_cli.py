@@ -14,7 +14,7 @@ import pytest
 
 from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi, numkit, observables
 from pairspec.cli import execute_run, main, render_heatmap
-from pairspec.config import config_from_raw, load_config, parse_config_text
+from pairspec.config import KEYS, config_from_raw, load_config, parse_config_text
 from pairspec.errors import ConfigError
 
 
@@ -104,6 +104,70 @@ input.diff_width = 30
     assert lo < hi
     assert lo == pytest.approx(1739.99, abs=0.2)
     assert hi == pytest.approx(1860.0, abs=0.2)
+
+
+FILE_CONFIG = """
+schema_version = 1
+system.omega_c = 1809
+input.kind = file
+input.path = jsi.csv
+"""
+
+
+def _without(text, key):
+    return "\n".join(line for line in text.splitlines() if not line.startswith(f"{key} ="))
+
+
+def _set(text, key, value):
+    return _without(text, key) + f"\n{key} = {value}\n"
+
+
+# (config text, the key its one fault is about)
+_REJECTED_CONFIGS = {
+    "number-text": (_set(BASE_CONFIG, "system.g", "strong"), "system.g"),
+    "number-nan": (_set(BASE_CONFIG, "system.sqrt_kappa", "nan"), "system.sqrt_kappa"),
+    "number-list-text": (_set(BASE_CONFIG, "system.material_freqs", "1809, x"),
+                         "system.material_freqs"),
+    "epsilon-negative": (_set(BASE_CONFIG, "system.epsilon", "-1e-3"), "system.epsilon"),
+    "n-not-integer": (_set(BASE_CONFIG, "grid.n", "1.5"), "grid.n"),
+    "n-zero": (_set(BASE_CONFIG, "grid.n", "0"), "grid.n"),
+    "integer-list-text": (BASE_CONFIG + "\nsweep.material_counts = 1, two\n",
+                          "sweep.material_counts"),
+    "boolean": (_set(BASE_CONFIG, "flags.continuum_scaling", "maybe"),
+                "flags.continuum_scaling"),
+    "units": (_set(BASE_CONFIG, "grid.units", "furlong"), "grid.units"),
+    "kind": (_set(BASE_CONFIG, "input.kind", "laser"), "input.kind"),
+    "sweep-parameter": (BASE_CONFIG + "\nsweep.parameter = grid.n\nsweep.values = 8\n",
+                        "sweep.parameter"),
+    "sign-convention": (_set(BASE_CONFIG, "flags.sign_convention", "other"),
+                        "flags.sign_convention"),
+    "entropy-variant": (_set(BASE_CONFIG, "flags.entropy_variant", "other"),
+                        "flags.entropy_variant"),
+    "schema-version": (_set(BASE_CONFIG, "schema_version", "2"), "schema_version"),
+    "gaussian-with-path": (BASE_CONFIG + "\ninput.path = jsi.csv\n", "input.path"),
+    "file-with-gaussian-key": (FILE_CONFIG + "input.sum_width = 8\n", "input.sum_width"),
+    "sweep-values-missing": (BASE_CONFIG + "\nsweep.parameter = g\n", "sweep.values"),
+    "sweep-values-repeated": (BASE_CONFIG + "\nsweep.parameter = g\nsweep.values = 1, 2, 1\n",
+                              "sweep.values"),
+    "unknown-key": (BASE_CONFIG + "\nsystem.gamma = 1\n", "system.gamma"),
+    "duplicate-key": (BASE_CONFIG + "\nsystem.g = 0.5\n", "system.g"),
+}
+for _key in ("schema_version", "system.omega_c", "input.kind", "grid.n", "grid.signal_min",
+             "grid.signal_max", "grid.idler_min", "grid.idler_max", "input.pump_center",
+             "input.sum_width", "input.diff_width"):
+    _REJECTED_CONFIGS[f"gaussian-missing-{_key}"] = (_without(BASE_CONFIG, _key), _key)
+for _key in ("schema_version", "system.omega_c", "input.kind", "input.path"):
+    _REJECTED_CONFIGS[f"file-missing-{_key}"] = (_without(FILE_CONFIG, _key), _key)
+
+
+@pytest.mark.parametrize("text, key", _REJECTED_CONFIGS.values(), ids=_REJECTED_CONFIGS.keys())
+def test_config_rejection_exits_1_naming_its_key(tmp_path, capsys, text, key):
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "run", write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ConfigError" in err
+    assert key in err
+    assert not out_dir.exists()
 
 
 # --- run ------------------------------------------------------------------------
@@ -409,6 +473,29 @@ def test_sweep_rejects_bad_point_before_running(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "freqs, counts, message",
+    [
+        ("1809, 1800, 1790", "-1, 0, 3", "must be distinct and nonnegative"),
+        ("1809", "1, 2, 1", "must be distinct and nonnegative"),
+        (None, "0, 2", "requires at least one system.material_freqs entry"),
+    ],
+    ids=["negative", "repeated", "no-freqs"],
+)
+def test_bad_material_counts_exit_1(tmp_path, capsys, command, freqs, counts, message):
+    text = _without(BASE_CONFIG, "system.material_freqs")
+    if freqs is not None:
+        text += f"\nsystem.material_freqs = {freqs}"
+    text += f"\nsweep.parameter = g\nsweep.values = 0.5\nsweep.material_counts = {counts}\n"
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), command, write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ConfigError" in err
+    assert f"sweep.material_counts {message}" in err
+    assert not out_dir.exists()
+
+
 def test_sweep_rejects_bad_input_before_creating_out_dir(tmp_path, capsys):
     path = tmp_path / "zero.csv"
     path.write_text(
@@ -482,9 +569,9 @@ sweep.values = 100, 200
 # --- convert -----------------------------------------------------------------------
 
 def test_convert_round_trip(tmp_path):
-    from pairspec import save_jsi
+    from pairspec import save_jsi, states
 
-    grid = build_grid(8, (1740.0, 1860.0), (1740.0, 1860.0))
+    grid = build_grid(64, (1740.0, 1860.0), (1740.0, 1860.0))
     jsi = jsi_of(gaussian_jsa(grid, 3609.0, 8.0, 30.0, -29.0))
     src = str(tmp_path / "mev.csv")
     save_jsi(jsi, src)
@@ -493,9 +580,14 @@ def test_convert_round_trip(tmp_path):
     assert main(["convert", src, as_nm]) == 0
     assert "# units: nm" in Path(as_nm).read_text().splitlines()[0]
     assert main(["convert", as_nm, back]) == 0
-    reloaded = load_jsi(back)
-    assert np.allclose(reloaded.values, jsi.values, rtol=1e-9)
-    assert np.allclose(reloaded.grid.signal, grid.signal, rtol=1e-9)
+    signal, idler, cells, _ = states.parse_grid_text(Path(src).read_text())
+    signal_back, idler_back, cells_back, units = states.parse_grid_text(Path(back).read_text())
+    assert units == "meV"
+    # Cells come back exactly; an axis value moves by HC/(HC/E) - E, at most
+    # one unit in the last place.
+    assert np.array_equal(cells_back, cells)
+    for axis, axis_back in ((signal, signal_back), (idler, idler_back)):
+        assert np.all(np.abs(axis_back - axis) <= np.spacing(axis))
 
 
 # --- heatmap -----------------------------------------------------------------------
@@ -646,6 +738,12 @@ def test_readme_config_block_runs_verbatim(tmp_path):
     assert main(["run", cfg_path, "--out", out_dir]) == 0
     metrics = _strict_json(os.path.join(out_dir, "metrics.json"))
     assert metrics["config"]["grid.signal_min"] == "1740"
+
+
+def test_readme_config_section_names_every_key():
+    with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("### Config format", 1)[1].split("\n### ", 1)[0]
+    assert [key for key in KEYS if key not in section] == []
 
 
 def _overflowing_purity(monkeypatch):
