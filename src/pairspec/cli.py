@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables, scattering, states
-from .config import RunConfig, check_epsilon, load_config
+from .config import RunConfig, check_epsilon, check_fits_in_memory, load_config
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -121,6 +121,9 @@ def _build_inputs(cfg: RunConfig):
     else:
         jsi = load_jsi(cfg.input_path)
         grid = jsi.grid
+        # The file defines the grid, so its size is checked only now, before W.
+        check_fits_in_memory(grid.n, max((len(cfg.material_freqs), *cfg.sweep_material_counts)),
+                             cfg.input_path)
         jsa = jsa_from_jsi(jsi)
     return grid, jsa
 

@@ -182,7 +182,7 @@ def _parse_values(raw, source):
     return values
 
 
-def _check_fits_in_memory(n, m_max, source):
+def check_fits_in_memory(n, m_max, source):
     """Refuse a grid whose dense working set exceeds physical memory (not
     checked where the platform does not report it)."""
     try:
@@ -209,15 +209,16 @@ def config_from_raw(raw, source="<config>"):
     values = _parse_values(raw, source)
 
     # Exactly one input source: a gaussian takes the grid.* keys and every
-    # input.* key but input.path; a file takes input.path alone.
+    # input.* key but input.path; a file takes input.path alone (the file
+    # defines the grid).
     kind = values["input.kind"]
+    grid_keys = [key for key in KEYS if key.startswith("grid.")]
     gaussian_keys = [key for key in KEYS
                      if key.startswith("input.") and key not in ("input.kind", "input.path")]
     if kind == "gaussian":
-        needed = [key for key in KEYS if key.startswith("grid.")] + gaussian_keys
-        excluded = ["input.path"]
+        needed, excluded = grid_keys + gaussian_keys, ["input.path"]
     else:
-        needed, excluded = ["input.path"], gaussian_keys
+        needed, excluded = ["input.path"], grid_keys + gaussian_keys
     for key in excluded:
         if key in raw:
             raise ConfigError(f"{source}: input.kind={kind} excludes {key} (exactly one input source)")
@@ -256,7 +257,7 @@ def config_from_raw(raw, source="<config>"):
         )
 
     if n is not None:
-        _check_fits_in_memory(n, max((len(material_freqs), *counts)), source)
+        check_fits_in_memory(n, max((len(material_freqs), *counts)), source)
 
     return RunConfig(
         n=n,

@@ -1,10 +1,11 @@
-"""Hot numeric kernels: the triangular Sylvester solve and the two oracle sums.
+"""Hot numeric kernels: the triangular Lyapunov solve and the two oracle sums.
 
-The triangular solve is LAPACK ``trsyl``, the compiled back-substitution of
-Bartels–Stewart.  The RK4 stepper is a plain numpy loop over its steps; the
-trapezoid sum is built by binary doubling in O(log N) matrix products.  Both
-use only the one-step propagator or W itself and matrix products, so the
-oracle shares no factorization with the path it certifies.
+The triangular solve is LAPACK ``trsyl`` on one Schur factor T, the compiled
+back-substitution of Bartels–Stewart for T Y + Y T^dag = F.  The RK4 stepper
+is a plain numpy loop over its steps; the trapezoid sum is built by binary
+doubling in O(log N) matrix products.  Both use only the one-step propagator
+or W itself and matrix products, so the oracle shares no factorization with
+the path it certifies.
 """
 
 import numpy as np
@@ -16,16 +17,17 @@ from scipy.linalg import solve_triangular  # noqa: F401
 from .errors import NearSingularPencil
 
 
-def sylvester_triangular(R, S, F):
-    """Solve R X + X S = F for upper-triangular R (m x m) and S (n x n).
+def sylvester_triangular(T, F):
+    """Solve T X + X T^dag = F for upper-triangular T (d x d).
 
     The caller screens the eigenvalue pencil first; a nonzero LAPACK info
-    (R_ii + S_kk perturbed to avoid a zero pivot) raises NearSingularPencil.
+    (T_ii + conj(T_kk) perturbed to avoid a zero pivot) raises
+    NearSingularPencil.
     """
-    X, scale, info = ztrsyl(R, S, F)
+    X, scale, info = ztrsyl(T, T, F, tranb="C")
     if info != 0:
         raise NearSingularPencil(
-            f"trsyl reported info={info}: some R_ii + S_kk is (nearly) zero"
+            f"trsyl reported info={info}: some T_ii + conj(T_kk) is (nearly) zero"
         )
     return X / scale
 

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels: solves, Sylvester, SVD, log-determinants, expm.
+"""Dense complex linear-algebra kernels: solves, Lyapunov, SVD, log-determinants, expm.
 
 All operations are pure functions of their arguments and safe to call from
 multiple threads.  Matrices are plain 2-D complex128 ndarrays; every public
@@ -9,6 +9,8 @@ entry point rejects NaN/Inf inputs.
 shift W - s from that one factorization.  They are accurate while
 cond_1(V) stays at or below :data:`EIGEN_COND_MAX`; above it callers use the
 Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
+The eigenbasis and Schur Lyapunov solves both solve A X + X A^dag = -C and
+share one pencil screen and one refinement rule.
 
 The factorization reads W's structure from its entries.  When every
 off-diagonal nonzero lies in one row and column (an :class:`Arrowhead`, as
@@ -34,9 +36,6 @@ from scipy.linalg import lu_factor, lu_solve, schur
 from . import kernels
 from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 
-# Condition numbers are only estimated below this dimension (SVD cost).
-_COND_ESTIMATE_MAX_DIM = 256
-
 # Largest cond_1(V) at which the eigenbasis solves are used.  On a d=8 model
 # approaching its exceptional point, up to cond_1(V) = 4.5e5 the eigenbasis
 # Lyapunov residual stays below 1e-9 and the S residual below 1.3e-11
@@ -47,8 +46,8 @@ EIGEN_COND_MAX = 1e5
 # A pivot below PIVOT_TOL * max|A| makes A singular (linear_solve,
 # shifted_inverse, observables.wigner).
 PIVOT_TOL = 1e-12
-# A pair |lambda_i(A) + lambda_j(B)| below PENCIL_GAP_TOL * max(||A||_F,
-# ||B||_F) makes a Sylvester pencil near-singular.
+# A pair |lambda_i + conj(lambda_j)| of A's eigenvalues below
+# PENCIL_GAP_TOL * ||A||_F makes the Lyapunov pencil near-singular.
 PENCIL_GAP_TOL = 1e-10
 
 
@@ -88,8 +87,7 @@ def linear_solve(A, B):
 
     Raises SingularMatrix when a pivot magnitude falls below
     ``PIVOT_TOL * max|A|``.  The report carries the relative residual
-    ||A X - B||_F / ||B||_F and a 2-norm condition estimate (None for
-    dimensions where the SVD would dominate the solve cost).
+    ||A X - B||_F / ||B||_F.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -115,89 +113,91 @@ def linear_solve(A, B):
 
     b_norm = np.linalg.norm(B)
     residual = np.linalg.norm(A @ X - B) / b_norm if b_norm > 0 else 0.0
-    cond = float(np.linalg.cond(A)) if n <= _COND_ESTIMATE_MAX_DIM else None
-    return X, SolveReport(residual_norm=float(residual), condition_estimate=cond)
+    return X, SolveReport(residual_norm=float(residual))
 
 
-def _pencil_gap_check(eig_a, eig_b, norm_a, norm_b):
-    tol = PENCIL_GAP_TOL * max(norm_a, norm_b, 1e-300)
-    sums = np.abs(eig_a[:, None] + eig_b[None, :])
+def _pencil_condition(lam, norm_a):
+    """||A||_F / min |lam_i + conj(lam_j)|, the condition estimate of
+    A X + X A^dag = -C for A of spectrum ``lam`` and ||A||_F = ``norm_a``;
+    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``."""
+    tol = PENCIL_GAP_TOL * max(norm_a, 1e-300)
+    conj = lam.conj()
+    sums = np.abs(lam[:, None] + conj[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
     gap = float(sums[i, j])
     if gap < tol:
         raise NearSingularPencil(
-            f"eigenvalue pair lambda_A={eig_a[i]:.6g}, lambda_B={eig_b[j]:.6g} "
+            f"eigenvalue pair lambda_A={lam[i]:.6g}, lambda_B={conj[j]:.6g} "
             f"sums to |{gap:.3e}| < tolerance {tol:.3e}",
-            pair=(complex(eig_a[i]), complex(eig_b[j])),
+            pair=(complex(lam[i]), complex(conj[j])),
             gap=gap,
         )
-    return gap
+    return float(norm_a / gap)
 
 
-def sylvester_residual(A, B, C, X):
-    """Relative residual ||A X + X B + C||_F / max(1, ||C||_F)."""
-    num = np.linalg.norm(A @ X + X @ B + C)
+def _refine(solve, lyapunov, C):
+    """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F))
+    from ``solve(rhs)``, which solves A X + X A^dag = -rhs, and
+    ``lyapunov(X)`` = A X + X A^dag: one refinement pass follows only when
+    the first pass's residual is above :data:`REFINE_ABOVE`."""
+    c_norm = max(1.0, np.linalg.norm(C))
+    X = solve(C)
+    R = lyapunov(X) + C
+    residual = np.linalg.norm(R) / c_norm
+    if not residual <= REFINE_ABOVE:
+        X = X + solve(R)
+        residual = np.linalg.norm(lyapunov(X) + C) / c_norm
+    return X, float(residual)
+
+
+def sylvester_residual(A, C, X):
+    """Relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F)."""
+    num = np.linalg.norm(A @ X + X @ A.conj().T + C)
     return float(num / max(1.0, np.linalg.norm(C)))
 
 
-def solve_sylvester(A, B, C, method="schur"):
-    """Solve A X + X B = -C.
+def solve_sylvester(A, C, method="schur"):
+    """Solve A X + X A^dag = -C, the Sylvester equation with B = A^dag.
 
-    method="schur" is Bartels–Stewart: complex Schur factorizations of A
-    and B, the triangular solve by LAPACK trsyl
-    (:func:`pairspec.kernels.sylvester_triangular`), plus one
-    iterative-refinement pass; it serves any A and B, and is the fallback
-    of the eigenbasis Lyapunov solve when cond_1(V) is too large.
-    method="kron" is the reference path: the d^2 x d^2 Kronecker system
-    solved densely (intended for small d).
+    method="schur" is Bartels–Stewart on one complex Schur form A = Q T Q^dag,
+    which serves both sides: T Y + Y T^dag = -Q^dag C Q is solved by LAPACK
+    trsyl (:func:`pairspec.kernels.sylvester_triangular`) and X = Q Y Q^dag,
+    refined as in :func:`solve_lyapunov_eigen`.  It is the fallback of the
+    eigenbasis Lyapunov solve when cond_1(V) is too large.  method="kron" is
+    the reference path: the d^2 x d^2 Kronecker system
+    kron(I, A) + kron(conj A, I) solved densely (intended for small d).
 
-    Raises NearSingularPencil when some |lambda_i(A) + lambda_j(B)| falls
-    below ``PENCIL_GAP_TOL * max(||A||_F, ||B||_F)``; the offending pair is
-    attached to the exception.
+    Raises NearSingularPencil when some |lambda_i + conj(lambda_j)| falls
+    below ``PENCIL_GAP_TOL * ||A||_F``; the offending pair is attached to the
+    exception.
     """
     A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
     C = _as_matrix(C, "C")
-    p, q = A.shape[0], B.shape[0]
-    if A.shape[1] != p or B.shape[1] != q:
-        raise ValueError("A and B must be square")
-    if C.shape != (p, q):
-        raise ValueError(f"C must be {p}x{q}, got {C.shape}")
+    d = A.shape[0]
+    if A.shape[1] != d:
+        raise ValueError("A must be square")
+    if C.shape != (d, d):
+        raise ValueError(f"C must be {d}x{d}, got {C.shape}")
 
     norm_a = np.linalg.norm(A)
-    norm_b = np.linalg.norm(B)
-
     if method == "kron":
-        eig_a = np.linalg.eigvals(A)
-        eig_b = np.linalg.eigvals(B)
-        gap = _pencil_gap_check(eig_a, eig_b, norm_a, norm_b)
-        big = np.kron(np.eye(q), A) + np.kron(B.T, np.eye(p))
+        cond = _pencil_condition(np.linalg.eigvals(A), norm_a)
+        big = np.kron(np.eye(d), A) + np.kron(A.conj(), np.eye(d))
         vec = np.linalg.solve(big, -C.flatten(order="F"))
-        X = vec.reshape((p, q), order="F")
+        X = vec.reshape((d, d), order="F")
+        residual = sylvester_residual(A, C, X)
     elif method == "schur":
-        TA, QA = schur(A, output="complex")
-        TB, QB = schur(B, output="complex")
-        eig_a = np.diag(TA)
-        eig_b = np.diag(TB)
-        gap = _pencil_gap_check(eig_a, eig_b, norm_a, norm_b)
+        T, Q = schur(A, output="complex")
+        cond = _pencil_condition(np.diag(T), norm_a)
+        A_h, Q_h = A.conj().T, Q.conj().T
 
         def tri_solve(rhs):
-            F = QA.conj().T @ rhs @ QB
-            Y = kernels.sylvester_triangular(TA, TB, F)
-            return QA @ Y @ QB.conj().T
+            return Q @ kernels.sylvester_triangular(T, Q_h @ -rhs @ Q) @ Q_h
 
-        X = tri_solve(-C)
-        # One refinement pass reusing the factors; the raw solve can sit
-        # within an order of magnitude of the 1e-8 hygiene gate for stiff W.
-        R = A @ X + X @ B + C
-        if np.linalg.norm(R) > 0:
-            X = X + tri_solve(-R)
+        X, residual = _refine(tri_solve, lambda X: A @ X + X @ A_h, C)
     else:
         raise ValueError(f"unknown Sylvester method {method!r}")
-
-    residual = sylvester_residual(A, B, C, X)
-    cond = max(norm_a, norm_b) / gap if gap > 0 else np.inf
-    return X, SolveReport(residual_norm=residual, condition_estimate=float(cond))
+    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
 def _vector_times(v, Y):
@@ -633,14 +633,6 @@ class Eigenbasis:
             Z[:, others] *= rest[others].conj()
         return Z
 
-    def to_eigen(self, C):
-        """V^-1 C V^-dag, for C in deflated coordinates."""
-        return self.block_congruence(self.core_inverse, C)
-
-    def from_eigen(self, Y):
-        """V Y V^dag, in deflated coordinates."""
-        return self.block_congruence(self.core_vectors, Y)
-
 
 def eigenbasis(W):
     """Diagonalize W: eigenvalues, eigenvectors V, V^-1 by LU, cond_1(V).
@@ -710,10 +702,10 @@ def solve_lyapunov_eigen(basis, C, shift):
 
     With Y = V^-1 X V^-dag the equation is diagonal:
     X = V [(-V^-1 C V^-dag) / (l_i + conj(l_j))] V^dag, l = lambda - shift.
-    One iterative-refinement pass, as in :func:`solve_sylvester`, follows
-    only when the first pass's relative residual
-    ||A X + X A^dag + C||_F / max(1, ||C||_F) is above
-    :data:`REFINE_ABOVE`; the reported residual is measured from the
+    One iterative-refinement pass follows only when the first pass's
+    relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F) is above
+    :data:`REFINE_ABOVE` (:func:`_refine`, shared with
+    :func:`solve_sylvester`); the reported residual is measured from the
     returned X either way.
     The solve runs in deflated coordinates (C is rotated in and X out once),
     where products with V touch only the core block and products with A
@@ -731,22 +723,15 @@ def solve_lyapunov_eigen(basis, C, shift):
         X, report = solve_lyapunov_eigen(basis.deflated, basis.rotate(C), shift)
         return basis.rotate(X, copy=False), report
     lam = basis.values - shift
-    norm_a = frobenius_norm(basis.shifted(shift))
-    gap = _pencil_gap_check(lam, lam.conj(), norm_a, norm_a)
+    cond = _pencil_condition(lam, frobenius_norm(basis.shifted(shift)))
     denom = lam[:, None] + lam.conj()[None, :]
 
     def eig_solve(rhs):
-        return basis.from_eigen(basis.to_eigen(rhs) / -denom)
+        Y = basis.block_congruence(basis.core_inverse, rhs) / -denom
+        return basis.block_congruence(basis.core_vectors, Y)
 
-    c_norm = max(1.0, np.linalg.norm(C))
-    X = eig_solve(C)
-    R = basis.lyapunov(X, shift) + C
-    residual = np.linalg.norm(R) / c_norm
-    if not residual <= REFINE_ABOVE:
-        X = X + eig_solve(R)
-        residual = np.linalg.norm(basis.lyapunov(X, shift) + C) / c_norm
-    cond = norm_a / gap if gap > 0 else np.inf
-    return X, SolveReport(residual_norm=float(residual), condition_estimate=float(cond))
+    X, residual = _refine(eig_solve, lambda X: basis.lyapunov(X, shift), C)
+    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
 def frobenius_norm(A):

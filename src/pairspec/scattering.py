@@ -39,7 +39,8 @@ DEFAULT_EPSILON = 1e-3
 
 @dataclass
 class ScatteringMatrix:
-    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1)."""
+    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1); ``residual`` is
+    ||S A - A^dag||_F / ||A||_F for A = W - z, as in its solve report."""
 
     matrix: np.ndarray
     z_used: complex
@@ -79,8 +80,7 @@ def _lyapunov_q(basis, theta_q, epsilon):
     def attempt(eps):
         if basis.usable:
             return numkit.solve_lyapunov_eigen(basis, theta_q, eps)
-        A = np.asarray(basis.shifted(eps))
-        return numkit.solve_sylvester(A, A.conj().T, theta_q)
+        return numkit.solve_sylvester(np.asarray(basis.shifted(eps)), theta_q)
 
     regularized = False
     try:
@@ -124,19 +124,12 @@ def _scattering_q(basis, z):
     A_h = A.conj().T
     if basis.usable:
         S = A_h @ numkit.shifted_inverse(basis, z)
-        defect = np.linalg.norm(S @ A - A_h)
-        dist = np.abs(basis.values - z)
-        report = numkit.SolveReport(
-            residual_norm=float(defect / numkit.frobenius_norm(A)),
-            condition_estimate=float(basis.condition * dist.max() / dist.min()),
-        )
     else:
         # S A = A^dag  <=>  A^T S^T = conj(A)
         A_dense = np.asarray(A)
-        St, report = numkit.linear_solve(A_dense.T, A_dense.conj())
-        S = St.T
-        defect = np.linalg.norm(S @ A - A_h)
-    residual = float(defect / max(numkit.frobenius_norm(basis.shifted(0.0)), 1e-300))
+        S = numkit.linear_solve(A_dense.T, A_dense.conj())[0].T
+    residual = float(np.linalg.norm(S @ A - A_h) / numkit.frobenius_norm(A))
+    report = numkit.SolveReport(residual_norm=residual)
     _mark(report, basis)
     return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
 
@@ -148,10 +141,9 @@ def scattering_matrix(W, z):
     is solved by LU on the transposed system.  Raises SingularMatrix when
     (W - z) is singular at the requested z (min |lambda_i - z| below
     ``numkit.PIVOT_TOL * max|W - z|`` on the eigenbasis path); the caller
-    is expected to retry with an epsilon shift.  The report's residual is
-    ||S A - A^dag||_F / ||A||_F for A = W - z; its condition estimate is
-    cond_1(V) max|lambda - z| / min|lambda - z| on the eigenbasis path and
-    the 2-norm cond(A) from linear_solve otherwise.
+    is expected to retry with an epsilon shift.  The report and the matrix
+    carry one residual, ||S A - A^dag||_F / ||A||_F for A = W - z, on either
+    path.
     """
     basis = _eigenbasis(W)
     smat, report = _scattering_q(basis.q, z)

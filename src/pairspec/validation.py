@@ -82,8 +82,8 @@ def run_validation(seed=20250801):
     for d in (4, 7, 10, 12):
         A = -1j * _random_hermitian(rng, d) - 0.05 * np.eye(d)
         C = _random_covariance(rng, d)
-        Xk, _ = numkit.solve_sylvester(A, A.conj().T, C, method="kron")
-        Xs, _ = numkit.solve_sylvester(A, A.conj().T, C, method="schur")
+        Xk, _ = numkit.solve_sylvester(A, C, method="kron")
+        Xs, _ = numkit.solve_sylvester(A, C, method="schur")
         Xe, _ = scattering.time_integrated_covariance(A, C, 0.0)
         for X in (Xs, Xe):
             agree = max(agree, np.linalg.norm(Xk - X) / np.linalg.norm(Xk))
@@ -91,7 +91,7 @@ def run_validation(seed=20250801):
         # Measured from the returned solutions, not from the solver's own
         # report: a corrupted solver returns a report that looks healthy.
         for X in (Xk, Xs, Xe):
-            res_max = max(res_max, numkit.sylvester_residual(A, A.conj().T, C, X))
+            res_max = max(res_max, numkit.sylvester_residual(A, C, X))
     add("sylvester_kron_schur_agreement", agree, 1e-8)
     add("sylvester_residual", res_max, 1e-8)
     add("sylvester_hermitian_solution", herm_max, 1e-10)

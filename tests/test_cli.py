@@ -146,6 +146,7 @@ _REJECTED_CONFIGS = {
     "schema-version": (_set(BASE_CONFIG, "schema_version", "2"), "schema_version"),
     "gaussian-with-path": (BASE_CONFIG + "\ninput.path = jsi.csv\n", "input.path"),
     "file-with-gaussian-key": (FILE_CONFIG + "input.sum_width = 8\n", "input.sum_width"),
+    "file-with-grid-key": (FILE_CONFIG + "grid.n = 4\n", "grid.n"),
     "sweep-values-missing": (BASE_CONFIG + "\nsweep.parameter = g\n", "sweep.values"),
     "sweep-values-repeated": (BASE_CONFIG + "\nsweep.parameter = g\nsweep.values = 1, 2, 1\n",
                               "sweep.values"),
@@ -712,6 +713,28 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "ConfigError" in err and "grid.n = 200000" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_file_grid_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, command):
+    # A file defines its own grid, so the guard checks it once the file is read.
+    from pairspec import save_jsi
+
+    jsi_path = tmp_path / "jsi.csv"
+    save_jsi(jsi_of(gaussian_jsa(build_grid(16, (1740.0, 1860.0), (1740.0, 1860.0)),
+                                 3609.0, 8.0, 30.0, -29.0)), jsi_path)
+    text = FILE_CONFIG.replace("jsi.csv", str(jsi_path)) + (
+        "system.material_freqs = 1809\nsweep.parameter = g\nsweep.values = 0.1, 0.2\n"
+    )
+    cfg_path = write_config(tmp_path, text)
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else real(name))
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), command, cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ConfigError" in err and "grid.n = 16" in err
+    assert not out_dir.exists()
 
 
 # --- README and JSON validity ------------------------------------------------------

@@ -97,7 +97,7 @@ def test_quadrature_matches_algebraic_solve():
     _, _, Wdm, _, theta = small_system(n=2, g=0.15, sqrt_kappa=0.0)
     eps = 1e-2
     A = Wdm.matrix - eps * np.eye(Wdm.dim)
-    X, _ = solve_sylvester(A, A.conj().T, theta.matrix)
+    X, _ = solve_sylvester(A, theta.matrix)
     margin = -np.max(np.linalg.eigvals(A).real)
     result = quadrature_time_integral(A, theta.matrix, t_max=14.0 / (2 * margin), dt=0.04)
     assert np.linalg.norm(result.value - X) / np.linalg.norm(X) < 1e-5

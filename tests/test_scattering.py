@@ -44,7 +44,7 @@ def test_eq13_instance_residual():
     eps = 1e-3
     X, report = time_integrated_covariance(W, theta, eps)
     A = W.matrix - eps * np.eye(W.dim)
-    assert sylvester_residual(A, A.conj().T, theta.matrix, X.matrix) < 1e-8
+    assert sylvester_residual(A, theta.matrix, X.matrix) < 1e-8
     assert report.residual_norm < 1e-8
 
 
@@ -229,12 +229,13 @@ def test_exceptional_point_takes_fallback_and_matches_kron():
     assert report.path == "fallback"
     assert report.eigenvector_condition > numkit.EIGEN_COND_MAX
     assert report.residual_norm < 1e-8
-    assert sylvester_residual(A, A.conj().T, theta.matrix, X.matrix) < 1e-8
-    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    assert sylvester_residual(A, theta.matrix, X.matrix) < 1e-8
+    Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
     smat, scat_report = scattering_matrix(W, 1e-3)
     assert scat_report.path == "fallback"
     assert smat.residual < 1e-10
+    assert scat_report.residual_norm == smat.residual
 
 
 def test_near_exceptional_point_takes_eigen_path():
@@ -243,7 +244,7 @@ def test_near_exceptional_point_takes_eigen_path():
     assert report.path == "eigen"
     assert report.eigenvector_condition <= numkit.EIGEN_COND_MAX
     assert report.residual_norm < 1e-8
-    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
     _, scat_report = scattering_matrix(W, 1e-3)
     assert scat_report.path == "eigen"
@@ -270,7 +271,7 @@ def test_property_lyapunov_matches_kron_and_output_is_hermitian(
     eps = 1e-3
     X, _ = time_integrated_covariance(W, theta, eps)
     A = W.matrix - eps * np.eye(W.dim)
-    Xk, _ = numkit.solve_sylvester(A, A.conj().T, theta.matrix, method="kron")
+    Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
     assert propagate(theta, W, epsilon=eps).hermiticity_defect < 1e-8
 
@@ -386,8 +387,8 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
     prop = propagate(theta, W, epsilon=eps)
     A = W.matrix - eps * np.eye(W.dim)
     X, S, out = prop.theta_tilde_in.matrix, prop.scattering.matrix, prop.theta_out.matrix
-    lyap = sylvester_residual(A, A.conj().T, theta.matrix, X)
-    scat = np.linalg.norm(S @ A - A.conj().T) / np.linalg.norm(W.matrix)
+    lyap = sylvester_residual(A, theta.matrix, X)
+    scat = np.linalg.norm(S @ A - A.conj().T) / np.linalg.norm(A)
     G = S @ X @ S.conj().T
     cross = G @ A + A.conj().T @ G
     verbatim = X @ A.conj().T + A @ X + cross + theta.matrix

@@ -24,8 +24,8 @@ def test_corrupted_sylvester_solver_fails_suite(monkeypatch):
     # Mutation check: a subtly wrong solver must trip the residual gates.
     real = numkit.solve_sylvester
 
-    def corrupted(A, B, C, **kwargs):
-        X, report = real(A, B, C, **kwargs)
+    def corrupted(A, C, **kwargs):
+        X, report = real(A, C, **kwargs)
         X = X * (1.0 + 1e-4)
         return X, report
 
@@ -39,8 +39,8 @@ def test_validate_cli_exit_code(monkeypatch):
 
     real = numkit.solve_sylvester
 
-    def corrupted(A, B, C, **kwargs):
-        X, report = real(A, B, C, **kwargs)
+    def corrupted(A, C, **kwargs):
+        X, report = real(A, C, **kwargs)
         return X + 1e-3 * np.linalg.norm(X), report
 
     monkeypatch.setattr(numkit, "solve_sylvester", corrupted)
