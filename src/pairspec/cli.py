@@ -119,11 +119,13 @@ def _build_inputs(cfg: RunConfig):
             diff_offset=cfg.gaussian["diff_offset"],
         )
     else:
+        # The file defines the grid: its size is read from the axis row and
+        # checked before the body is parsed.
+        check_fits_in_memory(states.grid_file_n(cfg.input_path),
+                             max((len(cfg.material_freqs), *cfg.sweep_material_counts)),
+                             cfg.input_path)
         jsi = load_jsi(cfg.input_path)
         grid = jsi.grid
-        # The file defines the grid, so its size is checked only now, before W.
-        check_fits_in_memory(grid.n, max((len(cfg.material_freqs), *cfg.sweep_material_counts)),
-                             cfg.input_path)
         jsa = jsa_from_jsi(jsi)
     return grid, jsa
 
@@ -153,20 +155,21 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     theta_in = states.assemble_input_covariance(jsa, params.n_material)
     prop = scattering.propagate(theta_in, W, epsilon=cfg.epsilon)
 
+    stability = None
+    if check_epsilon_stability:
+        # Q is real orthogonal, so the Frobenius norms are read in deflated
+        # coordinates and only the main Theta_out is ever rotated out.
+        half = scattering.propagate(theta_in, W, epsilon=prop.epsilon_used / 2.0)
+        stability = float(np.linalg.norm(half.theta_out_q - prop.theta_out_q)
+                          / np.linalg.norm(prop.theta_out_q))
+        del half
+
     jsa_out = scattering.extract_output_jsa(prop.theta_out)
     jsi_out_raw = states.jsi_of(jsa_out, normalize=False)
     jsi_out = jsi_out_raw.normalized()
     spectrum = observables.schmidt(jsa_out, use_magnitude=cfg.entropy_variant == "magnitude")
     entropy = observables.von_neumann_entropy(spectrum)
     pur = observables.purity(prop.theta_out)
-
-    stability = None
-    if check_epsilon_stability:
-        half = scattering.propagate(theta_in, W, epsilon=prop.epsilon_used / 2.0)
-        denom = np.linalg.norm(prop.theta_out.matrix)
-        stability = float(
-            np.linalg.norm(half.theta_out.matrix - prop.theta_out.matrix) / denom
-        )
 
     return RunOutputs(
         jsi_in=states.jsi_of(jsa),
@@ -315,7 +318,14 @@ def cmd_sweep(args):
             out_dir, f"point_{idx:03d}_{cfg.sweep_parameter}_{value:g}_M{m_count}"
         )
         _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False, input_text=input_text)
-        return idx, value, m_count, outputs, sub, None
+        # Only the point's entropy.csv numbers are kept, so its d x d
+        # matrices are freed while the other points run.
+        lyap = outputs.prop.reports["lyapunov"]
+        mu = outputs.purity.mu
+        numbers = (f"{outputs.entropy:.17g},{'' if mu is None else f'{mu:.17g}'},"
+                   f"{outputs.purity.log_abs_det:.17g},{lyap.residual_norm:.17g},"
+                   f"{outputs.prop.epsilon_used:.17g}")
+        return idx, value, m_count, numbers, sub, None
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -329,15 +339,9 @@ def cmd_sweep(args):
             "lyapunov_residual,epsilon_used,status"]
     index = []
     failures = []
-    for idx, value, m_count, outputs, sub, error in results:
+    for idx, value, m_count, numbers, sub, error in results:
         if error is None:
-            lyap = outputs.prop.reports["lyapunov"]
-            mu = outputs.purity.mu
-            rows.append(
-                f"{cfg.sweep_parameter},{value:.17g},{m_count},{outputs.entropy:.17g},"
-                f"{'' if mu is None else f'{mu:.17g}'},{outputs.purity.log_abs_det:.17g},"
-                f"{lyap.residual_norm:.17g},{outputs.prop.epsilon_used:.17g},ok"
-            )
+            rows.append(f"{cfg.sweep_parameter},{value:.17g},{m_count},{numbers},ok")
         else:
             rows.append(f"{cfg.sweep_parameter},{value:.17g},{m_count},,,,,,failed")
             failures.append(f"point {idx} ({cfg.sweep_parameter}={value:g}, M={m_count}): {error}")

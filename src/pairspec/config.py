@@ -35,8 +35,9 @@ from .scattering import DEFAULT_EPSILON
 SCHEMA_VERSION = "1"
 
 # A run holds at most about this many dense d x d complex128 matrices at once
-# (tracemalloc peak of execute_run at n = 64, 128 and 256: 14.1, 13.3 and 13.1).
-_DENSE_MATRICES_AT_PEAK = 15
+# (tracemalloc peak of execute_run on the README config at n = 64, 128 and
+# 256: 12.9, 12.1 and 11.8), with one matrix to spare.
+_DENSE_MATRICES_AT_PEAK = 14
 
 
 # A parser turns a value's text into the value, or raises ValueError naming

@@ -212,11 +212,13 @@ class Arrowhead:
 
     The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
     ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
-    d x d ndarray Y; ``Y - A`` and ``np.asarray(A)`` use the dense matrix.
+    d x d ndarray Y, and :meth:`subtract_from` O(d); ``np.asarray(A)`` is
+    the dense matrix.
     """
 
     # ndarray operators return NotImplemented for this class, so ``Y @ A``
-    # and ``Y - A`` reach __rmatmul__ and __rsub__ instead of densifying A.
+    # reaches __rmatmul__ and ``Y - A`` raises TypeError instead of
+    # densifying A.
     __array_ufunc__ = None
 
     def __init__(self, diag, col, row, tip):
@@ -259,8 +261,12 @@ class Arrowhead:
         out[:, t] += X @ self.row.conj()
         return out
 
-    def __rsub__(self, Y):
-        return Y - np.asarray(self)
+    def subtract_from(self, Y):
+        """Y - A in place, O(d): the diagonal, the tip column and the tip row."""
+        Y.flat[::Y.shape[0] + 1] -= self.diag
+        Y[:, self.tip] -= self.col
+        Y[self.tip] -= self.row
+        return Y
 
     def _entries(self):
         return np.concatenate((self.diag, self.col, self.row))
@@ -609,13 +615,6 @@ class Eigenbasis:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
 
-    def lyapunov(self, X, shift):
-        """A X + X A^dag for A = W - shift I."""
-        A = self.shifted(shift)
-        if self.arrowhead is None:
-            return A @ X + X @ A.conj().T
-        return A.lyapunov(X)
-
     def block_congruence(self, M, Y, rest=None):
         """B Y B^dag for B = M (+) diag(rest) in deflated coordinates: M acts
         on the core indices, the diagonal ``rest`` (default ones) on the
@@ -723,15 +722,24 @@ def solve_lyapunov_eigen(basis, C, shift):
         X, report = solve_lyapunov_eigen(basis.deflated, basis.rotate(C), shift)
         return basis.rotate(X, copy=False), report
     lam = basis.values - shift
-    cond = _pencil_condition(lam, frobenius_norm(basis.shifted(shift)))
+    A = basis.shifted(shift)
+    cond = _pencil_condition(lam, frobenius_norm(A))
     denom = lam[:, None] + lam.conj()[None, :]
 
     def eig_solve(rhs):
         Y = basis.block_congruence(basis.core_inverse, rhs) / -denom
         return basis.block_congruence(basis.core_vectors, Y)
 
-    X, residual = _refine(eig_solve, lambda X: basis.lyapunov(X, shift), C)
+    X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), C)
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
+
+
+def lyapunov_product(A, X):
+    """A X + X A^dag of an Arrowhead (O(d^2), :meth:`Arrowhead.lyapunov`)
+    or an array."""
+    if isinstance(A, Arrowhead):
+        return A.lyapunov(X)
+    return A @ X + X @ A.conj().T
 
 
 def frobenius_norm(A):

@@ -13,23 +13,28 @@ once for both solves, and either solve also accepts a ``numkit.Eigenbasis``
 in place of W.  The cavity model's W is an arrowhead: equal signal/idler
 modes (and identical materials) are deflated exactly by a reflection Q, and
 the remaining core is solved from its secular equation.  The solves work in
-deflated coordinates Q W Q, where the deflated modes are decoupled: inputs
-are rotated in once and results out once, products with V touch only the
-core block and every product with W - eps costs O(d^2).  When cond_1(V)
-exceeds ``numkit.EIGEN_COND_MAX`` (near an exceptional point) they fall back
-to the Schur solve of ``numkit.solve_sylvester`` and the LU of
+deflated coordinates Q W Q, where the deflated modes are decoupled, products
+with V touch only the core block and every product with W - eps costs
+O(d^2).  ``time_integrated_covariance`` and ``scattering_matrix`` rotate
+their input in and their result out.  ``propagate`` rotates Theta_in in and
+keeps its results in deflated coordinates: a :class:`PropagationResult`
+rotates ``theta_out``, ``theta_tilde_in`` and ``scattering`` out on first
+access, so a caller pays only for the matrices it reads.  When cond_1(V)
+exceeds ``numkit.EIGEN_COND_MAX`` (near an exceptional point) the solves
+fall back to the Schur solve of ``numkit.solve_sylvester`` and the LU of
 ``numkit.linear_solve``, still in deflated coordinates.  Each report records
 the path, cond_1(V) and the number of deflated modes; its residuals are
 measured in deflated coordinates, which Q leaves unchanged up to rounding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import numkit
 from .errors import NearSingularPencil
-from .model import DynamicalMatrix
+from .model import BlockLayout, DynamicalMatrix, FrequencyGrid
 from .states import CovarianceMatrix, JointSpectralAmplitude, jsi_of  # noqa: F401
 
 # Default regularization (meV), and the one a solve at epsilon = 0 retries at
@@ -49,14 +54,46 @@ class ScatteringMatrix:
 
 @dataclass
 class PropagationResult:
-    theta_out: CovarianceMatrix
-    theta_tilde_in: CovarianceMatrix
-    scattering: ScatteringMatrix
+    """One propagation, held in the deflated coordinates of ``basis``.
+
+    ``theta_out_q``, ``theta_tilde_in_q`` and ``scattering_q`` are Q Y Q of
+    Theta_out, X and S (Q = ``basis.rotate``; Q = I when nothing deflates).
+    Q is real orthogonal, so Frobenius norms, log|det| and the hermiticity
+    defect read the same there.  ``theta_out``, ``theta_tilde_in`` and
+    ``scattering`` are the same matrices in W's coordinates, rotated out on
+    first access and cached; the two covariances are CovarianceMatrix objects
+    when the input or W carries a block ``layout``.
+    """
+
+    theta_out_q: np.ndarray
+    theta_tilde_in_q: np.ndarray
+    scattering_q: ScatteringMatrix
+    basis: numkit.Eigenbasis
+    layout: BlockLayout | None
+    grid: FrequencyGrid | None
     epsilon_used: float
     regularized: bool
     identity_gap: float
     hermiticity_defect: float
     reports: dict = field(default_factory=dict)
+
+    def _covariance(self, Y):
+        Y = self.basis.rotate(Y)
+        if self.layout is None:
+            return Y
+        return CovarianceMatrix(matrix=Y, layout=self.layout, grid=self.grid)
+
+    @cached_property
+    def theta_out(self):
+        return self._covariance(self.theta_out_q)
+
+    @cached_property
+    def theta_tilde_in(self):
+        return self._covariance(self.theta_tilde_in_q)
+
+    @cached_property
+    def scattering(self):
+        return replace(self.scattering_q, matrix=self.basis.rotate(self.scattering_q.matrix))
 
 
 def _eigenbasis(W):
@@ -128,7 +165,12 @@ def _scattering_q(basis, z):
         # S A = A^dag  <=>  A^T S^T = conj(A)
         A_dense = np.asarray(A)
         S = numkit.linear_solve(A_dense.T, A_dense.conj())[0].T
-    residual = float(np.linalg.norm(S @ A - A_h) / numkit.frobenius_norm(A))
+    R = S @ A
+    if isinstance(A_h, numkit.Arrowhead):
+        A_h.subtract_from(R)
+    else:
+        R -= A_h
+    residual = float(np.linalg.norm(R) / numkit.frobenius_norm(A))
     report = numkit.SolveReport(residual_norm=residual)
     _mark(report, basis)
     return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
@@ -162,14 +204,18 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     with X the time-integrated input covariance and S the scattering matrix
     at z = eps.  The algebraically reduced form
     Theta_out = (S X S^dag) A + A^dag (S X S^dag) follows by substituting the
-    Lyapunov identity; their relative gap is recorded as a diagnostic (it
-    measures nothing but the solver residual).
+    Lyapunov identity; their relative gap, ||A X + X A^dag + Theta_in|| over
+    ||Theta_out|| with A X + X A^dag formed anew from X, is recorded as a
+    diagnostic (it measures nothing but the solver residual).
 
     Everything runs in deflated coordinates (``numkit.Eigenbasis.q``):
-    Theta_in is rotated in once, and X, S and Theta_out are rotated out once
-    at the end.  There every product with A costs O(d^2), and on the
-    eigenbasis path S is a core block plus a diagonal, so S X S^dag costs a
-    quarter of two dense products.  (Forming it as A^dag (R X R^dag) A with
+    Theta_in is rotated in once and the result keeps X, S and Theta_out
+    there; its ``theta_out``, ``theta_tilde_in`` and ``scattering`` rotate
+    them out on first access (see :class:`PropagationResult`).  There every
+    product with A costs O(d^2): A X + X A^dag and A^dag G + G A are one
+    ``numkit.lyapunov_product`` pass each.  On the eigenbasis path S is a
+    core block plus a diagonal, so G = S X S^dag costs a quarter of two
+    dense products.  (Forming it as A^dag (R X R^dag) A with
     R = (W - eps)^-1 would lose cond(A) digits when an eigenvalue of W lies
     near eps.)
     """
@@ -185,44 +231,38 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     smat, scat_report = scattering_matrix(q, eff_eps)
     S = smat.matrix
     A = q.shifted(eff_eps)
-    A_h = A.conj().T
 
+    # Each d x d temporary is dropped once used: a run's peak memory is here.
+    theta_out = numkit.lyapunov_product(A, X)
+    theta_out += theta_q
+    del theta_q
+    gap_norm = np.linalg.norm(theta_out)
     if q.usable:
         core = np.ix_(q.core, q.core)
         G = q.block_congruence(S[core], X, S.diagonal())
     else:
         G = S @ X @ S.conj().T
-    # Each d x d temporary is dropped once used: a run's peak memory is here.
-    cross = G @ A + A_h @ G
+    theta_out += numkit.lyapunov_product(A.conj().T, G)
     del G
-    theta_out = X @ A_h + A @ X + cross + theta_q
-    del theta_q
-    gap_norm = np.linalg.norm(theta_out - cross)
-    del cross
     out_norm = np.linalg.norm(theta_out)
     identity_gap = float(gap_norm / out_norm) if out_norm > 0 else 0.0
     herm = float(
         np.linalg.norm(theta_out - theta_out.conj().T) / out_norm if out_norm > 0 else 0.0
     )
-    X, theta_out = (basis.rotate(M, copy=False) for M in (X, theta_out))
-    smat.matrix = basis.rotate(S, copy=False)
 
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)
     if layout is None and isinstance(W, DynamicalMatrix):
         layout = W.layout
         grid = W.grid
-    if layout is not None:
-        theta_out_obj = CovarianceMatrix(matrix=theta_out, layout=layout, grid=grid)
-        theta_tilde_obj = CovarianceMatrix(matrix=X, layout=layout, grid=grid)
-    else:
-        theta_out_obj = theta_out
-        theta_tilde_obj = X
 
     return PropagationResult(
-        theta_out=theta_out_obj,
-        theta_tilde_in=theta_tilde_obj,
-        scattering=smat,
+        theta_out_q=theta_out,
+        theta_tilde_in_q=X,
+        scattering_q=smat,
+        basis=basis,
+        layout=layout,
+        grid=grid,
         epsilon_used=float(eff_eps),
         regularized=regularized,
         identity_gap=identity_gap,

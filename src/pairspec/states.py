@@ -248,6 +248,20 @@ def _ascending(signal_axis, idler_axis, values):
     return signal_axis, idler_axis, np.ascontiguousarray(values)
 
 
+def grid_file_n(path):
+    """The column count of a grid file's axis row (its first line that is
+    neither blank nor a comment: one comma per idler point), read without
+    the body, so a size check can run before the cells are parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip() and not line.startswith("#"):
+                    return line.count(",")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return 0
+
+
 def _load_grid(path, complex_values):
     """(FrequencyGrid, values) of a grid file, axes in increasing energy.
 

@@ -688,6 +688,19 @@ def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):
     assert calls == {"eigenbasis": 4, "solve_sylvester": 0, "linear_solve": 0}
 
 
+# propagate rotates Theta_in into deflated coordinates and keeps its results
+# there; a run reads the eps/2 difference in those coordinates and rotates
+# only the main Theta_out out, for the JSI block and purity.
+@pytest.mark.parametrize("check, reflections", [(True, 3), (False, 2)], ids=["run", "sweep-point"])
+def test_run_rotates_only_what_it_reads(monkeypatch, check, reflections):
+    calls = _count_calls(monkeypatch, ("_reflect",))
+    cfg = config_from_raw(parse_config_text(_readme_config_block()))
+    out = execute_run(cfg, check_epsilon_stability=check)
+    assert (out.epsilon_stability is not None) == check
+    assert out.prop.reports["lyapunov"].deflated_modes > 0
+    assert calls == {"_reflect": reflections}
+
+
 def test_run_records_solver_path(tmp_path):
     out_dir = str(tmp_path / "out")
     assert main(["--out", out_dir, "run", write_config(tmp_path, BASE_CONFIG)]) == 0
@@ -737,6 +750,34 @@ def test_file_grid_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, c
     assert not out_dir.exists()
 
 
+def test_file_grid_size_is_checked_before_the_body_is_parsed(tmp_path, capsys, monkeypatch):
+    # The guard reads n from the axis row, so a file too large for memory is
+    # refused without parsing its cells.
+    from pairspec import save_jsi
+
+    n = 256
+    jsi_path = tmp_path / "jsi.csv"
+    save_jsi(jsi_of(gaussian_jsa(build_grid(n, (1740.0, 1860.0), (1740.0, 1860.0)),
+                                 3609.0, 8.0, 30.0, -29.0)), jsi_path)
+    cfg_path = write_config(tmp_path, FILE_CONFIG.replace("jsi.csv", str(jsi_path)) +
+                            "system.material_freqs = 1809\n")
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else real(name))
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["--out", str(out_dir), "run", cfg_path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ConfigError" in err and f"grid.n = {n}" in err
+    assert not out_dir.exists()
+    assert peak < n * n * 8 / 4  # a quarter of the float64 cell array
+
+
 # --- README and JSON validity ------------------------------------------------------
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -751,10 +792,14 @@ def _strict_json(path):
         return json.loads(fh.read(), parse_constant=reject)
 
 
-def test_readme_config_block_runs_verbatim(tmp_path):
+def _readme_config_block():
     with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
-    block = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+    return readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+
+
+def test_readme_config_block_runs_verbatim(tmp_path):
+    block = _readme_config_block()
     assert "grid.n = 64" in block
     cfg_path = write_config(tmp_path, block)
     out_dir = str(tmp_path / "out")

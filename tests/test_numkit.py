@@ -285,9 +285,13 @@ def test_arrowhead_products_match_dense(case):
             (A.conj().T @ Y, Ad.conj().T @ Y),
             (Y @ A.conj().T, Y @ Ad.conj().T),
             (A.lyapunov(Y), Ad @ Y + Y @ Ad.conj().T),
-            (Y - A, Y - Ad),
+            (A.subtract_from(Y.copy()), Y - Ad),
         ):
             assert _rel(got, want) < 1e-13
+        # Subtracting an Arrowhead from an array is O(d) and in place only:
+        # the operator would densify A, so it is refused.
+        with pytest.raises(TypeError):
+            Y - A
 
 
 @pytest.mark.parametrize("case", _ARROWHEAD_CASES)

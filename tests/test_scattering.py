@@ -311,6 +311,24 @@ def test_propagate_factors_a_plain_array_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lazy_fields_rotate_the_deflated_results_once():
+    _, _, W, _, theta = small_system(n=4, m_count=2)
+    prop = propagate(theta, W, epsilon=1e-3)
+    basis = prop.basis
+    assert basis.reflections  # Q != I: the fields are rotations, not the same arrays
+    for name, deflated in (("theta_out", prop.theta_out_q),
+                           ("theta_tilde_in", prop.theta_tilde_in_q)):
+        kept = deflated.copy()
+        field = getattr(prop, name)
+        assert np.array_equal(field.matrix, basis.rotate(kept))
+        assert np.array_equal(deflated, kept)  # rotated out into a new array
+        assert getattr(prop, name) is field
+    smat = prop.scattering
+    assert np.array_equal(smat.matrix, basis.rotate(prop.scattering_q.matrix))
+    assert (smat.z_used, smat.residual) == (prop.scattering_q.z_used, prop.scattering_q.residual)
+    assert prop.scattering is smat
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
     g=st.floats(0.0, 0.5),
