@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import observables, scattering, states
+from . import numkit, observables, scattering, states
 from .config import RunConfig, check_epsilon, check_fits_in_memory, load_config
 from .errors import (
     ConfigError,
@@ -153,13 +153,15 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
         material_sign=cfg.sign_convention,
     )
     theta_in = states.assemble_input_covariance(jsa, params.n_material)
-    prop = scattering.propagate(theta_in, W, epsilon=cfg.epsilon)
+    # W does not depend on epsilon: one factorization serves both propagations.
+    basis = numkit.eigenbasis(W.matrix)
+    prop = scattering.propagate(theta_in, basis, epsilon=cfg.epsilon)
 
     stability = None
     if check_epsilon_stability:
         # Q is real orthogonal, so the Frobenius norms are read in deflated
         # coordinates and only the main Theta_out is ever rotated out.
-        half = scattering.propagate(theta_in, W, epsilon=prop.epsilon_used / 2.0)
+        half = scattering.propagate(theta_in, basis, epsilon=prop.epsilon_used / 2.0)
         stability = float(np.linalg.norm(half.theta_out_q - prop.theta_out_q)
                           / np.linalg.norm(prop.theta_out_q))
         del half

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
 from .errors import InvalidRange, NonPositiveInput
 
 # hc in meV*nm for wavelength <-> energy conversion.
@@ -113,7 +112,11 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class DynamicalMatrix:
-    """Generator of the linearized mode equations dx/dt = W x."""
+    """Generator of the linearized mode equations dx/dt = W x.
+
+    Holds no factorization: each solve given a DynamicalMatrix factors
+    ``matrix`` as it is then.  To share one factorization across solves,
+    pass ``numkit.eigenbasis(W.matrix)`` in place of W."""
 
     matrix: np.ndarray
     layout: BlockLayout
@@ -123,21 +126,6 @@ class DynamicalMatrix:
     @property
     def dim(self):
         return self.layout.dim
-
-    def eigenbasis(self):
-        """W = V diag(lambda) V^-1 (:func:`pairspec.numkit.eigenbasis`), with
-        equal modes deflated.
-
-        Factored on first use and kept with the instance, so every solve on
-        this W at any shift shares one factorization.  ``matrix`` must not be
-        modified in place afterwards.  Two threads calling this at once on
-        one instance may both factor; either result is the same.
-        """
-        basis = self.__dict__.get("_eigenbasis")
-        if basis is None:
-            basis = numkit.eigenbasis(self.matrix)
-            object.__setattr__(self, "_eigenbasis", basis)
-        return basis
 
 
 def build_grid(n, signal_range, idler_range):

@@ -20,9 +20,12 @@ but one mode of each group decouple exactly (O'Leary & Stewart, J. Comput.
 Phys. 90 (1990)).  The remaining core is an arrowhead whose eigenvalues are
 the roots of its secular equation, found all at once in O(c^2) per sweep,
 with eigenvectors in closed form (:func:`_secular_eig`); dense ``eig`` is
-the fallback.  The solves run in deflated coordinates Q W Q, where products
-with V touch only the core block and products with W - s cost O(d^2).  A W
-without that structure is factored densely.
+the fallback.  The :class:`Eigenbasis` holds that one factorization, in
+deflated coordinates Q W Q, and Q.  The solves run there, where products
+with V touch only the core block and products with W - s cost O(d^2);
+:func:`solve_lyapunov_eigen` and :func:`shifted_inverse` take and return
+matrices in W's coordinates and rotate once.  A W without that structure
+is factored densely, with Q = I.
 """
 
 import warnings
@@ -68,9 +71,14 @@ class SolveReport:
 
 def matrix_of(mat_like):
     """The complex128 array of a matrix wrapper (anything with ``.matrix``,
-    such as a DynamicalMatrix, CovarianceMatrix or an Eigenbasis in W's
-    coordinates) or of an array."""
-    return np.asarray(getattr(mat_like, "matrix", mat_like), dtype=np.complex128)
+    such as a DynamicalMatrix or CovarianceMatrix) or of an array.
+
+    Raises ValueError when that is not a 2-D array, such as the ``matrix``
+    None of an arrowhead's Eigenbasis."""
+    m = np.asarray(getattr(mat_like, "matrix", mat_like), dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"{type(mat_like).__name__} holds no 2-D matrix")
+    return m
 
 
 def _as_matrix(a, name="matrix"):
@@ -85,9 +93,8 @@ def _as_matrix(a, name="matrix"):
 def linear_solve(A, B):
     """Solve A X = B by LU with partial pivoting.
 
-    Raises SingularMatrix when a pivot magnitude falls below
-    ``PIVOT_TOL * max|A|``.  The report carries the relative residual
-    ||A X - B||_F / ||B||_F.
+    Returns X.  Raises SingularMatrix when a pivot magnitude falls below
+    ``PIVOT_TOL * max|A|``.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -109,11 +116,7 @@ def linear_solve(A, B):
             f"pivot {pivots.min() if scale > 0 else 0.0:.3e} below tolerance "
             f"{PIVOT_TOL:.1e} * max|A|={scale:.3e} at index {k}"
         )
-    X = lu_solve((lu, piv), B)
-
-    b_norm = np.linalg.norm(B)
-    residual = np.linalg.norm(A @ X - B) / b_norm if b_norm > 0 else 0.0
-    return X, SolveReport(residual_norm=float(residual))
+    return lu_solve((lu, piv), B)
 
 
 def _pencil_condition(lam, norm_a):
@@ -535,25 +538,25 @@ def _condition(core_vectors, core_inverse, core, reflections):
 class Eigenbasis:
     """W = V diag(values) V^-1 in factored form, V = Q (V_core (+) I).
 
-    When W is an arrowhead (``arrowhead`` is set), each group of k identical
-    non-tip modes is reflected by Q into one mode that couples to the tip
-    (kept at the group's first index) and k - 1 modes that decouple exactly,
-    with the group's diagonal entry as eigenvalue.  The remaining ``core``
-    indices carry the eigenvectors ``core_vectors`` of Q W Q restricted to
-    them, found from the core's secular equation (``core_method`` "secular")
-    or by dense ``eig`` ("eig").  A W without that structure has Q = I,
-    every index in the core and ``eig``.
+    When W is an arrowhead, each group of k identical non-tip modes is
+    mixed by a real orthogonal reflection Q = Q^T = Q^-1 (``reflections``)
+    into one mode that couples to the tip (kept at the group's first index)
+    and k - 1 modes that decouple exactly, with the group's diagonal entry
+    as eigenvalue.  ``arrowhead`` is then Q W Q, the generator in deflated
+    coordinates, and ``matrix`` is None.  The remaining ``core`` indices
+    carry the eigenvectors ``core_vectors`` of Q W Q restricted to them,
+    found from the core's secular equation (``core_method`` "secular") or by
+    dense ``eig`` ("eig").  A W without that structure keeps ``matrix`` = W,
+    Q = I, every index in the core and ``eig``.
 
-    ``deflated`` is the same factorization in the coordinates of Q W Q,
-    where the deflated modes are decoupled and V is V_core (+) I; it is None
-    when Q = I.  Its ``matrix`` is None: Q W Q is held as its arrowhead.
-    ``q`` gives whichever basis works in deflated coordinates and
-    :meth:`rotate` maps matrices between the two (Y -> Q Y Q).  Products with
-    V touch only the core block.
+    :meth:`rotate` maps a matrix between W's coordinates and the deflated
+    ones (Y -> Q Y Q), where products with V touch only the core block, and
+    ``q`` is this factorization with Q = I, the view the deflated-coordinate
+    solves take.
 
     ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V in W's
-    coordinates (shared by ``deflated``); it is inf (and ``core_inverse``
-    None) when V is numerically singular.
+    coordinates; it is inf (and ``core_inverse`` None) when V is
+    numerically singular.
     """
 
     matrix: np.ndarray | None
@@ -565,7 +568,6 @@ class Eigenbasis:
     core_inverse: np.ndarray | None
     condition: float
     core_method: str
-    deflated: "Eigenbasis | None" = None
 
     @property
     def usable(self):
@@ -583,8 +585,9 @@ class Eigenbasis:
 
     @property
     def q(self):
-        """The basis in deflated coordinates: ``deflated``, or self when Q = I."""
-        return self if self.deflated is None else self.deflated
+        """This factorization in deflated coordinates: the same arrays with
+        Q = I, so that :meth:`rotate` is the identity; self when Q = I."""
+        return replace(self, reflections=()) if self.reflections else self
 
     def rotate(self, Y, copy=True):
         """Q Y Q (Q = Q^T = Q^-1): a new array, or Y rotated in place when
@@ -610,7 +613,8 @@ class Eigenbasis:
         return _reflect(V_inv, self.reflections, rows=False)
 
     def shifted(self, s):
-        """A = W - s I: an Arrowhead when W is one, else a dense array."""
+        """A = Q W Q - s I in deflated coordinates: an Arrowhead when W is
+        one, else the dense array W - s I (Q = I)."""
         if self.arrowhead is None:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
@@ -652,7 +656,7 @@ def eigenbasis(W):
     if arrow is None:
         values, core_vectors = _eig(W)
         return _with_inverse(Eigenbasis(W, values, None, (), np.arange(d), core_vectors,
-                                        None, np.inf, "eig"), ())
+                                        None, np.inf, "eig"))
     groups = sorted(_identical_modes(arrow), key=lambda g: g[0])
     by_size = {}
     for g in groups:
@@ -668,16 +672,13 @@ def eigenbasis(W):
         solved, method = _eig(np.asarray(core_arrow)), "eig"
     values = arrow.diag.copy()
     values[core] = solved[0]
-    inner = _with_inverse(Eigenbasis(None, values, arrow_q, (), core, solved[1], None,
-                                     np.inf, method), reflections)
-    if not reflections:
-        return replace(inner, matrix=W)
-    return replace(inner, matrix=W, arrowhead=arrow, reflections=reflections, deflated=inner)
+    return _with_inverse(Eigenbasis(None, values, arrow_q, reflections, core, solved[1],
+                                    None, np.inf, method))
 
 
-def _with_inverse(basis, reflections):
+def _with_inverse(basis):
     """The basis with V_core^-1 by LU and cond_1(V) of V = Q (V_core (+) I),
-    Q given by ``reflections``, when V is invertible."""
+    when V is invertible."""
     with warnings.catch_warnings():
         # A singular V is detected from the pivots below.
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -685,7 +686,7 @@ def _with_inverse(basis, reflections):
     if not np.abs(np.diag(lu)).min() > 0.0:
         return basis
     core_inverse = lu_solve((lu, piv), np.eye(basis.core.size, dtype=np.complex128))
-    condition = _condition(basis.core_vectors, core_inverse, basis.core, reflections)
+    condition = _condition(basis.core_vectors, core_inverse, basis.core, basis.reflections)
     if not np.isfinite(condition):
         return basis
     return replace(basis, core_inverse=core_inverse, condition=condition)
@@ -706,21 +707,19 @@ def solve_lyapunov_eigen(basis, C, shift):
     :data:`REFINE_ABOVE` (:func:`_refine`, shared with
     :func:`solve_sylvester`); the reported residual is measured from the
     returned X either way.
-    The solve runs in deflated coordinates (C is rotated in and X out once),
-    where products with V touch only the core block and products with A
-    cost O(d^2).  The pencil-gap screen runs on all d eigenvalues and raises
-    NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``, as in
-    :func:`solve_sylvester`) with the offending pair.  The caller checks
-    ``basis.usable`` first.
+    C and X are in W's coordinates; the solve runs in deflated coordinates
+    (C is rotated in and X out once by ``basis.rotate``, the identity when
+    Q = I), where products with V touch only the core block and products
+    with A cost O(d^2).  The pencil-gap screen runs on all d eigenvalues
+    and raises NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``,
+    as in :func:`solve_sylvester`) with the offending pair.  The caller
+    checks ``basis.usable`` first.
     """
     _require_usable(basis)
     C = _as_matrix(C, "C")
     d = basis.dim
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
-    if basis.deflated is not None:
-        X, report = solve_lyapunov_eigen(basis.deflated, basis.rotate(C), shift)
-        return basis.rotate(X, copy=False), report
     lam = basis.values - shift
     A = basis.shifted(shift)
     cond = _pencil_condition(lam, frobenius_norm(A))
@@ -730,8 +729,9 @@ def solve_lyapunov_eigen(basis, C, shift):
         Y = basis.block_congruence(basis.core_inverse, rhs) / -denom
         return basis.block_congruence(basis.core_vectors, Y)
 
-    X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), C)
-    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
+    X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
+    report = SolveReport(residual_norm=residual, condition_estimate=cond)
+    return basis.rotate(X, copy=False), report
 
 
 def lyapunov_product(A, X):
@@ -752,11 +752,10 @@ def shifted_inverse(basis, z):
 
     Raises SingularMatrix when min |lambda_i - z| falls below
     ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`linear_solve`).
-    The caller checks ``basis.usable`` first.
+    It is formed in deflated coordinates and rotated once into W's.  The
+    caller checks ``basis.usable`` first.
     """
     _require_usable(basis)
-    if basis.deflated is not None:
-        return basis.rotate(shifted_inverse(basis.deflated, z), copy=False)
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     dist = np.abs(basis.values - z)
@@ -769,7 +768,7 @@ def shifted_inverse(basis, z):
     core = basis.core
     inv = np.diag(1.0 / (basis.values - z))
     inv[np.ix_(core, core)] = (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse
-    return inv
+    return basis.rotate(inv, copy=False)
 
 
 def svd(M):

@@ -7,10 +7,10 @@ and in the output assembly, so the algebraic identity between the full and
 reduced forms of the output map holds exactly at the working epsilon.
 
 Both solves run in the eigenbasis of W (:func:`pairspec.numkit.eigenbasis`),
-which serves every shift: a DynamicalMatrix keeps its factorization, so all
-propagations of one W factor it once; ``propagate`` factors a plain array
-once for both solves, and either solve also accepts a ``numkit.Eigenbasis``
-in place of W.  The cavity model's W is an arrowhead: equal signal/idler
+which serves every shift.  Each public solve factors the matrix of the W it
+is given, or takes a ``numkit.Eigenbasis`` of W in its place: a caller that
+solves one W more than once (a run and its eps/2 check) factors it once and
+passes the basis.  The cavity model's W is an arrowhead: equal signal/idler
 modes (and identical materials) are deflated exactly by a reflection Q, and
 the remaining core is solved from its secular equation.  The solves work in
 deflated coordinates Q W Q, where the deflated modes are decoupled, products
@@ -97,10 +97,10 @@ class PropagationResult:
 
 
 def _eigenbasis(W):
+    """W itself when it is a ``numkit.Eigenbasis``, else the factorization
+    of its matrix (a DynamicalMatrix or an array)."""
     if isinstance(W, numkit.Eigenbasis):
         return W
-    if isinstance(W, DynamicalMatrix):
-        return W.eigenbasis()
     return numkit.eigenbasis(numkit.matrix_of(W))
 
 
@@ -108,28 +108,6 @@ def _mark(report, basis):
     report.path = "eigen" if basis.usable else "fallback"
     report.eigenvector_condition = basis.condition
     report.deflated_modes = basis.deflated_modes
-
-
-def _lyapunov_q(basis, theta_q, epsilon):
-    """The Lyapunov solve of :func:`time_integrated_covariance` on a basis
-    in deflated coordinates."""
-
-    def attempt(eps):
-        if basis.usable:
-            return numkit.solve_lyapunov_eigen(basis, theta_q, eps)
-        return numkit.solve_sylvester(np.asarray(basis.shifted(eps)), theta_q)
-
-    regularized = False
-    try:
-        X, report = attempt(epsilon)
-    except NearSingularPencil:
-        if epsilon != 0.0:
-            raise
-        X, report = attempt(DEFAULT_EPSILON)
-        regularized = True
-    report.regularized = regularized
-    _mark(report, basis)
-    return X, report
 
 
 def time_integrated_covariance(W, theta_in, epsilon):
@@ -143,37 +121,33 @@ def time_integrated_covariance(W, theta_in, epsilon):
     near-imaginary), the solve automatically retries at
     ``DEFAULT_EPSILON`` and flags the report as regularized.
 
-    W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W.
+    W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W;
+    theta_in and X are in W's coordinates.
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     basis = _eigenbasis(W)
+    q = basis.q
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
-    X, report = _lyapunov_q(basis.q, theta_q, epsilon)
+
+    def attempt(eps):
+        if q.usable:
+            return numkit.solve_lyapunov_eigen(q, theta_q, eps)
+        return numkit.solve_sylvester(np.asarray(q.shifted(eps)), theta_q)
+
+    regularized = False
+    try:
+        X, report = attempt(epsilon)
+    except NearSingularPencil:
+        if epsilon != 0.0:
+            raise
+        X, report = attempt(DEFAULT_EPSILON)
+        regularized = True
+    report.regularized = regularized
+    _mark(report, basis)
     X = basis.rotate(X, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
     return X, report
-
-
-def _scattering_q(basis, z):
-    """S and its report on a basis in deflated coordinates."""
-    A = basis.shifted(z)
-    A_h = A.conj().T
-    if basis.usable:
-        S = A_h @ numkit.shifted_inverse(basis, z)
-    else:
-        # S A = A^dag  <=>  A^T S^T = conj(A)
-        A_dense = np.asarray(A)
-        S = numkit.linear_solve(A_dense.T, A_dense.conj())[0].T
-    R = S @ A
-    if isinstance(A_h, numkit.Arrowhead):
-        A_h.subtract_from(R)
-    else:
-        R -= A_h
-    residual = float(np.linalg.norm(R) / numkit.frobenius_norm(A))
-    report = numkit.SolveReport(residual_norm=residual)
-    _mark(report, basis)
-    return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
 
 
 def scattering_matrix(W, z):
@@ -188,9 +162,25 @@ def scattering_matrix(W, z):
     path.
     """
     basis = _eigenbasis(W)
-    smat, report = _scattering_q(basis.q, z)
-    smat.matrix = basis.rotate(smat.matrix, copy=False)
-    return smat, report
+    q = basis.q
+    A = q.shifted(z)
+    A_h = A.conj().T
+    if q.usable:
+        S = A_h @ numkit.shifted_inverse(q, z)
+    else:
+        # S A = A^dag  <=>  A^T S^T = conj(A)
+        A_dense = np.asarray(A)
+        S = numkit.linear_solve(A_dense.T, A_dense.conj()).T
+    R = S @ A
+    if isinstance(A_h, numkit.Arrowhead):
+        A_h.subtract_from(R)
+    else:
+        R -= A_h
+    residual = float(np.linalg.norm(R) / numkit.frobenius_norm(A))
+    report = numkit.SolveReport(residual_norm=residual)
+    _mark(report, basis)
+    S = basis.rotate(S, copy=False)
+    return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):

@@ -172,7 +172,10 @@ def run_validation(seed=20250801):
     axis = np.linspace(-L, L, 161)
     grid_xp = np.stack(np.meshgrid(axis, axis, indexing="ij", copy=False), axis=-1)
     vals = observables.wigner(theta1, grid_xp) ** 2
-    overlap = (4.0 * np.pi) * np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
+    # Composite trapezoid weights (np.trapezoid needs numpy >= 2.0).
+    weights = np.full(axis.size, axis[1] - axis[0])
+    weights[[0, -1]] /= 2.0
+    overlap = (4.0 * np.pi) * (weights @ vals @ weights)
     add("purity_wigner_overlap", abs(overlap - mu) / mu, 1e-4)
 
     # --- Log-determinant (what purity uses) vs singular values ---------------

@@ -69,6 +69,15 @@ def paper_system(n=64, g=0.5, sqrt_kappa=488.0, omega_c=1809.0, m_count=1,
     return grid, params, W, jsa, theta
 
 
+def trapezoid_2d(values, axis):
+    """Composite trapezoid rule of ``values`` over the grid axis x axis."""
+    weights = np.zeros(axis.size)
+    steps = np.diff(axis) / 2.0
+    weights[:-1] += steps
+    weights[1:] += steps
+    return weights @ values @ weights
+
+
 def tv_distance(j1, j2):
     """Total variation distance between two intensity grids (mass-normalized)."""
     p = j1 / j1.sum()

@@ -31,7 +31,7 @@ from pairspec import (
 from pairspec.model import SystemParams
 from pairspec.observables import SchmidtSpectrum
 from pairspec.oracle import quadrature_time_integral
-from helpers import paper_system, small_system, tv_distance
+from helpers import paper_system, small_system, trapezoid_2d, tv_distance
 
 # Residuals and hermiticity defects accumulated across criteria for the
 # criterion-8 audit.
@@ -276,7 +276,7 @@ def test_criterion_7_observable_calibrations():
     grid_vals = np.array(
         [[wigner(theta1, np.array([x, p])) ** 2 for p in axis] for x in axis]
     )
-    overlap = 4.0 * np.pi * np.trapezoid(np.trapezoid(grid_vals, axis, axis=1), axis)
+    overlap = 4.0 * np.pi * trapezoid_2d(grid_vals, axis)
     overlap_err = abs(overlap - mu)
 
     _report(

@@ -16,6 +16,7 @@ from pairspec import (
 from pairspec.errors import DegenerateState, NonPositiveDeterminant, SingularCovariance
 from pairspec.states import CovarianceMatrix
 from pairspec.model import BlockLayout
+from helpers import trapezoid_2d
 
 
 # --- schmidt -------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_wigner_normalization_by_quadrature():
     L = 6.0
     axis = np.linspace(-L, L, 121)
     vals = np.array([[wigner(theta, np.array([x, p])) for p in axis] for x in axis])
-    integral = np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
+    integral = trapezoid_2d(vals, axis)
     assert integral == pytest.approx(1.0, abs=1e-4)
 
 
@@ -239,5 +240,5 @@ def test_single_mode_purity_matches_wigner_overlap():
     L = 6.0
     axis = np.linspace(-L, L, 161)
     vals = np.array([[wigner(theta, np.array([x, p])) ** 2 for p in axis] for x in axis])
-    overlap = 4.0 * np.pi * np.trapezoid(np.trapezoid(vals, axis, axis=1), axis)
+    overlap = 4.0 * np.pi * trapezoid_2d(vals, axis)
     assert overlap == pytest.approx(mu, abs=1e-4)

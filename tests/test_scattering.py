@@ -1,5 +1,6 @@
 """The core pipeline: Lyapunov solve, scattering matrix, covariance map."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -309,6 +310,19 @@ def test_propagate_factors_a_plain_array_once(monkeypatch):
     assert np.array_equal(X.matrix, prop.theta_tilde_in.matrix)
     assert np.array_equal(smat.matrix, prop.scattering.matrix)
     assert len(calls) == 1
+
+
+def test_in_place_change_to_w_takes_effect():
+    # Nothing keeps W's factorization between calls: each propagate factors
+    # the matrix as it is then.
+    _, _, W, _, theta = small_system(n=6, g=0.1, sqrt_kappa=0.4)
+    before = propagate(theta, W, epsilon=1e-3).theta_out.matrix
+    c = W.layout.cavity.start
+    W.matrix[c, c] *= 1.1
+    after = propagate(theta, W, epsilon=1e-3).theta_out.matrix
+    fresh = propagate(theta, dataclasses.replace(W, matrix=W.matrix.copy()), epsilon=1e-3)
+    assert np.array_equal(after, fresh.theta_out.matrix)
+    assert not np.allclose(after, before)
 
 
 def test_lazy_fields_rotate_the_deflated_results_once():
