@@ -139,6 +139,12 @@ def _system_params(cfg: RunConfig):
     )
 
 
+def _theta_out_q(theta_q, q, epsilon):
+    """Theta_out of one propagation, in deflated coordinates; its X and S are
+    freed on return."""
+    return scattering.propagate(theta_q, q, epsilon=epsilon).theta_out_q
+
+
 def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     """Run the full pipeline for one configuration; returns RunOutputs.
 
@@ -152,19 +158,44 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
         continuum_scaling=cfg.continuum_scaling,
         material_sign=cfg.sign_convention,
     )
-    theta_in = states.assemble_input_covariance(jsa, params.n_material)
-    # W does not depend on epsilon: one factorization serves both propagations.
+    # W does not depend on epsilon: one factorization serves both shifts,
+    # and W's dense matrix is not read after it.
     basis = numkit.eigenbasis(W.matrix)
-    prop = scattering.propagate(theta_in, basis, epsilon=cfg.epsilon)
+    del W
+    # Theta_in is rotated into deflated coordinates once, in place, and both
+    # shifts read it there; its layout and grid go back on the result.  The
+    # input JSA is read only for its JSI, taken here, so a run's own JSA is
+    # freed before the propagations.
+    theta_in = states.assemble_input_covariance(jsa, params.n_material)
+    jsi_in = states.jsi_of(jsa)
+    del jsa
+    layout, grid = theta_in.layout, theta_in.grid
+    theta_q = basis.rotate(theta_in.matrix, copy=False)
+    theta_q.flags.writeable = False
+    del theta_in
+    q = basis.q
 
     stability = None
     if check_epsilon_stability:
+        # The eps/2 propagation needs nothing from the eps one but the shift,
+        # decided here by the solve's own rule, so it runs on a helper thread
+        # meanwhile.  Leaving the pool joins that thread, also when the main
+        # solve raises, whose error then wins.
+        half_epsilon = scattering.regularized_epsilon(q, cfg.epsilon) / 2.0
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            half = pool.submit(_theta_out_q, theta_q, q, half_epsilon)
+            prop = scattering.propagate(theta_q, q, epsilon=cfg.epsilon)
+            half_out = half.result()
+        del theta_q
         # Q is real orthogonal, so the Frobenius norms are read in deflated
         # coordinates and only the main Theta_out is ever rotated out.
-        half = scattering.propagate(theta_in, basis, epsilon=prop.epsilon_used / 2.0)
-        stability = float(np.linalg.norm(half.theta_out_q - prop.theta_out_q)
-                          / np.linalg.norm(prop.theta_out_q))
-        del half
+        half_out -= prop.theta_out_q
+        stability = float(np.linalg.norm(half_out) / np.linalg.norm(prop.theta_out_q))
+        del half_out
+    else:
+        prop = scattering.propagate(theta_q, q, epsilon=cfg.epsilon)
+        del theta_q
+    prop = dataclasses.replace(prop, basis=basis, layout=layout, grid=grid)
 
     jsa_out = scattering.extract_output_jsa(prop.theta_out)
     jsi_out_raw = states.jsi_of(jsa_out, normalize=False)
@@ -174,7 +205,7 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     pur = observables.purity(prop.theta_out)
 
     return RunOutputs(
-        jsi_in=states.jsi_of(jsa),
+        jsi_in=jsi_in,
         jsi_out=jsi_out,
         jsi_out_raw=jsi_out_raw,
         schmidt=spectrum,

@@ -34,10 +34,19 @@ from .scattering import DEFAULT_EPSILON
 
 SCHEMA_VERSION = "1"
 
-# A run holds at most about this many dense d x d complex128 matrices at once
-# (tracemalloc peak of execute_run on the README config at n = 64, 128 and
-# 256: 12.9, 12.1 and 11.8), with one matrix to spare.
-_DENSE_MATRICES_AT_PEAK = 14
+# A run holds at most about this many dense d x d complex128 matrices at once,
+# with one matrix to spare.  Its eps and eps/2 propagations run at the same
+# time, and each peaks at about 4.5 (X, S, G = S X S^dag and a congruence
+# temporary) besides the shared Theta_in, V_core and V_core^-1: tracemalloc
+# peaks of execute_run on the README config at n = 64, 128 and 256 are at
+# most 11.0, 10.9 and 10.8 over five runs each, also when both peaks meet.
+_DENSE_MATRICES_AT_PEAK = 12
+
+
+# The largest magnitude of a number (and of epsilon): the square or product
+# of two such values stays below 1e300, so the model's products and norms
+# stay finite instead of overflowing float64.
+NUMBER_MAX = 1e150
 
 
 # A parser turns a value's text into the value, or raises ValueError naming
@@ -49,6 +58,8 @@ def _number(text):
         raise ValueError("a number") from None
     if not math.isfinite(number):
         raise ValueError("finite")
+    if abs(number) > NUMBER_MAX:
+        raise ValueError(f"at most {NUMBER_MAX:g} in magnitude")
     return number
 
 
@@ -72,7 +83,8 @@ def _numbers(text):
     try:
         return tuple(_number(item) for item in text.split(",") if item.strip())
     except ValueError:
-        raise ValueError("a comma list of finite numbers") from None
+        raise ValueError("a comma list of finite numbers of magnitude at most "
+                         f"{NUMBER_MAX:g}") from None
 
 
 def _integers(text):
@@ -200,9 +212,11 @@ def check_fits_in_memory(n, m_max, source):
 
 
 def check_epsilon(epsilon, source):
-    """epsilon, or ConfigError unless it is finite and nonnegative."""
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ConfigError(f"{source}: epsilon must be finite and nonnegative, got {epsilon!r}")
+    """epsilon, or ConfigError unless it is finite, nonnegative and at most
+    NUMBER_MAX."""
+    if not 0 <= epsilon <= NUMBER_MAX:
+        raise ConfigError(f"{source}: epsilon must be finite and nonnegative, at most "
+                          f"{NUMBER_MAX:g}, got {epsilon!r}")
     return epsilon
 
 
@@ -240,6 +254,9 @@ def config_from_raw(raw, source="<config>"):
         if values["grid.units"] == "nm":
             # nm ranges invert under conversion to energy.
             lo, hi = sorted((nm_to_mev(lo), nm_to_mev(hi)))
+            if hi > NUMBER_MAX:
+                raise ConfigError(f"{source}: grid.{axis}_min/max convert to {hi:g} meV, "
+                                  f"more than {NUMBER_MAX:g}")
         return (lo, hi)
 
     sweep_values = values["sweep.values"]

@@ -122,12 +122,17 @@ def linear_solve(A, B):
 def _pencil_condition(lam, norm_a):
     """||A||_F / min |lam_i + conj(lam_j)|, the condition estimate of
     A X + X A^dag = -C for A of spectrum ``lam`` and ||A||_F = ``norm_a``;
-    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``."""
+    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``.
+    The pair sums are formed a row strip at a time."""
     tol = PENCIL_GAP_TOL * max(norm_a, 1e-300)
     conj = lam.conj()
-    sums = np.abs(lam[:, None] + conj[None, :])
-    i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    gap = float(sums[i, j])
+    gap, i, j = np.inf, 0, 0
+    for r0, r1 in _strips(lam.size, lam.size):
+        sums = np.abs(lam[r0:r1, None] + conj[None, :])
+        k = int(np.argmin(sums))
+        if r0 == 0 or sums.flat[k] < gap:
+            gap = float(sums.flat[k])
+            i, j = r0 + k // lam.size, k % lam.size
     if gap < tol:
         raise NearSingularPencil(
             f"eigenvalue pair lambda_A={lam[i]:.6g}, lambda_B={conj[j]:.6g} "
@@ -145,11 +150,15 @@ def _refine(solve, lyapunov, C):
     the first pass's residual is above :data:`REFINE_ABOVE`."""
     c_norm = max(1.0, np.linalg.norm(C))
     X = solve(C)
-    R = lyapunov(X) + C
+    R = lyapunov(X)
+    R += C
     residual = np.linalg.norm(R) / c_norm
     if not residual <= REFINE_ABOVE:
-        X = X + solve(R)
-        residual = np.linalg.norm(lyapunov(X) + C) / c_norm
+        X += solve(R)
+        del R
+        R = lyapunov(X)
+        R += C
+        residual = np.linalg.norm(R) / c_norm
     return X, float(residual)
 
 
@@ -203,11 +212,34 @@ def solve_sylvester(A, C, method="schur"):
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
+# The O(d^2) passes work on strips of rows (or of columns) of at most this
+# many bytes and an eighth of the rows, so that their temporaries stay small
+# beside the d x d result.
+_STRIP_BYTES = 1 << 18
+
+
+def _strips(rows, width):
+    """(start, stop) bounds of strips of ``rows`` rows of ``width`` complex
+    entries, at most ``_STRIP_BYTES`` and an eighth of the rows each.  No
+    strip has one row unless there is only one: a one-row product goes to a
+    dot kernel, which sums in another order than a matrix-vector product
+    does."""
+    step = max(2, min(_STRIP_BYTES // (16 * max(width, 1)), -(-rows // 8)))
+    bounds = list(range(0, rows, step)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _vector_times(v, Y):
-    """v^T Y, summed like Y @ v (a contiguous copy of Y^T), so that a left and
-    a right product round alike and A X + X A^dag keeps the Hermitian
+    """v^T Y, summed like Y @ v: each column strip of Y is copied transposed
+    (contiguous) and multiplied as a row strip of Y @ v is, so that a left
+    and a right product round alike and A X + X A^dag keeps the Hermitian
     symmetry of X as dense products do."""
-    return np.ascontiguousarray(Y.T) @ v
+    out = np.empty(Y.shape[1], dtype=np.result_type(v, Y))
+    for c0, c1 in _strips(Y.shape[1], Y.shape[0]):
+        out[c0:c1] = np.ascontiguousarray(Y[:, c0:c1].T) @ v
+    return out
 
 
 class Arrowhead:
@@ -216,7 +248,8 @@ class Arrowhead:
     The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
     ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
     d x d ndarray Y, and :meth:`subtract_from` O(d); ``np.asarray(A)`` is
-    the dense matrix.
+    the dense matrix.  The products work a row strip at a time
+    (:func:`_strips`), so their only d x d array is the result.
     """
 
     # ndarray operators return NotImplemented for this class, so ``Y @ A``
@@ -241,27 +274,66 @@ class Arrowhead:
         return Arrowhead(self.diag, self.row, self.col, self.tip)
 
     def __matmul__(self, Y):
-        out = self.diag[:, None] * Y
-        out += np.outer(self.col, Y[self.tip])
-        out[self.tip] += _vector_times(self.row, Y)
+        return self.matmul(Y)
+
+    def matmul(self, Y, out=None):
+        """A Y written into ``out``, a new array by default; ``out`` may be Y
+        itself (complex), which is then overwritten with A Y."""
+        t = self.tip
+        y_tip = Y[t].copy()
+        tip_row = _vector_times(self.row, Y)
+        if out is None:
+            out = np.empty(Y.shape, dtype=np.result_type(self.diag, Y))
+        for r0, r1 in _strips(*Y.shape):
+            block = out[r0:r1]
+            np.multiply(self.diag[r0:r1, None], Y[r0:r1], out=block)
+            block += np.outer(self.col[r0:r1], y_tip)
+        out[t] += tip_row
         return out
 
     def __rmatmul__(self, Y):
-        out = Y * self.diag[None, :]
-        out += np.outer(Y[:, self.tip], self.row)
-        out[:, self.tip] += Y @ self.col
+        t = self.tip
+        tip_col = Y @ self.col
+        out = np.empty(Y.shape, dtype=np.result_type(self.diag, Y))
+        for r0, r1 in _strips(*Y.shape):
+            block = out[r0:r1]
+            np.multiply(Y[r0:r1], self.diag[None, :], out=block)
+            block += np.outer(Y[r0:r1, t], self.row)
+        out[:, t] += tip_col
         return out
 
-    def lyapunov(self, X):
+    def lyapunov(self, X, out=None):
         """A X + X A^dag, with the diagonal terms summed first as
         (a_i + conj(a_j)) X_ij, so that they cancel exactly between modes of
-        equal frequency instead of leaving the rounding of two large products."""
+        equal frequency instead of leaving the rounding of two large products.
+
+        A new array, or added into ``out`` (not X): each row strip of
+        A X + X A^dag is formed whole and then added, so ``out`` ends as
+        ``out + (A X + X A^dag)`` would."""
         t = self.tip
-        out = (self.diag[:, None] + self.diag.conj()[None, :]) * X
-        out += np.outer(self.col, X[t])
-        out += np.outer(X[:, t], self.col.conj())
-        out[t] += _vector_times(self.row, X)
-        out[:, t] += X @ self.row.conj()
+        diag_h, col_h = self.diag.conj(), self.col.conj()
+        x_row, x_col = X[t], X[:, t]
+        tip_row = _vector_times(self.row, X)
+        tip_col = _vector_times(self.row.conj(), X.T)
+        if out is None:
+            out, add = np.empty(X.shape, dtype=np.complex128), False
+        else:
+            add = True
+        strips = _strips(*X.shape)
+        strip = np.empty((max(r1 - r0 for r0, r1 in strips), X.shape[1]), dtype=np.complex128)
+        term = np.empty_like(strip)
+        for r0, r1 in strips:
+            block = strip[:r1 - r0] if add else out[r0:r1]
+            part = term[:r1 - r0]
+            np.add(self.diag[r0:r1, None], diag_h[None, :], out=block)
+            block *= X[r0:r1]
+            block += np.multiply(self.col[r0:r1, None], x_row[None, :], out=part)
+            block += np.multiply(x_col[r0:r1, None], col_h[None, :], out=part)
+            if r0 <= t < r1:
+                block[t - r0] += tip_row
+            block[:, t] += tip_col[r0:r1]
+            if add:
+                out[r0:r1] += block
         return out
 
     def subtract_from(self, Y):
@@ -619,15 +691,16 @@ class Eigenbasis:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
 
-    def block_congruence(self, M, Y, rest=None):
+    def block_congruence(self, M, Y, rest=None, copy=True):
         """B Y B^dag for B = M (+) diag(rest) in deflated coordinates: M acts
         on the core indices, the diagonal ``rest`` (default ones) on the
         others.  Every function of Q W Q has this form, since the deflated
-        modes are decoupled there.  A new array."""
+        modes are decoupled there.  A new array, or Y (complex) overwritten
+        when ``copy`` is False."""
         k = self.core
         if k.size == self.dim:
-            return M @ Y @ M.conj().T
-        Z = np.array(Y, dtype=np.complex128)
+            return np.matmul(M @ Y, M.conj().T, out=None if copy else Y)
+        Z = np.array(Y, dtype=np.complex128) if copy else Y
         Z[k] = M @ Z[k]
         Z[:, k] = Z[:, k] @ M.conj().T
         if rest is not None:
@@ -720,26 +793,42 @@ def solve_lyapunov_eigen(basis, C, shift):
     d = basis.dim
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
+    cond = pencil_screen(basis, shift)
     lam = basis.values - shift
+    lam_h = lam.conj()
     A = basis.shifted(shift)
-    cond = _pencil_condition(lam, frobenius_norm(A))
-    denom = lam[:, None] + lam.conj()[None, :]
 
     def eig_solve(rhs):
-        Y = basis.block_congruence(basis.core_inverse, rhs) / -denom
-        return basis.block_congruence(basis.core_vectors, Y)
+        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place a row
+        # strip at a time; the second congruence then overwrites Y with X.
+        Y = basis.block_congruence(basis.core_inverse, rhs)
+        for r0, r1 in _strips(d, d):
+            Y[r0:r1] /= -(lam[r0:r1, None] + lam_h[None, :])
+        return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
     X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
     report = SolveReport(residual_norm=residual, condition_estimate=cond)
     return basis.rotate(X, copy=False), report
 
 
-def lyapunov_product(A, X):
+def pencil_screen(basis, shift):
+    """The pencil screen of :func:`solve_lyapunov_eigen` for A = W - shift I
+    from W's eigenbasis: the condition estimate ||A||_F / min
+    |l_i + conj(l_j)|, or NearSingularPencil when that gap is below
+    ``PENCIL_GAP_TOL * ||A||_F``."""
+    return _pencil_condition(basis.values - shift, frobenius_norm(basis.shifted(shift)))
+
+
+def lyapunov_product(A, X, out=None):
     """A X + X A^dag of an Arrowhead (O(d^2), :meth:`Arrowhead.lyapunov`)
-    or an array."""
+    or an array; added into ``out`` when given."""
     if isinstance(A, Arrowhead):
-        return A.lyapunov(X)
-    return A @ X + X @ A.conj().T
+        return A.lyapunov(X, out=out)
+    product = A @ X + X @ A.conj().T
+    if out is None:
+        return product
+    out += product
+    return out
 
 
 def frobenius_norm(A):
@@ -765,8 +854,9 @@ def shifted_inverse(basis, z):
             f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
             f"{PIVOT_TOL:g} * max|W - z|={scale:.3e}"
         )
-    core = basis.core
-    inv = np.diag(1.0 / (basis.values - z))
+    core, d = basis.core, basis.dim
+    inv = np.zeros((d, d), dtype=np.complex128)
+    inv.flat[::d + 1] = 1.0 / (basis.values - z)
     inv[np.ix_(core, core)] = (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse
     return basis.rotate(inv, copy=False)
 

@@ -110,6 +110,21 @@ def _mark(report, basis):
     report.deflated_modes = basis.deflated_modes
 
 
+def regularized_epsilon(W, epsilon):
+    """The shift a solve at ``epsilon`` runs at: ``epsilon`` itself, or
+    ``DEFAULT_EPSILON`` when epsilon = 0 meets a near-singular pencil in
+    ``numkit.pencil_screen`` (the eigenbasis solve's screen, run on W's
+    eigenvalues on either path).  W is as in
+    :func:`time_integrated_covariance`."""
+    if epsilon != 0.0:
+        return epsilon
+    try:
+        numkit.pencil_screen(_eigenbasis(W), 0.0)
+    except NearSingularPencil:
+        return DEFAULT_EPSILON
+    return epsilon
+
+
 def time_integrated_covariance(W, theta_in, epsilon):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
@@ -117,9 +132,9 @@ def time_integrated_covariance(W, theta_in, epsilon):
     regularized Laplace point, solved in the eigenbasis of W or, when
     cond_1(V) is too large, by the Schur path (see the module doc), in
     deflated coordinates: Theta_in is rotated in and X out.  If
-    epsilon = 0 hits a singular pencil (the generic case: W's spectrum is
-    near-imaginary), the solve automatically retries at
-    ``DEFAULT_EPSILON`` and flags the report as regularized.
+    epsilon = 0 meets a singular pencil (the generic case: W's spectrum is
+    near-imaginary), the solve runs at ``DEFAULT_EPSILON`` instead
+    (:func:`regularized_epsilon`) and flags the report as regularized.
 
     W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W;
     theta_in and X are in W's coordinates.
@@ -128,21 +143,12 @@ def time_integrated_covariance(W, theta_in, epsilon):
     basis = _eigenbasis(W)
     q = basis.q
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
-
-    def attempt(eps):
-        if q.usable:
-            return numkit.solve_lyapunov_eigen(q, theta_q, eps)
-        return numkit.solve_sylvester(np.asarray(q.shifted(eps)), theta_q)
-
-    regularized = False
-    try:
-        X, report = attempt(epsilon)
-    except NearSingularPencil:
-        if epsilon != 0.0:
-            raise
-        X, report = attempt(DEFAULT_EPSILON)
-        regularized = True
-    report.regularized = regularized
+    eff_eps = regularized_epsilon(basis, epsilon)
+    if q.usable:
+        X, report = numkit.solve_lyapunov_eigen(q, theta_q, eff_eps)
+    else:
+        X, report = numkit.solve_sylvester(np.asarray(q.shifted(eff_eps)), theta_q)
+    report.regularized = eff_eps != epsilon
     _mark(report, basis)
     X = basis.rotate(X, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
@@ -166,7 +172,8 @@ def scattering_matrix(W, z):
     A = q.shifted(z)
     A_h = A.conj().T
     if q.usable:
-        S = A_h @ numkit.shifted_inverse(q, z)
+        S = numkit.shifted_inverse(q, z)
+        S = A_h.matmul(S, out=S) if isinstance(A_h, numkit.Arrowhead) else A_h @ S
     else:
         # S A = A^dag  <=>  A^T S^T = conj(A)
         A_dense = np.asarray(A)
@@ -222,23 +229,26 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     S = smat.matrix
     A = q.shifted(eff_eps)
 
-    # Each d x d temporary is dropped once used: a run's peak memory is here.
-    theta_out = numkit.lyapunov_product(A, X)
-    theta_out += theta_q
-    del theta_q
-    gap_norm = np.linalg.norm(theta_out)
+    # The working set peaks here, at X, S, G and one congruence temporary;
+    # the four products of A are then added into Theta_out a row strip at a
+    # time, and rotate() has already copied Theta_in when Q != I.
     if q.usable:
         core = np.ix_(q.core, q.core)
         G = q.block_congruence(S[core], X, S.diagonal())
     else:
         G = S @ X @ S.conj().T
-    theta_out += numkit.lyapunov_product(A.conj().T, G)
+    theta_out = theta_q if basis.reflections else np.array(theta_q, dtype=np.complex128)
+    del theta_q
+    numkit.lyapunov_product(A, X, out=theta_out)
+    gap_norm = np.linalg.norm(theta_out)
+    numkit.lyapunov_product(A.conj().T, G, out=theta_out)
     del G
     out_norm = np.linalg.norm(theta_out)
     identity_gap = float(gap_norm / out_norm) if out_norm > 0 else 0.0
-    herm = float(
-        np.linalg.norm(theta_out - theta_out.conj().T) / out_norm if out_norm > 0 else 0.0
-    )
+    defect = np.conjugate(theta_out.T, out=np.empty_like(theta_out))
+    np.subtract(theta_out, defect, out=defect)
+    herm = float(np.linalg.norm(defect) / out_norm if out_norm > 0 else 0.0)
+    del defect
 
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)

@@ -6,13 +6,24 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairspec import build_grid, gaussian_jsa, jsi_of, load_jsi, numkit, observables
+from pairspec import (
+    assemble_input_covariance,
+    build_grid,
+    gaussian_jsa,
+    jsi_of,
+    load_jsi,
+    numkit,
+    observables,
+    scattering,
+)
+from pairspec import cli as cli_mod
 from pairspec.cli import execute_run, main, render_heatmap
 from pairspec.config import KEYS, config_from_raw, load_config, parse_config_text
 from pairspec.errors import ConfigError
@@ -280,6 +291,51 @@ def test_nonfinite_number_exits_1(tmp_path, capsys, line, bad):
     assert main(["--out", str(tmp_path / "x"), "run", cfg_path]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "finite" in err
+
+
+# Finite values whose squares overflow float64 are config errors, named by
+# key; nm axes are checked once converted to energy.
+@pytest.mark.parametrize(
+    "line, bad, key",
+    [
+        ("system.g = 0.5", "system.g = 1e200", "system.g"),
+        ("system.sqrt_kappa = 488", "system.sqrt_kappa = 1e300", "system.sqrt_kappa"),
+        ("system.epsilon = 1e-3", "system.epsilon = 1e300", "system.epsilon"),
+        ("grid.signal_max = 1860", "grid.signal_max = 1e300", "grid.signal_max"),
+        ("input.diff_width = 30", "input.diff_width = 1e300", "input.diff_width"),
+        ("grid.signal_min = 1740\ngrid.signal_max = 1860",
+         "grid.units = nm\ngrid.signal_min = 1e-300\ngrid.signal_max = 700\n"
+         "grid.idler_min = 680\ngrid.idler_max = 720", "grid.signal_min/max"),
+    ],
+    ids=["g", "sqrt_kappa", "epsilon", "signal_max", "diff_width", "nm-axis"],
+)
+def test_overflowing_number_exits_1(tmp_path, capsys, line, bad, key):
+    text = BASE_CONFIG.replace(line, bad)
+    if "grid.units" in bad:
+        text = text.replace("grid.idler_min = 1740\ngrid.idler_max = 1860\n", "")
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "run", write_config(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ConfigError" in err and key in err
+    assert not out_dir.exists()
+
+
+def test_large_coupling_below_the_bound_is_a_solver_failure(tmp_path, capsys):
+    text = BASE_CONFIG.replace("system.g = 0.5", "system.g = 1e150")
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "run", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NearSingularPencil" in err
+    assert not out_dir.exists()
+
+
+def test_overflowing_epsilon_flag_exits_1(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["--out", str(out_dir), "--epsilon", "1e300", "run", write_config(tmp_path, BASE_CONFIG)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at most 1e+150" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -688,10 +744,11 @@ def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):
     assert calls == {"eigenbasis": 4, "solve_sylvester": 0, "linear_solve": 0}
 
 
-# propagate rotates Theta_in into deflated coordinates and keeps its results
-# there; a run reads the eps/2 difference in those coordinates and rotates
-# only the main Theta_out out, for the JSI block and purity.
-@pytest.mark.parametrize("check, reflections", [(True, 3), (False, 2)], ids=["run", "sweep-point"])
+# execute_run rotates Theta_in into deflated coordinates once, for both
+# shifts, and propagate keeps its results there; a run reads the eps/2
+# difference in those coordinates and rotates only the main Theta_out out,
+# for the JSI block and purity.
+@pytest.mark.parametrize("check, reflections", [(True, 2), (False, 2)], ids=["run", "sweep-point"])
 def test_run_rotates_only_what_it_reads(monkeypatch, check, reflections):
     calls = _count_calls(monkeypatch, ("_reflect",))
     cfg = config_from_raw(parse_config_text(_readme_config_block()))
@@ -699,6 +756,157 @@ def test_run_rotates_only_what_it_reads(monkeypatch, check, reflections):
     assert (out.epsilon_stability is not None) == check
     assert out.prop.reports["lyapunov"].deflated_modes > 0
     assert calls == {"_reflect": reflections}
+
+
+# --- the eps and eps/2 shifts of a run on two threads ---------------------------
+
+# A run propagates eps on its own thread and eps/2 on one helper thread; the
+# reference makes the same two propagate calls one after the other.
+def _model(cfg):
+    """(W, Theta_in) of a run's config, built as execute_run builds them."""
+    grid, jsa = cli_mod._build_inputs(cfg)
+    params = cli_mod._system_params(cfg)
+    W = cli_mod.build_dynamical_matrix(grid, params, continuum_scaling=cfg.continuum_scaling,
+                                       material_sign=cfg.sign_convention)
+    return W, assemble_input_covariance(jsa, params.n_material)
+
+
+def _serial_reference(cfg):
+    W, theta = _model(cfg)
+    main_prop = scattering.propagate(theta, W, epsilon=cfg.epsilon)
+    half = scattering.propagate(theta, W, epsilon=main_prop.epsilon_used / 2)
+    change = (np.linalg.norm(half.theta_out_q - main_prop.theta_out_q)
+              / np.linalg.norm(main_prop.theta_out_q))
+    return main_prop, half, float(change)
+
+
+def _damped(monkeypatch, rate):
+    """W - rate I in place of the cavity model's W: a Hurwitz generator
+    whose pencil is regular at eps = 0."""
+    real = cli_mod.build_dynamical_matrix
+
+    def damped(*args, **kwargs):
+        W = real(*args, **kwargs)
+        return dataclasses.replace(W, matrix=W.matrix - rate * np.eye(W.dim))
+
+    monkeypatch.setattr(cli_mod, "build_dynamical_matrix", damped)
+
+
+@pytest.mark.parametrize("epsilon, damping, regularized", [
+    ("1e-3", 0.0, False), ("0", 0.0, True), ("0", 0.5, False),
+], ids=["eps", "eps0-regularized", "eps0-unregularized"])
+def test_run_equals_two_serial_propagations(monkeypatch, epsilon, damping, regularized):
+    if damping:
+        _damped(monkeypatch, damping)
+    cfg = config_from_raw(parse_config_text(
+        BASE_CONFIG.replace("system.epsilon = 1e-3", f"system.epsilon = {epsilon}")))
+    out = execute_run(cfg)
+    ref, half, change = _serial_reference(cfg)
+    assert out.prop.regularized == ref.regularized == regularized
+    assert out.prop.epsilon_used == ref.epsilon_used
+    assert half.epsilon_used == ref.epsilon_used / 2 and not half.regularized
+    assert out.epsilon_stability == change
+    assert np.array_equal(out.prop.theta_out.matrix, ref.theta_out.matrix)
+    assert np.array_equal(out.prop.theta_tilde_in.matrix, ref.theta_tilde_in.matrix)
+    assert np.array_equal(out.prop.scattering.matrix, ref.scattering.matrix)
+    assert out.prop.layout == ref.layout and out.prop.grid is not None
+    for name in ("identity_gap", "hermiticity_defect"):
+        assert getattr(out.prop, name) == getattr(ref, name)
+    for name in ("lyapunov", "scattering"):
+        assert out.prop.reports[name] == ref.reports[name]
+
+
+def test_concurrent_runs_match_the_serial_reference():
+    # Four runs at once, each with its helper thread: eight threads on the
+    # VM's cores, interleaved as finely as the GIL allows.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg = config_from_raw(parse_config_text(BASE_CONFIG))
+    ref, _, change = _serial_reference(cfg)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(execute_run, cfg) for _ in range(4)]
+            outs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    for out in outs:
+        assert np.array_equal(out.prop.theta_out.matrix, ref.theta_out.matrix)
+        assert out.epsilon_stability == change
+
+
+def test_run_propagates_eps_half_on_one_helper_thread(tmp_path, monkeypatch):
+    seen = []
+    real = scattering.propagate
+
+    def recording(theta, W, epsilon):
+        seen.append((epsilon, threading.current_thread() is threading.main_thread()))
+        return real(theta, W, epsilon=epsilon)
+
+    monkeypatch.setattr(scattering, "propagate", recording)
+    before = threading.active_count()
+    assert main(["--out", str(tmp_path / "run"), "run", write_config(tmp_path, BASE_CONFIG)]) == 0
+    assert sorted(seen) == [(5e-4, False), (1e-3, True)]
+    assert threading.active_count() == before
+    # Sweep points run no eps/2 check, so they start no helper thread.
+    seen.clear()
+    text = BASE_CONFIG + "\nsweep.parameter = sqrt_kappa\nsweep.values = 150, 488\n"
+    assert main(["--out", str(tmp_path / "sweep"), "sweep", write_config(tmp_path, text)]) == 0
+    assert seen == [(1e-3, True), (1e-3, True)]
+    assert threading.active_count() == before
+
+
+def _failure_line(cfg, epsilon):
+    """The stderr line of a run whose propagate at ``epsilon`` raises."""
+    W, theta = _model(cfg)
+    with pytest.raises(cli_mod._SOLVER_ERRORS) as exc:
+        scattering.propagate(theta, W, epsilon=epsilon)
+    return f"solver failure during run: {type(exc.value).__name__}: {exc.value}\n"
+
+
+# At n = 16 the pencil gate is about 1.05e-6 and the gap of the deflated
+# signal/idler pairs is 2 eps: 7e-7 passes and its half fails; 1e-7 and its
+# half both fail, with different gaps in their messages.
+def test_eps_half_failure_exits_2_with_its_own_message(tmp_path, capsys):
+    text = BASE_CONFIG.replace("system.epsilon = 1e-3", "system.epsilon = 7e-7")
+    cfg_path = write_config(tmp_path, text)
+    cfg = load_config(cfg_path)
+    expected = _failure_line(cfg, 3.5e-7)
+    before = threading.active_count()
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "run", cfg_path]) == 2
+    assert capsys.readouterr().err == expected
+    assert threading.active_count() == before
+    assert not out_dir.exists()
+
+
+def test_main_failure_wins_over_eps_half_failure(tmp_path, monkeypatch, capsys):
+    text = BASE_CONFIG.replace("system.epsilon = 1e-3", "system.epsilon = 1e-7")
+    cfg_path = write_config(tmp_path, text)
+    cfg = load_config(cfg_path)
+    expected = _failure_line(cfg, 1e-7)
+    assert expected != _failure_line(cfg, 5e-8)
+    # The eps/2 solve fails first; the main solve fails after it.
+    real = scattering.propagate
+    half_done = threading.Event()
+
+    def ordered(theta, W, epsilon):
+        if epsilon == 5e-8:
+            try:
+                return real(theta, W, epsilon=epsilon)
+            finally:
+                half_done.set()
+        assert half_done.wait(30)
+        return real(theta, W, epsilon=epsilon)
+
+    monkeypatch.setattr(scattering, "propagate", ordered)
+    before = threading.active_count()
+    assert main(["--out", str(tmp_path / "out"), "run", cfg_path]) == 2
+    assert capsys.readouterr().err == expected
+    assert threading.active_count() == before
 
 
 def test_run_records_solver_path(tmp_path):
@@ -726,6 +934,28 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "ConfigError" in err and "grid.n = 200000" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+# A run's tracemalloc peak in d x d complex matrices, with both shifts live
+# at once: at most the 12.88 (n = 64) and 12.06 (n = 128) that the runs
+# peaked at when the two shifts ran one after the other, and a matrix to
+# spare under the memory guard's count.
+@pytest.mark.parametrize("n, serial_peak", [(64, 12.88), (128, 12.06)])
+def test_run_peak_memory_stays_under_the_guard(n, serial_peak):
+    from pairspec import config
+
+    cfg = config_from_raw(parse_config_text(
+        _readme_config_block().replace("grid.n = 64", f"grid.n = {n}")))
+    d = 2 * n + 1 + len(cfg.material_freqs)
+    tracemalloc.start()
+    try:
+        execute_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = peak / (16 * d * d)
+    assert matrices <= serial_peak
+    assert matrices + 1 <= config._DENSE_MATRICES_AT_PEAK
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

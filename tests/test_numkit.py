@@ -292,6 +292,44 @@ def test_arrowhead_products_match_dense(case):
             Y - A
 
 
+def _random_arrowhead(rng, d, tip):
+    def vec():
+        return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    col, row = vec(), vec()
+    col[tip] = row[tip] = 0.0
+    return numkit.Arrowhead(vec(), col, row, tip)
+
+
+# d = 9 runs the products in strips of two rows, the last of which absorbs a
+# one-row remainder; d = 181 in eight strips.
+@pytest.mark.parametrize("d, tip", [(9, 0), (9, 5), (181, 3), (181, 180)])
+def test_lyapunov_product_keeps_the_tip_of_hermitian_x_exactly_hermitian(d, tip):
+    # The tip row of A X and the tip column of X A^dag are vector products
+    # summed alike, so for Hermitian X they are exact conjugates; every
+    # entry stays Hermitian to rounding.
+    rng = np.random.default_rng(d + tip)
+    assert numkit._strips(9, 9) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    assert len(numkit._strips(181, 181)) == 8
+    A = _random_arrowhead(rng, d, tip)
+    X = random_hermitian(rng, d)
+    assert np.array_equal(X, X.conj().T)
+    L = numkit.lyapunov_product(A, X)
+    assert np.array_equal(L[tip], L[:, tip].conj())
+    assert np.abs(L - L.conj().T).max() <= 1e-14 * np.abs(L).max()
+    assert _rel(L, np.asarray(A) @ X + X @ np.asarray(A).conj().T) < 1e-14
+    # Accumulating into a target rounds as adding the whole product would.
+    base = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    target = base.copy()
+    assert numkit.lyapunov_product(A, X, out=target) is target
+    assert np.array_equal(target, base + L)
+    # A Y in place equals A Y into a new array.
+    Y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    product = A @ Y
+    assert A.matmul(Y, out=Y) is Y
+    assert np.array_equal(Y, product)
+
+
 @pytest.mark.parametrize("case", _ARROWHEAD_CASES)
 def test_structured_eigenbasis_reproduces_w(case):
     W = _model(**_ARROWHEAD_CASES[case])
