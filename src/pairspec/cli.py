@@ -30,6 +30,7 @@ from .config import RunConfig, check_epsilon, check_fits_in_memory, load_config
 from .errors import (
     ConfigError,
     ConvergenceFailure,
+    DegenerateWidth,
     NearSingularPencil,
     NonConvergentIntegral,
     NonPositiveDeterminant,
@@ -111,23 +112,25 @@ def _write_json(path, payload):
 def _build_inputs(cfg: RunConfig):
     if cfg.input_kind == "gaussian":
         grid = build_grid(cfg.n, cfg.signal_range, cfg.idler_range)
-        jsa = gaussian_jsa(
-            grid,
-            pump_center=cfg.gaussian["pump_center"],
-            sum_width=cfg.gaussian["sum_width"],
-            diff_width=cfg.gaussian["diff_width"],
-            diff_offset=cfg.gaussian["diff_offset"],
-        )
+        try:
+            jsa = gaussian_jsa(grid, **cfg.gaussian)
+        except DegenerateWidth as exc:
+            # The message starts with the width's name, an input.* key.
+            raise ConfigError(f"input.{exc}") from None
     else:
         # The file defines the grid: its size is read from the axis row and
         # checked before the body is parsed.
-        check_fits_in_memory(states.grid_file_n(cfg.input_path),
-                             max((len(cfg.material_freqs), *cfg.sweep_material_counts)),
+        check_fits_in_memory(states.grid_file_n(cfg.input_path), _materials_max(cfg),
                              cfg.input_path)
         jsi = load_jsi(cfg.input_path)
         grid = jsi.grid
         jsa = jsa_from_jsi(jsi)
     return grid, jsa
+
+
+def _materials_max(cfg: RunConfig):
+    """The largest material count of the run or of any sweep point."""
+    return max((len(cfg.material_freqs), *cfg.sweep_material_counts))
 
 
 def _system_params(cfg: RunConfig):
@@ -329,6 +332,10 @@ def cmd_sweep(args):
     for idx, point_cfg in enumerate(point_cfgs):
         _system_params(point_cfg)
         check_epsilon(point_cfg.epsilon, f"{args.config}: sweep point {idx}")
+    # Up to --threads points run at once, each with its own working set.
+    n = states.grid_file_n(cfg.input_path) if cfg.n is None else cfg.n
+    check_fits_in_memory(n, _materials_max(cfg), args.config,
+                         points_at_once=min(args.threads, len(points)))
     # No sweep parameter touches grid.* or input.*, so every point shares one
     # input, loaded and formatted here; a bad input file fails before any
     # directory exists.  Read-only arrays make an in-place write from a worker

@@ -36,11 +36,18 @@ SCHEMA_VERSION = "1"
 
 # A run holds at most about this many dense d x d complex128 matrices at once,
 # with one matrix to spare.  Its eps and eps/2 propagations run at the same
-# time, and each peaks at about 4.5 (X, S, G = S X S^dag and a congruence
-# temporary) besides the shared Theta_in, V_core and V_core^-1: tracemalloc
-# peaks of execute_run on the README config at n = 64, 128 and 256 are at
-# most 11.0, 10.9 and 10.8 over five runs each, also when both peaks meet.
-_DENSE_MATRICES_AT_PEAK = 12
+# time, each holding X, G = S X S^dag and a congruence temporary (S is a
+# core block plus a diagonal), besides the shared Theta_in, V_core and
+# V_core^-1: tracemalloc peaks of execute_run on the README config are at
+# most 9.45 and 9.24 at n = 64 and 128 (with and without continuum
+# scaling), and 10.0 and 8.67 at n = 32 and 256 (with it), also when both
+# peaks meet.
+_DENSE_MATRICES_AT_PEAK = 11
+# Each sweep point running beside another adds at most this many: a point
+# runs no eps/2 shift, and the README sweep (8 points) peaked at 9.8, 17.0
+# and 31.2 matrices at n = 64 with 1, 2 and 4 threads, 7.2, 13.3 and 24.1
+# at n = 128, and 7.1, 11.9 and 22.1 at n = 256.
+_DENSE_MATRICES_PER_SWEEP_POINT = 8
 
 
 # The largest magnitude of a number (and of epsilon): the square or product
@@ -195,18 +202,21 @@ def _parse_values(raw, source):
     return values
 
 
-def check_fits_in_memory(n, m_max, source):
+def check_fits_in_memory(n, m_max, source, points_at_once=1):
     """Refuse a grid whose dense working set exceeds physical memory (not
-    checked where the platform does not report it)."""
+    checked where the platform does not report it): that of a run, or of
+    ``points_at_once`` sweep points running at once."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     d = 2 * n + 1 + m_max
-    need = _DENSE_MATRICES_AT_PEAK * 16 * d * d
+    matrices = _DENSE_MATRICES_AT_PEAK + _DENSE_MATRICES_PER_SWEEP_POINT * (points_at_once - 1)
+    need = matrices * 16 * d * d
     if need > have:
+        at_once = f" with {points_at_once} sweep points at once" if points_at_once > 1 else ""
         raise ConfigError(
-            f"{source}: grid.n = {n} needs about {need / 2**30:.3g} GiB for dense "
+            f"{source}: grid.n = {n}{at_once} needs about {need / 2**30:.3g} GiB for dense "
             f"{d}x{d} matrices, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 

@@ -31,7 +31,8 @@ class NonPositiveInput(PairspecError):
 
 
 class DegenerateWidth(PairspecError):
-    """Gaussian width parameter must be strictly positive."""
+    """A Gaussian width is not positive, or too narrow for the grid; the
+    message starts with the width parameter's name."""
 
 
 class ParseError(PairspecError):

@@ -22,10 +22,13 @@ the roots of its secular equation, found all at once in O(c^2) per sweep,
 with eigenvectors in closed form (:func:`_secular_eig`); dense ``eig`` is
 the fallback.  The :class:`Eigenbasis` holds that one factorization, in
 deflated coordinates Q W Q, and Q.  The solves run there, where products
-with V touch only the core block and products with W - s cost O(d^2);
-:func:`solve_lyapunov_eigen` and :func:`shifted_inverse` take and return
-matrices in W's coordinates and rotate once.  A W without that structure
-is factored densely, with Q = I.
+with V touch only the core block and products with W - s cost O(d^2).
+Every function of W is a c x c core block plus a diagonal there, since the
+deflated modes are decoupled: :func:`shifted_inverse` returns (W - z)^-1 as
+that pair, and :meth:`Eigenbasis.block_congruence` and
+:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov_eigen` takes and
+returns matrices in W's coordinates and rotates once.  A W without that
+structure is factored densely, with Q = I and every index in the core.
 """
 
 import warnings
@@ -47,7 +50,7 @@ from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 EIGEN_COND_MAX = 1e5
 
 # A pivot below PIVOT_TOL * max|A| makes A singular (linear_solve,
-# shifted_inverse, observables.wigner).
+# inverse_diagonal, observables.wigner).
 PIVOT_TOL = 1e-12
 # A pair |lambda_i + conj(lambda_j)| of A's eigenvalues below
 # PENCIL_GAP_TOL * ||A||_F makes the Lyapunov pencil near-singular.
@@ -122,17 +125,12 @@ def linear_solve(A, B):
 def _pencil_condition(lam, norm_a):
     """||A||_F / min |lam_i + conj(lam_j)|, the condition estimate of
     A X + X A^dag = -C for A of spectrum ``lam`` and ||A||_F = ``norm_a``;
-    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``.
-    The pair sums are formed a row strip at a time."""
+    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``."""
     tol = PENCIL_GAP_TOL * max(norm_a, 1e-300)
     conj = lam.conj()
-    gap, i, j = np.inf, 0, 0
-    for r0, r1 in _strips(lam.size, lam.size):
-        sums = np.abs(lam[r0:r1, None] + conj[None, :])
-        k = int(np.argmin(sums))
-        if r0 == 0 or sums.flat[k] < gap:
-            gap = float(sums.flat[k])
-            i, j = r0 + k // lam.size, k % lam.size
+    sums = np.abs(lam[:, None] + conj[None, :])
+    i, j = divmod(int(np.argmin(sums)), lam.size)
+    gap = float(sums[i, j])
     if gap < tol:
         raise NearSingularPencil(
             f"eigenvalue pair lambda_A={lam[i]:.6g}, lambda_B={conj[j]:.6g} "
@@ -212,9 +210,9 @@ def solve_sylvester(A, C, method="schur"):
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
-# The O(d^2) passes work on strips of rows (or of columns) of at most this
-# many bytes and an eighth of the rows, so that their temporaries stay small
-# beside the d x d result.
+# The O(d^2) passes of the Lyapunov product work on strips of rows (or of
+# columns) of at most this many bytes and an eighth of the rows, so that
+# their temporaries stay small beside the d x d result.
 _STRIP_BYTES = 1 << 18
 
 
@@ -247,9 +245,9 @@ class Arrowhead:
 
     The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
     ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
-    d x d ndarray Y, and :meth:`subtract_from` O(d); ``np.asarray(A)`` is
-    the dense matrix.  The products work a row strip at a time
-    (:func:`_strips`), so their only d x d array is the result.
+    d x d ndarray Y, and :meth:`lyapunov` works a row strip at a time
+    (:func:`_strips`), so its only d x d array is the result;
+    ``np.asarray(A)`` is the dense matrix.
     """
 
     # ndarray operators return NotImplemented for this class, so ``Y @ A``
@@ -274,32 +272,15 @@ class Arrowhead:
         return Arrowhead(self.diag, self.row, self.col, self.tip)
 
     def __matmul__(self, Y):
-        return self.matmul(Y)
-
-    def matmul(self, Y, out=None):
-        """A Y written into ``out``, a new array by default; ``out`` may be Y
-        itself (complex), which is then overwritten with A Y."""
-        t = self.tip
-        y_tip = Y[t].copy()
-        tip_row = _vector_times(self.row, Y)
-        if out is None:
-            out = np.empty(Y.shape, dtype=np.result_type(self.diag, Y))
-        for r0, r1 in _strips(*Y.shape):
-            block = out[r0:r1]
-            np.multiply(self.diag[r0:r1, None], Y[r0:r1], out=block)
-            block += np.outer(self.col[r0:r1], y_tip)
-        out[t] += tip_row
+        out = self.diag[:, None] * Y
+        out += np.outer(self.col, Y[self.tip])
+        out[self.tip] += _vector_times(self.row, Y)
         return out
 
     def __rmatmul__(self, Y):
-        t = self.tip
-        tip_col = Y @ self.col
-        out = np.empty(Y.shape, dtype=np.result_type(self.diag, Y))
-        for r0, r1 in _strips(*Y.shape):
-            block = out[r0:r1]
-            np.multiply(Y[r0:r1], self.diag[None, :], out=block)
-            block += np.outer(Y[r0:r1, t], self.row)
-        out[:, t] += tip_col
+        out = Y * self.diag[None, :]
+        out += np.outer(Y[:, self.tip], self.row)
+        out[:, self.tip] += Y @ self.col
         return out
 
     def lyapunov(self, X, out=None):
@@ -336,12 +317,11 @@ class Arrowhead:
                 out[r0:r1] += block
         return out
 
-    def subtract_from(self, Y):
-        """Y - A in place, O(d): the diagonal, the tip column and the tip row."""
-        Y.flat[::Y.shape[0] + 1] -= self.diag
-        Y[:, self.tip] -= self.col
-        Y[self.tip] -= self.row
-        return Y
+    def restricted(self, idx):
+        """The principal submatrix on the ascending indices ``idx``, which
+        hold the tip."""
+        return Arrowhead(self.diag[idx], self.col[idx], self.row[idx],
+                         int(np.searchsorted(idx, self.tip)))
 
     def _entries(self):
         return np.concatenate((self.diag, self.col, self.row))
@@ -691,6 +671,21 @@ class Eigenbasis:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
 
+    def core_shifted(self, s):
+        """A_c, the core block of :meth:`shifted`: an Arrowhead (the core
+        holds the tip) when W is one, else the dense array W - s I."""
+        if self.arrowhead is None:
+            return self.shifted(s)
+        return self.arrowhead.restricted(self.core).shifted(s)
+
+    def full(self, M, rest):
+        """M (+) diag(rest), a function of W in deflated coordinates (as
+        :meth:`block_congruence` takes it), as a d x d matrix in W's
+        coordinates."""
+        Z = np.diag(rest)
+        Z[np.ix_(self.core, self.core)] = M
+        return self.rotate(Z, copy=False)
+
     def block_congruence(self, M, Y, rest=None, copy=True):
         """B Y B^dag for B = M (+) diag(rest) in deflated coordinates: M acts
         on the core indices, the diagonal ``rest`` (default ones) on the
@@ -738,8 +733,7 @@ def eigenbasis(W):
     deflated = [i for g in groups for i in g[1:]]
     core = np.setdiff1d(np.arange(d), deflated)
     arrow_q = _decouple(arrow, reflections, deflated)
-    core_arrow = Arrowhead(arrow_q.diag[core], arrow_q.col[core], arrow_q.row[core],
-                           int(np.searchsorted(core, arrow.tip)))
+    core_arrow = arrow_q.restricted(core)
     solved, method = _secular_eig(core_arrow), "secular"
     if solved is None:
         solved, method = _eig(np.asarray(core_arrow)), "eig"
@@ -799,11 +793,10 @@ def solve_lyapunov_eigen(basis, C, shift):
     A = basis.shifted(shift)
 
     def eig_solve(rhs):
-        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place a row
-        # strip at a time; the second congruence then overwrites Y with X.
+        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
+        # second congruence then overwrites Y with X.
         Y = basis.block_congruence(basis.core_inverse, rhs)
-        for r0, r1 in _strips(d, d):
-            Y[r0:r1] /= -(lam[r0:r1, None] + lam_h[None, :])
+        Y /= -(lam[:, None] + lam_h[None, :])
         return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
     X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
@@ -836,15 +829,13 @@ def frobenius_norm(A):
     return A.norm() if isinstance(A, Arrowhead) else float(np.linalg.norm(A))
 
 
-def shifted_inverse(basis, z):
-    """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis.
+def inverse_diagonal(basis, z):
+    """1 / (lambda - z) for every eigenvalue of W: (W - z I)^-1 on the
+    deflated modes, which are decoupled in deflated coordinates.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
     ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`linear_solve`).
-    It is formed in deflated coordinates and rotated once into W's.  The
-    caller checks ``basis.usable`` first.
     """
-    _require_usable(basis)
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     dist = np.abs(basis.values - z)
@@ -854,11 +845,23 @@ def shifted_inverse(basis, z):
             f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
             f"{PIVOT_TOL:g} * max|W - z|={scale:.3e}"
         )
-    core, d = basis.core, basis.dim
-    inv = np.zeros((d, d), dtype=np.complex128)
-    inv.flat[::d + 1] = 1.0 / (basis.values - z)
-    inv[np.ix_(core, core)] = (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse
-    return basis.rotate(inv, copy=False)
+    return 1.0 / (basis.values - z)
+
+
+def shifted_inverse(basis, z):
+    """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis,
+    in deflated coordinates and in the form every function of W takes
+    there: the pair (core block, diagonal).  The core block is
+    V_core diag(1 / (lambda_core - z)) V_core^-1 on ``basis.core``; the
+    diagonal is :func:`inverse_diagonal`, read on the other indices
+    (:meth:`Eigenbasis.block_congruence`, :meth:`Eigenbasis.full`).
+    SingularMatrix as in :func:`inverse_diagonal`.  The caller checks
+    ``basis.usable`` first.
+    """
+    _require_usable(basis)
+    diagonal = inverse_diagonal(basis, z)
+    core = basis.core
+    return (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse, diagonal
 
 
 def svd(M):

@@ -15,16 +15,19 @@ modes (and identical materials) are deflated exactly by a reflection Q, and
 the remaining core is solved from its secular equation.  The solves work in
 deflated coordinates Q W Q, where the deflated modes are decoupled, products
 with V touch only the core block and every product with W - eps costs
-O(d^2).  ``time_integrated_covariance`` and ``scattering_matrix`` rotate
-their input in and their result out.  ``propagate`` rotates Theta_in in and
-keeps its results in deflated coordinates: a :class:`PropagationResult`
-rotates ``theta_out``, ``theta_tilde_in`` and ``scattering`` out on first
-access, so a caller pays only for the matrices it reads.  When cond_1(V)
-exceeds ``numkit.EIGEN_COND_MAX`` (near an exceptional point) the solves
-fall back to the Schur solve of ``numkit.solve_sylvester`` and the LU of
-``numkit.linear_solve``, still in deflated coordinates.  Each report records
-the path, cond_1(V) and the number of deflated modes; its residuals are
-measured in deflated coordinates, which Q leaves unchanged up to rounding.
+O(d^2).  ``time_integrated_covariance`` rotates its input in and its result
+out.  The scattering matrix, like every function of W there, is a c x c
+core block plus a diagonal, and a :class:`ScatteringMatrix` keeps it in
+that form; its ``matrix`` is formed only when it is read.  ``propagate``
+rotates Theta_in in and keeps its results in deflated coordinates: a
+:class:`PropagationResult` rotates ``theta_out``, ``theta_tilde_in`` and
+``scattering`` out on first access, so a caller pays only for the matrices
+it reads.  When cond_1(V) exceeds ``numkit.EIGEN_COND_MAX`` (near an
+exceptional point) the solves fall back to the Schur solve of
+``numkit.solve_sylvester`` and the LU of ``numkit.linear_solve`` on the
+core, still in deflated coordinates.  Each report records the path,
+cond_1(V) and the number of deflated modes; its residuals are measured in
+deflated coordinates, which Q leaves unchanged up to rounding.
 """
 
 from dataclasses import dataclass, field, replace
@@ -44,21 +47,35 @@ DEFAULT_EPSILON = 1e-3
 
 @dataclass
 class ScatteringMatrix:
-    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1); ``residual`` is
-    ||S A - A^dag||_F / ||A||_F for A = W - z, as in its solve report."""
+    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1) of a factored W.
 
-    matrix: np.ndarray
+    S is held as every function of W is in deflated coordinates: the c x c
+    ``core_block`` on ``basis.core`` plus ``diagonal``, read on the
+    deflated modes (``numkit.Eigenbasis.block_congruence``).  ``matrix`` is
+    S in the coordinates of ``basis``, formed on first access and cached.
+    ``residual`` is ||S A - A^dag||_F / ||A||_F for A = W - z, as in its
+    solve report.
+    """
+
+    core_block: np.ndarray
+    diagonal: np.ndarray
+    basis: numkit.Eigenbasis
     z_used: complex
     residual: float
+
+    @cached_property
+    def matrix(self):
+        return self.basis.full(self.core_block, self.diagonal)
 
 
 @dataclass
 class PropagationResult:
     """One propagation, held in the deflated coordinates of ``basis``.
 
-    ``theta_out_q``, ``theta_tilde_in_q`` and ``scattering_q`` are Q Y Q of
-    Theta_out, X and S (Q = ``basis.rotate``; Q = I when nothing deflates).
-    Q is real orthogonal, so Frobenius norms, log|det| and the hermiticity
+    ``theta_out_q`` and ``theta_tilde_in_q`` are Q Y Q of Theta_out and X
+    (Q = ``basis.rotate``; Q = I when nothing deflates), and
+    ``scattering_q`` is S with its ``matrix`` in those coordinates.  Q is
+    real orthogonal, so Frobenius norms, log|det| and the hermiticity
     defect read the same there.  ``theta_out``, ``theta_tilde_in`` and
     ``scattering`` are the same matrices in W's coordinates, rotated out on
     first access and cached; the two covariances are CovarianceMatrix objects
@@ -93,7 +110,7 @@ class PropagationResult:
 
     @cached_property
     def scattering(self):
-        return replace(self.scattering_q, matrix=self.basis.rotate(self.scattering_q.matrix))
+        return replace(self.scattering_q, basis=self.basis)
 
 
 def _eigenbasis(W):
@@ -159,35 +176,42 @@ def time_integrated_covariance(W, theta_in, epsilon):
 def scattering_matrix(W, z):
     """S = (W^dag - z)(W - z)^(-1) = (W^dag - z) V (Lambda - z)^(-1) V^(-1).
 
-    Formed in deflated coordinates and rotated out; on the fallback path it
-    is solved by LU on the transposed system.  Raises SingularMatrix when
-    (W - z) is singular at the requested z (min |lambda_i - z| below
-    ``numkit.PIVOT_TOL * max|W - z|`` on the eigenbasis path); the caller
-    is expected to retry with an epsilon shift.  The report and the matrix
-    carry one residual, ||S A - A^dag||_F / ||A||_F for A = W - z, on either
-    path.
+    Formed in deflated coordinates as a core block and a diagonal (see
+    :class:`ScatteringMatrix`): the core block is A_c^dag (W - z)^-1_c on
+    the core, each deflated mode gets s_k = conj(l_k) / l_k, l_k =
+    lambda_k - z.  On the fallback path the core block is solved by LU on
+    the transposed c x c system.  Raises SingularMatrix when (W - z) is
+    singular at the requested z (min |lambda_i - z| below
+    ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of the fallback's LU);
+    the caller is expected to retry with an epsilon shift.  The report and
+    the matrix carry one residual, ||S A - A^dag||_F / ||A||_F for
+    A = W - z, taken blockwise on either path.
     """
     basis = _eigenbasis(W)
     q = basis.q
-    A = q.shifted(z)
+    A = q.core_shifted(z)
     A_h = A.conj().T
+    lam = q.values - z
     if q.usable:
-        S = numkit.shifted_inverse(q, z)
-        S = A_h.matmul(S, out=S) if isinstance(A_h, numkit.Arrowhead) else A_h @ S
+        inverse, diagonal = numkit.shifted_inverse(q, z)
+        core_block = A_h @ inverse
     else:
         # S A = A^dag  <=>  A^T S^T = conj(A)
         A_dense = np.asarray(A)
-        S = numkit.linear_solve(A_dense.T, A_dense.conj()).T
-    R = S @ A
-    if isinstance(A_h, numkit.Arrowhead):
-        A_h.subtract_from(R)
-    else:
-        R -= A_h
-    residual = float(np.linalg.norm(R) / numkit.frobenius_norm(A))
+        core_block = numkit.linear_solve(A_dense.T, A_dense.conj()).T
+        diagonal = numkit.inverse_diagonal(q, z)
+    diagonal = lam.conj() * diagonal
+    R = core_block @ A
+    R -= np.asarray(A_h)
+    r_rest = diagonal * lam - lam.conj()
+    r_rest[q.core] = 0.0
+    residual = float(np.hypot(np.linalg.norm(R), np.linalg.norm(r_rest))
+                     / numkit.frobenius_norm(q.shifted(z)))
     report = numkit.SolveReport(residual_norm=residual)
     _mark(report, basis)
-    S = basis.rotate(S, copy=False)
-    return ScatteringMatrix(matrix=S, z_used=complex(z), residual=residual), report
+    smat = ScatteringMatrix(core_block=core_block, diagonal=diagonal, basis=basis,
+                            z_used=complex(z), residual=residual)
+    return smat, report
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
@@ -210,9 +234,9 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     there; its ``theta_out``, ``theta_tilde_in`` and ``scattering`` rotate
     them out on first access (see :class:`PropagationResult`).  There every
     product with A costs O(d^2): A X + X A^dag and A^dag G + G A are one
-    ``numkit.lyapunov_product`` pass each.  On the eigenbasis path S is a
-    core block plus a diagonal, so G = S X S^dag costs a quarter of two
-    dense products.  (Forming it as A^dag (R X R^dag) A with
+    ``numkit.lyapunov_product`` pass each.  S is a core block plus a
+    diagonal on either path, so G = S X S^dag costs a quarter of two dense
+    products.  (Forming it as A^dag (R X R^dag) A with
     R = (W - eps)^-1 would lose cond(A) digits when an eigenvalue of W lies
     near eps.)
     """
@@ -226,17 +250,12 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     eff_eps = DEFAULT_EPSILON if regularized else epsilon
 
     smat, scat_report = scattering_matrix(q, eff_eps)
-    S = smat.matrix
     A = q.shifted(eff_eps)
 
-    # The working set peaks here, at X, S, G and one congruence temporary;
-    # the four products of A are then added into Theta_out a row strip at a
+    # The working set peaks here, at X, G and one congruence temporary; the
+    # four products of A are then added into Theta_out a row strip at a
     # time, and rotate() has already copied Theta_in when Q != I.
-    if q.usable:
-        core = np.ix_(q.core, q.core)
-        G = q.block_congruence(S[core], X, S.diagonal())
-    else:
-        G = S @ X @ S.conj().T
+    G = q.block_congruence(smat.core_block, X, smat.diagonal)
     theta_out = theta_q if basis.reflections else np.array(theta_q, dtype=np.complex128)
     del theta_q
     numkit.lyapunov_product(A, X, out=theta_out)

@@ -112,18 +112,29 @@ def gaussian_jsa(grid, pump_center, sum_width, diff_width, diff_offset=0.0):
 
     sum_width < diff_width squeezes the state along the anti-diagonal
     (energy-conservation ridge); equal widths with zero offset factorize.
+
+    Raises DegenerateWidth, naming the width at fault first, when a width
+    is not positive or so narrow that no grid point has a finite exponent.
     """
-    if sum_width <= 0 or diff_width <= 0:
-        raise DegenerateWidth(
-            f"widths must be positive, got sum={sum_width}, diff={diff_width}"
-        )
+    for name, width in (("sum_width", sum_width), ("diff_width", diff_width)):
+        if width <= 0:
+            raise DegenerateWidth(f"{name} must be positive, got {width!r}")
     S, I = np.meshgrid(grid.signal, grid.idler, indexing="ij")
-    log_f = (
-        -((S + I - pump_center) ** 2) / (2.0 * sum_width**2)
-        - ((S - I - diff_offset) ** 2) / (2.0 * diff_width**2)
-    )
-    # Peak-referenced exponent keeps narrow states away from underflow.
-    values = np.exp(log_f - log_f.max())
+    # A width whose square is subnormal or zero sends its term to -inf (or
+    # to NaN, 0/0) off the points where the term vanishes; a peak that is
+    # not finite tells.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_sum = -((S + I - pump_center) ** 2) / (2.0 * sum_width**2)
+        log_f = log_sum - ((S - I - diff_offset) ** 2) / (2.0 * diff_width**2)
+    peak = log_f.max()
+    if not np.isfinite(peak):
+        name, width = (("diff_width", diff_width) if np.isfinite(log_sum.max())
+                       else ("sum_width", sum_width))
+        raise DegenerateWidth(f"{name} = {width!r} is too narrow for the grid: "
+                              "its exponent is not finite at any grid point")
+    # Peak-referenced exponent keeps narrow states away from underflow; with
+    # a finite peak every value lies in [0, 1].
+    values = np.exp(log_f - peak)
     return JointSpectralAmplitude(grid, values).normalized()
 
 

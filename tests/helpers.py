@@ -53,20 +53,47 @@ def small_system(n=4, m_count=1, g=0.2, sqrt_kappa=0.3, omega_c=1.2,
 
 def paper_system(n=64, g=0.5, sqrt_kappa=488.0, omega_c=1809.0, m_count=1,
                  span=(1740.0, 1860.0), pump=3609.0, sum_width=8.0,
-                 diff_width=30.0, diff_offset=-29.0):
-    """Fig.-3-style instance: meV-scale grid, resonant cavity and material."""
-    grid = build_grid(n, span, span)
+                 diff_width=30.0, diff_offset=-29.0, idler_span=None, **build_kwargs):
+    """Fig.-3-style instance: meV-scale grid, resonant cavity and material;
+    the idler axis spans ``idler_span`` when given, else the signal's."""
+    grid = build_grid(n, span, idler_span or span)
     params = SystemParams(
         omega_c=omega_c,
         material_freqs=(omega_c,) * m_count,
         g=g,
         sqrt_kappa=sqrt_kappa,
     )
-    W = build_dynamical_matrix(grid, params)
+    W = build_dynamical_matrix(grid, params, **build_kwargs)
     jsa = gaussian_jsa(grid, pump_center=pump, sum_width=sum_width,
                        diff_width=diff_width, diff_offset=diff_offset)
     theta = assemble_input_covariance(jsa, m_count)
     return grid, params, W, jsa, theta
+
+
+def lossless_output(W, theta_in, epsilons):
+    """Theta_out of ``propagate`` at each of ``epsilons``, in closed form for
+    an anti-Hermitian W (the hamiltonian sign): a reference independent of
+    the program's solves.
+
+    With iW = U diag(nu) U^dag (U unitary, lambda = -i nu), every operator
+    of the output map is diagonal in U: X^ = Theta^ / (2 eps + i(nu_i - nu_j)),
+    S is diag(s), s_i = (conj(lambda_i) - eps) / (lambda_i - eps), and
+    Theta^_out,ij = -s_i conj(s_j) r_ij Theta^_in,ij with
+    r_ij = (2 eps - i(nu_i - nu_j)) / (2 eps + i(nu_i - nu_j)),
+    Theta^ = U^dag Theta U.  It holds for degenerate nu as well, since it is
+    elementwise.
+    """
+    assert np.array_equal(W, -W.conj().T), "W is not exactly anti-Hermitian"
+    nu, U = np.linalg.eigh(1j * W)
+    lam = -1j * nu
+    delta = nu[:, None] - nu[None, :]
+    theta_hat = U.conj().T @ theta_in @ U
+    outputs = []
+    for eps in epsilons:
+        s = (lam.conj() - eps) / (lam - eps)
+        r = (2.0 * eps - 1j * delta) / (2.0 * eps + 1j * delta)
+        outputs.append(U @ (-(s[:, None] * s.conj()[None, :]) * r * theta_hat) @ U.conj().T)
+    return outputs
 
 
 def trapezoid_2d(values, axis):

@@ -320,6 +320,23 @@ def test_overflowing_number_exits_1(tmp_path, capsys, line, bad, key):
     assert not out_dir.exists()
 
 
+# A width whose square is subnormal (1e-155) or zero (1e-200) leaves no grid
+# point with a finite Gaussian exponent; 1e-150 still runs.
+@pytest.mark.parametrize("line, key", [("input.sum_width = 8", "input.sum_width"),
+                                       ("input.diff_width = 30", "input.diff_width")],
+                         ids=["sum_width", "diff_width"])
+def test_too_narrow_gaussian_width_exits_1_naming_its_key(tmp_path, capsys, line, key):
+    for width in ("1e-155", "1e-200"):
+        out_dir = tmp_path / f"out{width}"
+        text = BASE_CONFIG.replace(line, f"{key} = {width}")
+        assert main(["--out", str(out_dir), "run", write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ConfigError" in err and f"{key} = {width}" in err
+        assert not out_dir.exists()
+    text = BASE_CONFIG.replace(line, f"{key} = 1e-150")
+    assert main(["--out", str(tmp_path / "ok"), "run", write_config(tmp_path, text)]) == 0
+
+
 def test_large_coupling_below_the_bound_is_a_solver_failure(tmp_path, capsys):
     text = BASE_CONFIG.replace("system.g = 0.5", "system.g = 1e150")
     out_dir = tmp_path / "out"
@@ -937,11 +954,11 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
 
 
 # A run's tracemalloc peak in d x d complex matrices, with both shifts live
-# at once: at most the 12.88 (n = 64) and 12.06 (n = 128) that the runs
-# peaked at when the two shifts ran one after the other, and a matrix to
-# spare under the memory guard's count.
-@pytest.mark.parametrize("n, serial_peak", [(64, 12.88), (128, 12.06)])
-def test_run_peak_memory_stays_under_the_guard(n, serial_peak):
+# at once: at most 10 (20 runs each peaked at 9.44 at most at n = 64 and
+# 9.24 at n = 128, and at 10.9 and 10.7 when S was kept dense), and a
+# matrix to spare under the memory guard's count.
+@pytest.mark.parametrize("n, peak_bound", [(64, 10.0), (128, 10.0)])
+def test_run_peak_memory_stays_under_the_guard(n, peak_bound):
     from pairspec import config
 
     cfg = config_from_raw(parse_config_text(
@@ -954,8 +971,29 @@ def test_run_peak_memory_stays_under_the_guard(n, serial_peak):
     finally:
         tracemalloc.stop()
     matrices = peak / (16 * d * d)
-    assert matrices <= serial_peak
+    assert matrices <= peak_bound
     assert matrices + 1 <= config._DENSE_MATRICES_AT_PEAK
+
+
+def test_sweep_memory_guard_counts_the_points_that_run_at_once(tmp_path, capsys, monkeypatch):
+    # Physical memory for 20 d x d matrices: enough for a run (11) and a
+    # one-thread sweep, not for four points at once (11 + 3 * 8 = 35).
+    from pairspec import config
+
+    text = BASE_CONFIG + "sweep.parameter = g\nsweep.values = 0.1, 0.2, 0.3, 0.4\n"
+    cfg_path = write_config(tmp_path, text)
+    d = 2 * 16 + 1 + 1
+    pages = 20 * 16 * d * d // os.sysconf("SC_PAGE_SIZE")
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+    assert config._DENSE_MATRICES_AT_PEAK < 20
+    out_dir = tmp_path / "out"
+    assert main(["--out", str(out_dir), "--threads", "4", "sweep", cfg_path]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ConfigError" in err and "grid.n = 16 with 4 sweep points at once" in err
+    assert not out_dir.exists()
+    assert main(["--out", str(out_dir), "--threads", "1", "sweep", cfg_path]) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -64,9 +64,9 @@ def test_gaussian_symmetric_under_channel_exchange(grid):
 
 
 def test_degenerate_width_raises(grid):
-    with pytest.raises(DegenerateWidth):
+    with pytest.raises(DegenerateWidth, match="^sum_width"):
         gaussian_jsa(grid, 3600.0, sum_width=0.0, diff_width=10.0)
-    with pytest.raises(DegenerateWidth):
+    with pytest.raises(DegenerateWidth, match="^diff_width"):
         gaussian_jsa(grid, 3600.0, sum_width=10.0, diff_width=-1.0)
 
 
