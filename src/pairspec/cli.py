@@ -109,7 +109,13 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _build_inputs(cfg: RunConfig):
+def _build_inputs(cfg: RunConfig, points_at_once=1):
+    """(grid, jsa) of the config's input, once the memory guard admits its
+    grid for ``points_at_once`` runs at once.  The guard runs before any
+    grid-sized allocation: a file's size is read from its axis row, before
+    the body is parsed."""
+    n = states.grid_file_n(cfg.input_path) if cfg.n is None else cfg.n
+    check_fits_in_memory(n, _materials_max(cfg), cfg.input_path or "config", points_at_once)
     if cfg.input_kind == "gaussian":
         grid = build_grid(cfg.n, cfg.signal_range, cfg.idler_range)
         try:
@@ -118,10 +124,6 @@ def _build_inputs(cfg: RunConfig):
             # The message starts with the width's name, an input.* key.
             raise ConfigError(f"input.{exc}") from None
     else:
-        # The file defines the grid: its size is read from the axis row and
-        # checked before the body is parsed.
-        check_fits_in_memory(states.grid_file_n(cfg.input_path), _materials_max(cfg),
-                             cfg.input_path)
         jsi = load_jsi(cfg.input_path)
         grid = jsi.grid
         jsa = jsa_from_jsi(jsi)
@@ -332,15 +334,12 @@ def cmd_sweep(args):
     for idx, point_cfg in enumerate(point_cfgs):
         _system_params(point_cfg)
         check_epsilon(point_cfg.epsilon, f"{args.config}: sweep point {idx}")
-    # Up to --threads points run at once, each with its own working set.
-    n = states.grid_file_n(cfg.input_path) if cfg.n is None else cfg.n
-    check_fits_in_memory(n, _materials_max(cfg), args.config,
-                         points_at_once=min(args.threads, len(points)))
     # No sweep parameter touches grid.* or input.*, so every point shares one
     # input, loaded and formatted here; a bad input file fails before any
-    # directory exists.  Read-only arrays make an in-place write from a worker
-    # thread raise instead of changing the other points' input.
-    inputs = grid, jsa = _build_inputs(cfg)
+    # directory exists, as does a grid too large for the up to --threads
+    # points that run at once.  Read-only arrays make an in-place write from
+    # a worker thread raise instead of changing the other points' input.
+    inputs = grid, jsa = _build_inputs(cfg, min(args.threads, len(points)))
     for shared in (grid.signal, grid.idler, jsa.values):
         shared.flags.writeable = False
     input_text = states.format_grid(grid.signal, grid.idler, states.jsi_of(jsa).values, "meV")

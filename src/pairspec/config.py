@@ -284,9 +284,6 @@ def config_from_raw(raw, source="<config>"):
             f"{source}: sweep.material_counts requires at least one system.material_freqs entry"
         )
 
-    if n is not None:
-        check_fits_in_memory(n, max((len(material_freqs), *counts)), source)
-
     return RunConfig(
         n=n,
         signal_range=axis_range("signal"),

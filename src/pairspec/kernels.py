@@ -1,11 +1,12 @@
-"""Hot numeric kernels: the triangular Lyapunov solve and the two oracle sums.
+"""Small kernels kept apart: the Schur path's triangular solve and the oracle's two loops.
 
-The triangular solve is LAPACK ``trsyl`` on one Schur factor T, the compiled
-back-substitution of Bartels–Stewart for T Y + Y T^dag = F.  The RK4 stepper
-is a plain numpy loop over its steps; the trapezoid sum is built by binary
-doubling in O(log N) matrix products.  Both use only the one-step propagator
-or W itself and matrix products, so the oracle shares no factorization with
-the path it certifies.
+None of them is on a run's hot path, which solves in W's eigenbasis.  The
+triangular solve of the Schur fallback is LAPACK ``trsyl`` on one Schur
+factor T, the compiled back-substitution of Bartels–Stewart for
+T Y + Y T^dag = F.  The RK4 stepper is a plain numpy loop over its steps;
+the trapezoid sum is built by binary doubling in O(log N) matrix products.
+Both use only the one-step propagator or W itself and matrix products, so
+the oracle shares no factorization with the path it certifies.
 """
 
 import numpy as np

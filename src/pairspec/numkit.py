@@ -12,6 +12,15 @@ Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
 The eigenbasis and Schur Lyapunov solves both solve A X + X A^dag = -C and
 share one pencil screen and one refinement rule.
 
+Every dense LU calls LAPACK getrf directly (:func:`_getrf`): it reports a
+zero pivot in its return value, not as a warning, so no solve touches the
+process-wide ``warnings`` filters, whose save-and-restore is not
+thread-safe.  :func:`lu` adds the one pivot rule, a pivot below
+``PIVOT_TOL * max|A|`` raising SingularMatrix (:func:`_check_pivots`, which
+:func:`inverse_diagonal` applies to |lambda - z|); :func:`linear_solve`
+and ``observables.wigner`` share it.  The LU of V stops only at an exactly
+zero pivot, since cond_1(V) judges the rest.
+
 The factorization reads W's structure from its entries.  When every
 off-diagonal nonzero lies in one row and column (an :class:`Arrowhead`, as
 for the cavity model), non-tip modes with exactly equal diagonal, tip-row
@@ -31,13 +40,12 @@ returns matrices in W's coordinates and rotates once.  A W without that
 structure is factored densely, with Q = I and every index in the core.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
 from scipy.linalg import expm as _scipy_expm
-from scipy.linalg import lu_factor, lu_solve, schur
+from scipy.linalg import lu_solve, schur
+from scipy.linalg.lapack import zgetrf
 
 from . import kernels
 from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
@@ -49,8 +57,8 @@ from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 # and 8e-10 while the Schur and LU solves stay below 1.4e-9 and 1e-15.
 EIGEN_COND_MAX = 1e5
 
-# A pivot below PIVOT_TOL * max|A| makes A singular (linear_solve,
-# inverse_diagonal, observables.wigner).
+# A pivot below PIVOT_TOL * max|A| makes A singular (_check_pivots, applied
+# by lu for linear_solve and observables.wigner, and by inverse_diagonal).
 PIVOT_TOL = 1e-12
 # A pair |lambda_i + conj(lambda_j)| of A's eigenvalues below
 # PENCIL_GAP_TOL * ||A||_F makes the Lyapunov pencil near-singular.
@@ -93,33 +101,57 @@ def _as_matrix(a, name="matrix"):
     return m
 
 
+def _getrf(A):
+    """(lu, piv) of the square complex128 A by LAPACK getrf (partial
+    pivoting), as ``scipy.linalg.lu_solve`` takes them; A is not written.
+    A zero pivot is left in U for the caller's rule: getrf neither raises
+    nor warns."""
+    lu, piv, _ = zgetrf(A)
+    return lu, piv
+
+
+def _check_pivots(pivots, scale, label, of):
+    """The one pivot rule: SingularMatrix when the smallest of ``pivots``
+    is below ``PIVOT_TOL * scale``, with scale = max|``of``| > 0.  The
+    message names the pivot by ``label.format(k)``, the tolerance and the
+    scale."""
+    k = int(np.argmin(pivots))
+    if scale == 0.0 or pivots[k] < PIVOT_TOL * scale:
+        raise SingularMatrix(
+            f"{label.format(k)} = {pivots[k]:.3e} below tolerance "
+            f"{PIVOT_TOL:.1e} * max|{of}|={scale:.3e}"
+        )
+
+
+def lu(A, name="A"):
+    """LU with partial pivoting of a square matrix by LAPACK getrf.
+
+    Returns ((lu, piv), pivots): the factors as ``scipy.linalg.lu_solve``
+    takes them and |diag U|, whose log-sum is log|det A|.  Raises
+    ValueError for NaN/Inf entries or a non-square A, and SingularMatrix
+    when a pivot magnitude falls below ``PIVOT_TOL * max|A|``; ``name``
+    labels A in both messages.
+    """
+    A = _as_matrix(A, name)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square")
+    factors = _getrf(A)
+    pivots = np.abs(np.diag(factors[0]))
+    _check_pivots(pivots, np.abs(A).max(), "pivot {}", name)
+    return factors, pivots
+
+
 def linear_solve(A, B):
-    """Solve A X = B by LU with partial pivoting.
+    """Solve A X = B by LU with partial pivoting (:func:`lu`).
 
     Returns X.  Raises SingularMatrix when a pivot magnitude falls below
     ``PIVOT_TOL * max|A|``.
     """
-    A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("A must be square")
-    if B.shape[0] != n:
+    factors, _ = lu(A)
+    if B.shape[0] != factors[0].shape[0]:
         raise ValueError("A and B row counts differ")
-
-    scale = np.abs(A).max()
-    with warnings.catch_warnings():
-        # Singularity is detected from the pivots below; scipy's warning is noise.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A)
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < PIVOT_TOL * scale:
-        k = int(np.argmin(pivots)) if scale > 0 else 0
-        raise SingularMatrix(
-            f"pivot {pivots.min() if scale > 0 else 0.0:.3e} below tolerance "
-            f"{PIVOT_TOL:.1e} * max|A|={scale:.3e} at index {k}"
-        )
-    return lu_solve((lu, piv), B)
+    return lu_solve(factors, B)
 
 
 def _pencil_condition(lam, norm_a):
@@ -746,13 +778,12 @@ def eigenbasis(W):
 def _with_inverse(basis):
     """The basis with V_core^-1 by LU and cond_1(V) of V = Q (V_core (+) I),
     when V is invertible."""
-    with warnings.catch_warnings():
-        # A singular V is detected from the pivots below.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(basis.core_vectors)
-    if not np.abs(np.diag(lu)).min() > 0.0:
+    # Only an exactly zero pivot marks V singular: a tiny one still gives
+    # a finite cond_1(V), which the caller weighs against EIGEN_COND_MAX.
+    factors = _getrf(basis.core_vectors)
+    if not np.abs(np.diag(factors[0])).min() > 0.0:
         return basis
-    core_inverse = lu_solve((lu, piv), np.eye(basis.core.size, dtype=np.complex128))
+    core_inverse = lu_solve(factors, np.eye(basis.core.size, dtype=np.complex128))
     condition = _condition(basis.core_vectors, core_inverse, basis.core, basis.reflections)
     if not np.isfinite(condition):
         return basis
@@ -834,17 +865,11 @@ def inverse_diagonal(basis, z):
     deflated modes, which are decoupled in deflated coordinates.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
-    ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`linear_solve`).
+    ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`lu`).
     """
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
-    dist = np.abs(basis.values - z)
-    k = int(np.argmin(dist))
-    if scale == 0.0 or dist[k] < PIVOT_TOL * scale:
-        raise SingularMatrix(
-            f"|lambda_{k} - z| = {dist[k]:.3e} below tolerance "
-            f"{PIVOT_TOL:g} * max|W - z|={scale:.3e}"
-        )
+    _check_pivots(np.abs(basis.values - z), scale, "|lambda_{} - z|", "W - z")
     return 1.0 / (basis.values - z)
 
 

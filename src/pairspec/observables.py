@@ -1,13 +1,12 @@
 """State metrics: Schmidt spectrum, von Neumann entropy, Wigner function, purity."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from . import numkit
-from .errors import DegenerateState, NonPositiveDeterminant, SingularCovariance
+from .errors import DegenerateState, NonPositiveDeterminant, SingularCovariance, SingularMatrix
 from .states import CovarianceMatrix, JointSpectralAmplitude
 
 
@@ -60,7 +59,8 @@ def von_neumann_entropy(spectrum):
         r = np.asarray(spectrum, dtype=np.float64)
     p = r**2
     p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
+    # 0 - s, not -s: one mode (p = 1) gives +0.0, every other sum the same bits.
+    return float(0.0 - np.sum(p * np.log(p)))
 
 
 # Points per LU solve in wigner: a grid of any size costs O(block * d)
@@ -76,12 +76,11 @@ def wigner(theta, alpha, mean=None):
     with d the covariance dimension (d/2 modes).  alpha has shape (..., d)
     and the result has shape (...); a single point of shape (d,) gives a
     float.  mean defaults to zero; local displacements do not change the
-    entanglement structure.  One LU factorization of Theta gives both
+    entanglement structure.  One LU of Theta (``numkit.lu``) gives both
     log|det Theta| and every solve; a pivot below ``numkit.PIVOT_TOL *
-    max|Theta|`` raises SingularCovariance, as in ``numkit.linear_solve``.
+    max|Theta|`` raises SingularCovariance, and NaN/Inf entries ValueError.
     """
-    mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = numkit.matrix_of(theta)
     d = mat.shape[0]
     alpha = np.asarray(alpha)
     if alpha.shape[-1:] != (d,):
@@ -90,17 +89,10 @@ def wigner(theta, alpha, mean=None):
     if mean is not None:
         mean = np.asarray(mean, dtype=np.complex128).reshape(d)
 
-    scale = np.abs(mat).max()
-    with warnings.catch_warnings():
-        # Singularity is detected from the pivots below; scipy's warning is noise.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(mat)
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or pivots.min() < numkit.PIVOT_TOL * scale:
-        raise SingularCovariance(
-            f"covariance matrix is singular: pivot {pivots.min():.3e} below "
-            f"{numkit.PIVOT_TOL:g} * max|Theta|={scale:.3e}"
-        )
+    try:
+        factors, pivots = numkit.lu(mat, name="Theta")
+    except SingularMatrix as exc:
+        raise SingularCovariance(f"covariance matrix is singular: {exc}") from exc
     log_abs = float(np.sum(np.log(pivots)))
     norm = (2.0 * np.pi) ** (d / 2.0) * np.exp(0.5 * log_abs)
 
@@ -109,7 +101,7 @@ def wigner(theta, alpha, mean=None):
         x = points[start:start + _WIGNER_BLOCK].astype(np.complex128)
         if mean is not None:
             x -= mean
-        y = lu_solve((lu, piv), x.T).T
+        y = lu_solve(factors, x.T).T
         # x^T y per point as a stack of 1 x d by d x 1 products, unconjugated.
         quad = (x[:, None, :] @ y[:, :, None])[:, 0, 0]
         out[start:start + _WIGNER_BLOCK] = np.real(np.exp(-0.5 * quad) / norm)

@@ -4,11 +4,10 @@ input covariance matrix.
 Grid files are UTF-8 CSV with a required "# units: meV" or "# units: nm"
 comment line, corner cell ``wavelength_nm\\omega``, first row = idler axis,
 first column = signal axis, remaining cells real intensity (JSI) or
-``re+imj`` pairs (JSA).  Axes must be strictly monotone with uniform spacing.
+``re+imj`` pairs (JSA), every number as ``np.loadtxt`` reads it.  Axes must
+be strictly monotone with uniform spacing.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,11 @@ from .errors import (
     DegenerateWidth,
     InvalidRange,
     NegativeIntensity,
+    NonPositiveInput,
     NonUniformAxis,
     ParseError,
 )
-from .model import BlockLayout, FrequencyGrid, mev_to_nm, nm_to_mev
+from .model import HC_MEV_NM, BlockLayout, FrequencyGrid
 
 CORNER_LABEL = "wavelength_nm\\omega"
 
@@ -175,7 +175,10 @@ def assemble_input_covariance(jsa, n_material):
 def _axes_to_units(axis_mev, units):
     if units == "meV":
         return axis_mev
-    return np.array([mev_to_nm(e) for e in axis_mev])
+    axis_mev = np.asarray(axis_mev, dtype=np.float64)
+    if np.any(axis_mev <= 0):
+        raise NonPositiveInput(f"energy must be positive, got {axis_mev[axis_mev <= 0][0]}")
+    return HC_MEV_NM / axis_mev
 
 
 def parse_grid_text(text, complex_values=False, source="<string>"):
@@ -184,6 +187,30 @@ def parse_grid_text(text, complex_values=False, source="<string>"):
     the result always maps onto an increasing FrequencyGrid."""
     signal_axis, idler_axis, values, units = _parse_in_file_order(text, complex_values, source)
     return (*_ascending(signal_axis, idler_axis, values), units)
+
+
+def _read(lines, dtype):
+    """The comma-separated numbers of ``lines`` by numpy's parser, which
+    reads no underscores, capital J or quotes."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+
+
+def _unreadable(line, cell_dtype):
+    """Python's "could not convert string to float: ..." (or complex) for
+    the first cell of a comma row that does not read as one number, the
+    first cell as a real axis value and the others as ``cell_dtype``; None
+    when every cell reads."""
+    for c, cell in enumerate(line.split(",")):
+        dtype = cell_dtype if c else np.float64
+        try:
+            # A blank line is no data to loadtxt, which warns instead of raising.
+            if cell.strip() and _read([cell], dtype).size == 1:
+                continue
+        except ValueError:
+            pass
+        kind = "complex" if dtype is np.complex128 else "float"
+        return f"could not convert string to {kind}: {cell!r}"
+    return None
 
 
 def _parse_in_file_order(text, complex_values, source):
@@ -202,50 +229,48 @@ def _parse_in_file_order(text, complex_values, source):
             f"{source}: missing or invalid units header; expected a "
             "'# units: meV' or '# units: nm' comment line"
         )
-    reader = list(csv.reader(io.StringIO("\n".join(rows))))
-    if len(reader) < 2:
+    if len(rows) < 2:
         raise ParseError(f"{source}: expected a header row and at least one data row")
-    header = reader[0]
+    header = rows[0].split(",")
     if header[0] != CORNER_LABEL:
         raise ParseError(
             f"{source}: corner cell must be {CORNER_LABEL!r}, got {header[0]!r}"
         )
+    n_cols = len(header) - 1
+    # The corner cell reads as 0, so the axis row is never blank.
+    axis_row = "0" + rows[0][len(CORNER_LABEL):]
     try:
-        idler_axis = np.array([float(c) for c in header[1:]])
+        idler_axis = _read([axis_row], np.float64)[1:]
     except ValueError as exc:
-        raise ParseError(f"{source}: idler axis is not numeric: {exc}") from exc
-    n_cols = idler_axis.size
-    signal_axis = np.empty(len(reader) - 1)
-    values = np.empty(
-        (len(reader) - 1, n_cols), dtype=np.complex128 if complex_values else np.float64
-    )
-    for r, row in enumerate(reader[1:]):
-        if len(row) != n_cols + 1:
+        raise ParseError(f"{source}: idler axis is not numeric: "
+                         f"{_unreadable(axis_row, np.float64) or exc}") from None
+    for r, line in enumerate(rows[1:], start=2):
+        if line.count(",") != n_cols:
             raise ParseError(
-                f"{source}: row {r + 2} has {len(row)} cells, expected {n_cols + 1}"
+                f"{source}: row {r} has {line.count(',') + 1} cells, expected {n_cols + 1}"
             )
-        try:
-            signal_axis[r] = float(row[0])
-            for c, cell in enumerate(row[1:]):
-                values[r, c] = complex(cell) if complex_values else float(cell)
-        except ValueError as exc:
-            raise ParseError(f"{source}: row {r + 2} is not numeric: {exc}") from exc
+    cell_dtype = np.complex128 if complex_values else np.float64
+    try:
+        table = _read(rows[1:], [("axis", np.float64), ("cells", cell_dtype, (n_cols,))])
+    except ValueError as exc:
+        # Only on failure: find the cell, in a row numbered as in the file.
+        for r, line in enumerate(rows[1:], start=2):
+            if bad := _unreadable(line, cell_dtype):
+                raise ParseError(f"{source}: row {r} is not numeric: {bad}") from None
+        raise ParseError(f"{source}: {exc}") from None
 
-    def to_mev(axis, name):
+    axes = []
+    # A copy, so that the axis does not keep the whole table alive.
+    for name, axis in (("signal", table["axis"].copy()), ("idler", idler_axis)):
         if units == "nm":
             if np.any(axis <= 0):
                 raise ParseError(f"{source}: {name} axis has nonpositive wavelength")
-            axis = np.array([nm_to_mev(w) for w in axis])
-        return axis
-
-    signal_axis = to_mev(signal_axis, "signal")
-    idler_axis = to_mev(idler_axis, "idler")
-
-    for name, axis in (("signal", signal_axis), ("idler", idler_axis)):
+            axis = HC_MEV_NM / axis
         d = np.diff(axis)
         if axis.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
             raise NonUniformAxis(f"{source}: {name} axis is not strictly monotone")
-    return signal_axis, idler_axis, values, units
+        axes.append(axis)
+    return (*axes, table["cells"], units)
 
 
 def _ascending(signal_axis, idler_axis, values):

@@ -70,32 +70,6 @@ def paper_system(n=64, g=0.5, sqrt_kappa=488.0, omega_c=1809.0, m_count=1,
     return grid, params, W, jsa, theta
 
 
-def lossless_output(W, theta_in, epsilons):
-    """Theta_out of ``propagate`` at each of ``epsilons``, in closed form for
-    an anti-Hermitian W (the hamiltonian sign): a reference independent of
-    the program's solves.
-
-    With iW = U diag(nu) U^dag (U unitary, lambda = -i nu), every operator
-    of the output map is diagonal in U: X^ = Theta^ / (2 eps + i(nu_i - nu_j)),
-    S is diag(s), s_i = (conj(lambda_i) - eps) / (lambda_i - eps), and
-    Theta^_out,ij = -s_i conj(s_j) r_ij Theta^_in,ij with
-    r_ij = (2 eps - i(nu_i - nu_j)) / (2 eps + i(nu_i - nu_j)),
-    Theta^ = U^dag Theta U.  It holds for degenerate nu as well, since it is
-    elementwise.
-    """
-    assert np.array_equal(W, -W.conj().T), "W is not exactly anti-Hermitian"
-    nu, U = np.linalg.eigh(1j * W)
-    lam = -1j * nu
-    delta = nu[:, None] - nu[None, :]
-    theta_hat = U.conj().T @ theta_in @ U
-    outputs = []
-    for eps in epsilons:
-        s = (lam.conj() - eps) / (lam - eps)
-        r = (2.0 * eps - 1j * delta) / (2.0 * eps + 1j * delta)
-        outputs.append(U @ (-(s[:, None] * s.conj()[None, :]) * r * theta_hat) @ U.conj().T)
-    return outputs
-
-
 def trapezoid_2d(values, axis):
     """Composite trapezoid rule of ``values`` over the grid axis x axis."""
     weights = np.zeros(axis.size)

@@ -996,6 +996,38 @@ def test_sweep_memory_guard_counts_the_points_that_run_at_once(tmp_path, capsys,
     assert main(["--out", str(out_dir), "--threads", "1", "sweep", cfg_path]) == 0
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "file"])
+def test_memory_guard_runs_once_per_command(tmp_path, monkeypatch, kind):
+    # One guard call, in _build_inputs, for a run and for a sweep (with
+    # its min(--threads, points) points at once); parsing a config calls none.
+    from pairspec import config, save_jsi
+
+    text = BASE_CONFIG
+    if kind == "file":
+        jsi_path = tmp_path / "jsi.csv"
+        save_jsi(jsi_of(gaussian_jsa(build_grid(16, (1740.0, 1860.0), (1740.0, 1860.0)),
+                                     3609.0, 8.0, 30.0, -29.0)), jsi_path)
+        text = FILE_CONFIG.replace("jsi.csv", str(jsi_path)) + "system.material_freqs = 1809\n"
+    text += "sweep.parameter = sqrt_kappa\nsweep.values = 100, 200\nsweep.material_counts = 1, 2\n"
+    cfg_path = write_config(tmp_path, text)
+    calls = []
+    real = config.check_fits_in_memory
+
+    def counting(n, m_max, source, points_at_once=1):
+        calls.append((n, m_max, points_at_once))
+        return real(n, m_max, source, points_at_once)
+
+    monkeypatch.setattr(config, "check_fits_in_memory", counting)
+    monkeypatch.setattr(cli_mod, "check_fits_in_memory", counting)
+    load_config(cfg_path)
+    assert calls == []
+    assert main(["--out", str(tmp_path / "run"), "run", cfg_path]) == 0
+    assert calls == [(16, 2, 1)]
+    calls.clear()
+    assert main(["--out", str(tmp_path / "sweep"), "--threads", "3", "sweep", cfg_path]) == 0
+    assert calls == [(16, 2, 3)]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_file_grid_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, command):
     # A file defines its own grid, so the guard checks it once the file is read.
@@ -1064,6 +1096,15 @@ def _readme_config_block():
     with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     return readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+
+
+def test_one_mode_run_reports_positive_zero_entropy(tmp_path, capsys):
+    # One Schmidt mode: the entropy is +0.0, printed and written unsigned.
+    cfg_path = write_config(tmp_path, _readme_config_block().replace("grid.n = 64", "grid.n = 1"))
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg_path, "--out", str(out_dir)]) == 0
+    assert "entropy=0.000000 nats" in capsys.readouterr().out
+    assert '"entropy_nats": 0.0,' in (out_dir / "metrics.json").read_text(encoding="utf-8")
 
 
 def test_readme_config_block_runs_verbatim(tmp_path):

@@ -1,11 +1,14 @@
 """Linear-algebra kernel contracts, each checked against an independent oracle."""
 
 import math
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import lu_factor
 from scipy.optimize import linear_sum_assignment
 
 from pairspec import kernels, numkit
@@ -93,6 +96,75 @@ def test_linear_solve_rejects_nonfinite():
     A[0, 0] = np.nan
     with pytest.raises(ValueError):
         numkit.linear_solve(A, np.eye(2))
+
+
+@pytest.mark.parametrize("d", [2, 7, 130, 259])
+def test_lu_has_the_bits_of_scipy_lu_factor(d):
+    # numkit.lu calls LAPACK getrf itself; scipy's lu_factor is getrf plus a
+    # finiteness check and a warning on an exactly zero pivot.
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    A.flags.writeable = False
+    before = A.copy()
+    (lu, piv), pivots = numkit.lu(A)
+    want_lu, want_piv = lu_factor(A)
+    assert lu.tobytes() == want_lu.tobytes() and np.array_equal(piv, want_piv)
+    assert np.array_equal(pivots, np.abs(np.diag(want_lu)))
+    assert A.tobytes() == before.tobytes()
+
+
+def test_singular_message_names_pivot_tolerance_and_scale():
+    with pytest.raises(SingularMatrix, match=r"pivot 1 = 0\.000e\+00 below tolerance "
+                                             r"1\.0e-12 \* max\|A\|=1\.000e\+00"):
+        numkit.linear_solve(np.ones((2, 2)), np.eye(2))
+
+
+def test_interleaved_solves_keep_their_errors_and_the_warning_filters(monkeypatch):
+    # warnings.catch_warnings() swaps process-wide state, so an LU run inside
+    # one spoils another thread's solve in this order: X's regular solve
+    # enters its LU, Y's singular solve enters its LU, X leaves, then Y's LU
+    # runs.  Y must raise SingularMatrix, not a warning, and the filters
+    # must be as they were.
+    real = numkit._getrf
+    entered = {"X": threading.Event(), "Y": threading.Event()}
+    go = {"X": threading.Event(), "Y": threading.Event()}
+
+    def gated(A):
+        who = threading.current_thread().name
+        entered[who].set()
+        if not go[who].wait(10):
+            raise TimeoutError(who)
+        return real(A)
+
+    monkeypatch.setattr(numkit, "_getrf", gated)
+    outcome = {}
+
+    def solve(A):
+        try:
+            outcome[threading.current_thread().name] = numkit.linear_solve(A, np.eye(2))
+        except Exception as exc:
+            outcome[threading.current_thread().name] = exc
+
+    regular = np.diag([2.0, 4.0]).astype(complex)
+    singular = np.ones((2, 2), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = list(warnings.filters)
+        x = threading.Thread(target=solve, args=(regular,), name="X")
+        y = threading.Thread(target=solve, args=(singular,), name="Y")
+        x.start()
+        assert entered["X"].wait(10)
+        y.start()
+        assert entered["Y"].wait(10)
+        go["X"].set()
+        x.join(10)
+        go["Y"].set()
+        y.join(10)
+        after = list(warnings.filters)
+    assert not x.is_alive() and not y.is_alive()
+    assert isinstance(outcome["Y"], SingularMatrix), repr(outcome["Y"])
+    assert np.allclose(outcome["X"], np.diag([0.5, 0.25]))
+    assert after == before
 
 
 # --- solve_sylvester -------------------------------------------------------

@@ -70,6 +70,12 @@ def test_entropy_rank_one_is_zero():
     assert 0.0 <= s < 1e-10
 
 
+def test_entropy_of_one_mode_is_positive_zero():
+    # -sum(p ln p) with p = 1 is -0.0, which prints as "-0.000000".
+    entropy = von_neumann_entropy(np.array([1.0]))
+    assert entropy == 0.0 and not np.signbit(entropy)
+
+
 def test_entropy_equal_modes_is_ln_n():
     n = 7
     s = von_neumann_entropy(schmidt(np.eye(n, dtype=complex)))
@@ -133,6 +139,20 @@ def test_wigner_mean_shift():
 def test_wigner_singular_covariance_raises():
     with pytest.raises(SingularCovariance):
         wigner(np.zeros((2, 2)), np.zeros(2))
+
+
+def test_wigner_singular_message_names_pivot_tolerance_and_scale():
+    with pytest.raises(SingularCovariance, match=r"pivot 1 = 0\.000e\+00 below tolerance "
+                                                 r"1\.0e-12 \* max\|Theta\|=1\.000e\+00"):
+        wigner(np.diag([1.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wigner_rejects_nonfinite_covariance(bad):
+    theta = np.eye(2, dtype=complex)
+    theta[0, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        wigner(theta, np.zeros(2))
 
 
 @pytest.mark.parametrize("d", [2, 4])

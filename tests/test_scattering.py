@@ -27,7 +27,8 @@ from pairspec import (
 from pairspec.errors import SingularMatrix
 from pairspec.numkit import sylvester_residual
 from pairspec.oracle import quadrature_time_integral
-from helpers import lossless_output, paper_system, random_covariance, small_system, tv_distance
+from pairspec.validation import lossless_output
+from helpers import paper_system, random_covariance, small_system, tv_distance
 
 
 # --- time_integrated_covariance ---------------------------------------------
@@ -457,7 +458,7 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
 def test_hamiltonian_sign_matches_the_closed_form(n, g, sqrt_kappa, offset):
     # On the hamiltonian sign W is exactly anti-Hermitian, so S is a Cayley
     # transform (unitary) and Theta_out has the closed form of
-    # helpers.lossless_output.  Its error scales with the pencil condition
+    # validation.lossless_output.  Its error scales with the pencil condition
     # ||A||_F / min |l_i + conj(l_j)| the report gives (1e6 to 2e7 here):
     # measured err / condition was at most 3.0e-18 and ||S^dag S - I||_F at
     # most 2.3e-14 over these 24 cases, so the bounds keep a 10x margin.

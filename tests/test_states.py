@@ -171,6 +171,41 @@ def test_ragged_row_raises(tmp_path):
         load_jsi(path)
 
 
+_TWO_BY_TWO = "# units: meV\nwavelength_nm\\omega,1800,1810\n1700,1,0\n{}\n"
+
+
+def test_ragged_row_message_names_the_file_row():
+    # Row 1 is the axis row, so the second data row is row 3.
+    with pytest.raises(ParseError, match="row 3 has 2 cells, expected 3"):
+        states.parse_grid_text(_TWO_BY_TWO.format("1710,0"))
+
+
+@pytest.mark.parametrize("row, bad, complex_values", [
+    ("1710,0,x", "float: 'x'", False), ("1710,0,x", "complex: 'x'", True),
+    ("1710,0,", "float: ''", False), ("1710,x,1", "complex: 'x'", True),
+    # The signal axis is real in either kind of file.
+    ("1+2j,0,1", "float: '1\\+2j'", False), ("1+2j,0,1", "float: '1\\+2j'", True),
+])
+def test_non_numeric_cell_message_names_the_file_row(row, bad, complex_values):
+    with pytest.raises(ParseError, match=f"row 3 is not numeric: could not convert string to {bad}"):
+        states.parse_grid_text(_TWO_BY_TWO.format(row), complex_values=complex_values)
+
+
+@pytest.mark.parametrize("cell, complex_values", [("1_0", False), ("1_0", True),
+                                                  ("1+2J", True), ("j", True)])
+def test_number_syntax_is_numpys(cell, complex_values):
+    # Python's float() and complex() read these; the grid reader does not.
+    with pytest.raises(ParseError, match="row 3 is not numeric"):
+        states.parse_grid_text(_TWO_BY_TWO.format(f"1710,0,{cell}"), complex_values=complex_values)
+
+
+def test_idler_axis_message_names_the_cell():
+    text = "# units: meV\nwavelength_nm\\omega,1800,abc\n1700,1,0\n1710,0,1\n"
+    with pytest.raises(ParseError, match="idler axis is not numeric: could not convert string to "
+                                         "float: 'abc'"):
+        states.parse_grid_text(text)
+
+
 def test_nonuniform_axis_raises(tmp_path):
     path = tmp_path / "nonuniform.csv"
     path.write_text(

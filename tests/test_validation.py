@@ -16,7 +16,7 @@ def test_suite_passes_without_numpy_trapezoid(monkeypatch):
     # np.trapezoid exists only from numpy 2.0; pyproject declares numpy 1.24.
     monkeypatch.delattr(np, "trapezoid", raising=False)
     report = run_validation()
-    assert report.passed and len(report.results) == 15, "\n".join(report.lines())
+    assert report.passed and len(report.results) == 16, "\n".join(report.lines())
 
 
 def test_report_lists_every_check_with_residual():
