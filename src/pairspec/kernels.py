@@ -1,13 +1,16 @@
-"""Small kernels kept apart: the Schur path's triangular solve and the oracle's two loops.
+"""Small kernels kept apart: the Schur path's triangular solve and the oracle's RK4 and trapezoid.
 
 None of them is on a run's hot path, which solves in W's eigenbasis.  The
 triangular solve of the Schur fallback is LAPACK ``trsyl`` on one Schur
 factor T, the compiled back-substitution of Bartels–Stewart for
-T Y + Y T^dag = F.  The RK4 stepper is a plain numpy loop over its steps;
-the trapezoid sum is built by binary doubling in O(log N) matrix products.
-Both use only the one-step propagator or W itself and matrix products, so
-the oracle shares no factorization with the path it certifies.
+T Y + Y T^dag = F.  The RK4 stepper applies RK4's step map, formed once
+from the powers W^0..W^4, as two matrix products a step; the trapezoid sum
+is built by binary doubling in O(log N) matrix products.  Both use only the
+one-step propagator or W itself, its powers and matrix products, so the
+oracle shares no factorization with the path it certifies.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import ztrsyl
@@ -36,27 +39,55 @@ def sylvester_triangular(T, F):
 def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
     """Integrate dT/dt = W T + T W^dag with classic RK4.
 
-    Returns (state, steps_done, overflowed); the caller turns the overflow
-    flag into an exception.
+    For this linear ODE the four RK4 stages compose to the stability
+    polynomial of one step, R(h L) = sum_{m<=4} (h L)^m / m!, with
+    L T = W T + T W^dag.  Left and right multiplication commute, so a step is
+    T -> sum_{j+l<=4} h^(j+l) / (j! l!) W^j T (W^dag)^l
+      = sum_j W^j T Q_j,   Q_j = sum_{l<=4-j} h^(j+l) / (j! l!) (W^dag)^l.
+    The powers and the Q_j are formed once; each step is one stacked product
+    [T Q_0; ...; T Q_4] (5d x d) and one product with [I, W, ..., W^4]
+    (d x 5d).
+
+    The run stops at the first step whose Frobenius norm exceeds
+    ``overflow_limit`` or is not finite.  Returns (state, steps_done,
+    overflowed); the caller turns the overflow flag into an exception.
     """
     W = np.asarray(W, dtype=np.complex128)
-    Wd = np.conj(W.T)
+    d = W.shape[0]
+    powers = np.empty((5, d, d), dtype=np.complex128)
+    powers[0] = np.eye(d)
+    for j in range(1, 5):
+        powers[j] = W @ powers[j - 1]
+    weights = np.zeros((5, 5))
+    for j in range(5):
+        for l in range(5 - j):
+            weights[j, l] = dt ** (j + l) / (math.factorial(j) * math.factorial(l))
+    Q = np.tensordot(weights, np.conj(powers.transpose(0, 2, 1)), axes=(1, 0))
+    left = powers.transpose(1, 0, 2).reshape(d, 5 * d)
+    # Below this squared norm the state is certainly under the limit; the
+    # cap keeps the square finite for limits near the float range.
+    quick = min(overflow_limit, 1e150) ** 2
     T = np.array(theta0, dtype=np.complex128)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(steps):
-        k1 = W @ T + T @ Wd
-        T2 = T + half * k1
-        k2 = W @ T2 + T2 @ Wd
-        T3 = T + half * k2
-        k3 = W @ T3 + T3 @ Wd
-        T4 = T + dt * k3
-        k4 = W @ T4 + T4 @ Wd
-        T = T + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nrm2 = np.sum(np.abs(T) ** 2)
-        if nrm2 > overflow_limit * overflow_limit:
-            return T, k + 1, True
+    # The step that first leaves the float range may overflow to inf or nan;
+    # the norm test below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            # matmul stacks the T Q_j blocks in the (5d, d) order that the
+            # left product reads, so no restack copy is needed.
+            T = left.dot(np.matmul(T, Q).reshape(5 * d, d))
+            if not np.vdot(T, T).real <= quick and not _frobenius_at_most(T, overflow_limit):
+                return T, k + 1, True
     return T, steps, False
+
+
+def _frobenius_at_most(T, limit):
+    """||T||_F <= limit, finite, without squaring entries that may overflow."""
+    peak = float(np.max(np.abs(T)))
+    if not math.isfinite(peak):
+        return False
+    scaled = T / peak
+    norm = peak * math.sqrt(np.vdot(scaled, scaled).real)
+    return math.isfinite(norm) and norm <= limit
 
 
 def propagator_trapezoid(P, theta0, steps, dt):

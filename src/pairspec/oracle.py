@@ -1,14 +1,17 @@
 """Brute-force time-domain validation of the algebraic pipeline.
 
 Two independent routes certify the Lyapunov machinery on small instances:
-a fixed-step RK4 integration of dTheta/dt = W Theta + Theta W^dag, and a
-composite trapezoid of e^(Wt) Theta0 e^(W^dag t), summed by binary doubling
-from the one-step propagator e^(W dt).  Neither uses an eigen or Schur
+a fixed-step RK4 integration of dTheta/dt = W Theta + Theta W^dag, applied
+as RK4's one-step map built from the powers W^0..W^4, and a composite
+trapezoid of e^(Wt) Theta0 e^(W^dag t), summed by binary doubling from the
+one-step propagator e^(W dt).  Both take the same number of steps for a
+window t_max and step dt (``_step_count``).  Neither uses an eigen or Schur
 factorization or a Lyapunov solve, so the oracle stays independent of the
 path it certifies.  Fixed steps keep the oracle simple and auditable;
 accuracy is verified by step halving, not adaptivity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,22 @@ from . import kernels, numkit
 from .errors import NonConvergentIntegral, StepOverflow
 
 _MAX_STEPS = 10_000_000
+
+
+def _step_count(t_max, dt):
+    """Number of dt steps that reach t_max: ceil(t_max/dt), except that a
+    quotient within a few ulps of an integer counts as that integer (so
+    16.1/1e-3 = 16100.000000000002 gives 16100 steps, not 16101)."""
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    ratio = float(t_max / dt)
+    if ratio > _MAX_STEPS:
+        raise ValueError(f"t_max/dt = {ratio:.3g} exceeds the {_MAX_STEPS:.0e} step cap")
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 4 * math.ulp(ratio):
+        return nearest
+    return math.ceil(ratio)
 
 
 @dataclass(frozen=True)
@@ -28,16 +47,13 @@ class IntegrationConfig:
     overflow_limit: float = 1e12
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        if self.t_max / self.dt > _MAX_STEPS:
-            raise ValueError(
-                f"t_max/dt = {self.t_max / self.dt:.3g} exceeds the {_MAX_STEPS:.0e} step cap"
-            )
+        _step_count(self.t_max, self.dt)
+        if not self.overflow_limit > 0:
+            raise ValueError(f"overflow_limit must be positive, got {self.overflow_limit!r}")
 
     @property
     def steps(self):
-        return int(np.ceil(self.t_max / self.dt))
+        return _step_count(self.t_max, self.dt)
 
 
 @dataclass
@@ -50,8 +66,9 @@ class QuadratureResult:
 def integrate_sylvester(W, theta0, cfg):
     """Theta(t_max) from classic RK4 on dTheta/dt = W Theta + Theta W^dag.
 
-    Raises StepOverflow when the state norm exceeds cfg.overflow_limit
-    (expected for generators with gain and no damping).
+    Raises StepOverflow at the first step whose Frobenius norm exceeds
+    cfg.overflow_limit or is not finite (expected for generators with gain
+    and no damping).
     """
     Wm = numkit.matrix_of(W)
     theta = numkit.matrix_of(theta0)
@@ -60,7 +77,7 @@ def integrate_sylvester(W, theta0, cfg):
     )
     if overflowed:
         raise StepOverflow(
-            f"state norm exceeded {cfg.overflow_limit:.1e} at step {done} "
+            f"state norm exceeded {cfg.overflow_limit:.1e} or is not finite at step {done} "
             f"(t = {done * cfg.dt:.4g})",
             step=done,
             time=done * cfg.dt,
@@ -77,11 +94,7 @@ def quadrature_time_integral(W_eps, theta0, t_max, dt):
     """
     Wm = numkit.matrix_of(W_eps)
     theta = numkit.matrix_of(theta0)
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
-    steps = int(np.ceil(t_max / dt))
-    if steps > _MAX_STEPS:
-        raise ValueError(f"t_max/dt = {steps} exceeds the {_MAX_STEPS:.0e} step cap")
+    steps = _step_count(t_max, dt)
 
     eigs = np.linalg.eigvals(Wm)
     max_re = float(np.max(eigs.real))

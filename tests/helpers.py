@@ -84,3 +84,24 @@ def tv_distance(j1, j2):
     p = j1 / j1.sum()
     q = j2 / j2.sum()
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def rk4_by_stages(W, theta0, dt, steps, overflow_limit=np.inf):
+    """Reference RK4 for dT/dt = W T + T W^dag: the four stages of every step,
+    one after another.  Returns (state, step) where step is the first step
+    whose Frobenius norm exceeds ``overflow_limit`` (None if none does); use a
+    limit far below 1e154, where the squared norm stays finite."""
+    Wd = W.conj().T
+    T = np.array(theta0, dtype=complex)
+    for k in range(steps):
+        k1 = W @ T + T @ Wd
+        T2 = T + 0.5 * dt * k1
+        k2 = W @ T2 + T2 @ Wd
+        T3 = T + 0.5 * dt * k2
+        k3 = W @ T3 + T3 @ Wd
+        T4 = T + dt * k3
+        k4 = W @ T4 + T4 @ Wd
+        T = T + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.linalg.norm(T) > overflow_limit:
+            return T, k + 1
+    return T, None

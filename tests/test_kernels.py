@@ -1,12 +1,13 @@
-"""The LAPACK triangular Lyapunov solve on a Schur factor, and the oracle's
-doubling trapezoid against a step-by-step sum."""
+"""The LAPACK triangular Lyapunov solve on a Schur factor, the oracle's RK4
+step map against the stage-by-stage loop, and its doubling trapezoid against
+a step-by-step sum."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, schur
 
 from pairspec import kernels
-from helpers import random_covariance, random_hermitian, random_hurwitz
+from helpers import random_covariance, random_hermitian, random_hurwitz, rk4_by_stages
 
 
 @pytest.mark.parametrize("d", [3, 8, 17])
@@ -41,3 +42,20 @@ def test_doubling_trapezoid_matches_sequential_sum(steps):
     assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
     E_want = np.linalg.matrix_power(P, steps)
     assert np.linalg.norm(E_final - E_want) / np.linalg.norm(E_want) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 7, 500])
+@pytest.mark.parametrize("d", [1, 2, 6, 14])
+@pytest.mark.parametrize("rate", [-0.2, 0.2], ids=["decaying", "growing"])
+def test_rk4_step_map_matches_stage_loop(rate, d, steps):
+    rng = np.random.default_rng(100 * d + steps)
+    W = -1j * random_hermitian(rng, d) + rate * np.eye(d)
+    W += 0.1 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(d)
+    theta0 = random_covariance(rng, d)
+    got, done, overflowed = kernels.rk4_lyapunov(W, theta0, 0.01, steps)
+    want, _ = rk4_by_stages(W, theta0, 0.01, steps)
+    assert (done, overflowed) == (steps, False)
+    # Rounding grows with the step count: measured at most 0.12 of this
+    # bound over these 40 cases (9.1e-14 at d = 1, growing, 500 steps).
+    bound = 2e-15 * (steps + 1)
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) <= bound

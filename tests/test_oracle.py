@@ -1,12 +1,14 @@
 """Brute-force time-domain oracles: RK4 integration and trapezoid quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pairspec.numkit import matrix_exponential, solve_sylvester
 from pairspec.oracle import IntegrationConfig, integrate_sylvester, quadrature_time_integral
 from pairspec.errors import NonConvergentIntegral, StepOverflow
-from helpers import random_covariance, random_hermitian, small_system
+from helpers import random_covariance, random_hermitian, rk4_by_stages, small_system
 
 
 def test_scalar_phase_preserves_magnitude():
@@ -72,7 +74,22 @@ def test_step_overflow_raises_for_gain():
     cfg = IntegrationConfig(t_max=100.0, dt=1e-2, overflow_limit=1e6)
     with pytest.raises(StepOverflow) as exc_info:
         integrate_sylvester(W, theta, cfg)
-    assert exc_info.value.step is not None
+    _, want = rk4_by_stages(W.matrix, theta.matrix, cfg.dt, cfg.steps, cfg.overflow_limit)
+    assert want is not None
+    assert exc_info.value.step == want
+
+
+@pytest.mark.parametrize("limit", [1e160, 1e200, np.inf])
+def test_step_overflow_raises_beyond_the_squared_float_range(limit):
+    # W = 5: each step multiplies Theta by R(0.1) = sum_m 0.1^m / m!; the
+    # squared norm leaves the float range near 1e154, well before the limit,
+    # and with limit = inf the state itself overflows to inf.
+    cfg = IntegrationConfig(t_max=100.0, dt=1e-2, overflow_limit=limit)
+    with pytest.raises(StepOverflow) as exc_info:
+        integrate_sylvester(np.array([[5.0 + 0j]]), np.eye(1, dtype=complex), cfg)
+    growth = sum(0.1 ** m / math.factorial(m) for m in range(5))
+    ceiling = min(limit, np.finfo(float).max)
+    assert exc_info.value.step == math.floor(math.log(ceiling) / math.log(growth)) + 1
 
 
 def test_integration_config_validation():
@@ -82,6 +99,43 @@ def test_integration_config_validation():
         IntegrationConfig(t_max=1.0, dt=0.0)
     with pytest.raises(ValueError):
         IntegrationConfig(t_max=1e6, dt=1e-3)  # exceeds the step cap
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("t_max", dict(t_max=np.nan, dt=1e-3)),
+    ("t_max", dict(t_max=np.inf, dt=1e-3)),
+    ("dt", dict(t_max=1.0, dt=np.nan)),
+    ("dt", dict(t_max=1.0, dt=np.inf)),
+    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=0.0)),
+    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=-1.0)),
+    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=np.nan)),
+], ids=["t_max-nan", "t_max-inf", "dt-nan", "dt-inf", "limit-0", "limit-neg", "limit-nan"])
+def test_integration_config_names_the_bad_field(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        IntegrationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field, t_max, dt", [
+    ("t_max", np.nan, 0.1), ("t_max", np.inf, 0.1), ("dt", 1.0, np.nan), ("dt", 1.0, np.inf),
+])
+def test_quadrature_names_the_bad_window_field(field, t_max, dt):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        quadrature_time_integral(-np.eye(1, dtype=complex), np.eye(1, dtype=complex), t_max, dt)
+
+
+@pytest.mark.parametrize("t_max, dt, steps", [
+    # quotients a few ulps off an integer: 16100.000000000002 and 2.9999999999999996
+    (16.1, 1e-3, 16100), (0.3, 0.1, 3),
+    # a quotient with a true fraction still rounds up: 10.500000000000002
+    (1.05, 0.1, 11),
+    # every RK4 window the suite and `pairspec validate` use
+    (2.0, 0.02, 100), (2.0, 0.01, 200), (0.5, 1e-3, 500), (1.0, 1e-3, 1000),
+    (5.0, 1e-3, 5000), (30.0, 5e-3, 6000), (100.0, 1e-2, 10000),
+])
+def test_both_oracles_count_the_same_steps(t_max, dt, steps):
+    assert IntegrationConfig(t_max=t_max, dt=dt).steps == steps
+    W = -np.eye(1, dtype=complex)
+    assert quadrature_time_integral(W, np.eye(1, dtype=complex), t_max, dt).steps == steps
 
 
 def test_quadrature_scalar_integral():
