@@ -4,7 +4,8 @@ None of them is on a run's hot path, which solves in W's eigenbasis.  The
 triangular solve of the Schur fallback is LAPACK ``trsyl`` on one Schur
 factor T, the compiled back-substitution of Bartels–Stewart for
 T Y + Y T^dag = F.  The RK4 stepper applies RK4's step map, formed once
-from the powers W^0..W^4, as two matrix products a step; the trapezoid sum
+from the powers W^0..W^4, as two matrix products a step, and stops at the
+fixed Frobenius bound :data:`OVERFLOW_NORM`; the trapezoid sum
 is built by binary doubling in O(log N) matrix products.  Both use only the
 one-step propagator or W itself, its powers and matrix products, so the
 oracle shares no factorization with the path it certifies.
@@ -36,7 +37,11 @@ def sylvester_triangular(T, F):
     return X / scale
 
 
-def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
+# The RK4 stepper stops at the first state whose Frobenius norm exceeds this.
+OVERFLOW_NORM = 1e12
+
+
+def rk4_lyapunov(W, theta0, dt, steps):
     """Integrate dT/dt = W T + T W^dag with classic RK4.
 
     For this linear ODE the four RK4 stages compose to the stability
@@ -49,7 +54,7 @@ def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
     (d x 5d).
 
     The run stops at the first step whose Frobenius norm exceeds
-    ``overflow_limit`` or is not finite.  Returns (state, steps_done,
+    :data:`OVERFLOW_NORM` or is not finite.  Returns (state, steps_done,
     overflowed); the caller turns the overflow flag into an exception.
     """
     W = np.asarray(W, dtype=np.complex128)
@@ -64,30 +69,18 @@ def rk4_lyapunov(W, theta0, dt, steps, overflow_limit=1e12):
             weights[j, l] = dt ** (j + l) / (math.factorial(j) * math.factorial(l))
     Q = np.tensordot(weights, np.conj(powers.transpose(0, 2, 1)), axes=(1, 0))
     left = powers.transpose(1, 0, 2).reshape(d, 5 * d)
-    # Below this squared norm the state is certainly under the limit; the
-    # cap keeps the square finite for limits near the float range.
-    quick = min(overflow_limit, 1e150) ** 2
+    bound = OVERFLOW_NORM ** 2
     T = np.array(theta0, dtype=np.complex128)
-    # The step that first leaves the float range may overflow to inf or nan;
-    # the norm test below reports it.
+    # A state past the bound may overflow to inf or nan; the norm test
+    # below reports it, since nan fails the comparison.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             # matmul stacks the T Q_j blocks in the (5d, d) order that the
             # left product reads, so no restack copy is needed.
             T = left.dot(np.matmul(T, Q).reshape(5 * d, d))
-            if not np.vdot(T, T).real <= quick and not _frobenius_at_most(T, overflow_limit):
+            if not np.vdot(T, T).real <= bound:
                 return T, k + 1, True
     return T, steps, False
-
-
-def _frobenius_at_most(T, limit):
-    """||T||_F <= limit, finite, without squaring entries that may overflow."""
-    peak = float(np.max(np.abs(T)))
-    if not math.isfinite(peak):
-        return False
-    scaled = T / peak
-    norm = peak * math.sqrt(np.vdot(scaled, scaled).real)
-    return math.isfinite(norm) and norm <= limit
 
 
 def propagator_trapezoid(P, theta0, steps, dt):

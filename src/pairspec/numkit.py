@@ -5,19 +5,21 @@ multiple threads.  Matrices are plain 2-D complex128 ndarrays; every public
 entry point rejects NaN/Inf inputs.
 
 :func:`eigenbasis` factors a generator once as W = V diag(lambda) V^-1;
-:func:`solve_lyapunov_eigen` and :func:`shifted_inverse` then serve every
-shift W - s from that one factorization.  They are accurate while
-cond_1(V) stays at or below :data:`EIGEN_COND_MAX`; above it callers use the
-Schur path of :func:`solve_sylvester` and the LU of :func:`linear_solve`.
-The eigenbasis and Schur Lyapunov solves both solve A X + X A^dag = -C and
-share one pencil screen and one refinement rule.
+:func:`solve_lyapunov` and :func:`shifted_inverse` then serve every shift
+W - s from that one factorization, and each picks its own route.  The
+eigenbasis is accurate while cond_1(V) stays at or below
+:data:`EIGEN_COND_MAX` (``Eigenbasis.usable``); above it the Lyapunov solve
+runs the Schur path of :func:`solve_sylvester` and the shifted inverse
+takes the LU of :func:`linear_solve` on the core.  Both Lyapunov routes
+solve A X + X A^dag = -C and share one pencil screen and one refinement
+rule, and the Lyapunov report records which route ran.
 
 Every dense LU calls LAPACK getrf directly (:func:`_getrf`): it reports a
 zero pivot in its return value, not as a warning, so no solve touches the
 process-wide ``warnings`` filters, whose save-and-restore is not
 thread-safe.  :func:`lu` adds the one pivot rule, a pivot below
 ``PIVOT_TOL * max|A|`` raising SingularMatrix (:func:`_check_pivots`, which
-:func:`inverse_diagonal` applies to |lambda - z|); :func:`linear_solve`
+:func:`shifted_inverse` applies to |lambda - z|); :func:`linear_solve`
 and ``observables.wigner`` share it.  The LU of V stops only at an exactly
 zero pivot, since cond_1(V) judges the rest.
 
@@ -35,7 +37,7 @@ with V touch only the core block and products with W - s cost O(d^2).
 Every function of W is a c x c core block plus a diagonal there, since the
 deflated modes are decoupled: :func:`shifted_inverse` returns (W - z)^-1 as
 that pair, and :meth:`Eigenbasis.block_congruence` and
-:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov_eigen` takes and
+:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov` takes and
 returns matrices in W's coordinates and rotates once.  A W without that
 structure is factored densely, with Q = I and every index in the core.
 """
@@ -58,7 +60,7 @@ from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 EIGEN_COND_MAX = 1e5
 
 # A pivot below PIVOT_TOL * max|A| makes A singular (_check_pivots, applied
-# by lu for linear_solve and observables.wigner, and by inverse_diagonal).
+# by lu for linear_solve and observables.wigner, and by shifted_inverse).
 PIVOT_TOL = 1e-12
 # A pair |lambda_i + conj(lambda_j)| of A's eigenvalues below
 # PENCIL_GAP_TOL * ||A||_F makes the Lyapunov pencil near-singular.
@@ -72,9 +74,8 @@ class SolveReport:
     residual_norm: float
     condition_estimate: float | None = None
     regularized: bool = False
-    # Set by callers that choose between the eigenbasis route and the
-    # Schur/LU fallback: "eigen" or "fallback", the cond_1(V) it rested on,
-    # and how many modes the eigenbasis deflated exactly.
+    # Set by solve_lyapunov: its route, "eigen" or "fallback", the
+    # cond_1(V) it rested on, and how many modes the eigenbasis deflated.
     path: str | None = None
     eigenvector_condition: float | None = None
     deflated_modes: int | None = None
@@ -204,7 +205,7 @@ def solve_sylvester(A, C, method="schur"):
     method="schur" is Bartels–Stewart on one complex Schur form A = Q T Q^dag,
     which serves both sides: T Y + Y T^dag = -Q^dag C Q is solved by LAPACK
     trsyl (:func:`pairspec.kernels.sylvester_triangular`) and X = Q Y Q^dag,
-    refined as in :func:`solve_lyapunov_eigen`.  It is the fallback of the
+    refined as in :func:`solve_lyapunov`.  It is the fallback of the
     eigenbasis Lyapunov solve when cond_1(V) is too large.  method="kron" is
     the reference path: the d^2 x d^2 Kronecker system
     kron(I, A) + kron(conj A, I) solved densely (intended for small d).
@@ -779,7 +780,7 @@ def _with_inverse(basis):
     """The basis with V_core^-1 by LU and cond_1(V) of V = Q (V_core (+) I),
     when V is invertible."""
     # Only an exactly zero pivot marks V singular: a tiny one still gives
-    # a finite cond_1(V), which the caller weighs against EIGEN_COND_MAX.
+    # a finite cond_1(V), which ``usable`` weighs against EIGEN_COND_MAX.
     factors = _getrf(basis.core_vectors)
     if not np.abs(np.diag(factors[0])).min() > 0.0:
         return basis
@@ -790,53 +791,56 @@ def _with_inverse(basis):
     return replace(basis, core_inverse=core_inverse, condition=condition)
 
 
-def _require_usable(basis):
-    if basis.core_inverse is None:
-        raise ValueError("eigenbasis has a singular eigenvector matrix")
-
-
-def solve_lyapunov_eigen(basis, C, shift):
+def solve_lyapunov(basis, C, shift):
     """Solve A X + X A^dag = -C for A = W - shift I from W's eigenbasis.
 
-    With Y = V^-1 X V^-dag the equation is diagonal:
+    While ``basis.usable``, with Y = V^-1 X V^-dag the equation is diagonal:
     X = V [(-V^-1 C V^-dag) / (l_i + conj(l_j))] V^dag, l = lambda - shift.
     One iterative-refinement pass follows only when the first pass's
     relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F) is above
     :data:`REFINE_ABOVE` (:func:`_refine`, shared with
     :func:`solve_sylvester`); the reported residual is measured from the
-    returned X either way.
+    returned X either way.  The pencil-gap screen runs on all d eigenvalues
+    and raises NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``,
+    as in :func:`solve_sylvester`) with the offending pair.  Above
+    :data:`EIGEN_COND_MAX` the dense A goes to the Schur solve of
+    :func:`solve_sylvester` instead.
+
     C and X are in W's coordinates; the solve runs in deflated coordinates
     (C is rotated in and X out once by ``basis.rotate``, the identity when
     Q = I), where products with V touch only the core block and products
-    with A cost O(d^2).  The pencil-gap screen runs on all d eigenvalues
-    and raises NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``,
-    as in :func:`solve_sylvester`) with the offending pair.  The caller
-    checks ``basis.usable`` first.
+    with A cost O(d^2).  The report records the route (``path``, "eigen" or
+    "fallback"), cond_1(V) and the number of deflated modes.
     """
-    _require_usable(basis)
     C = _as_matrix(C, "C")
     d = basis.dim
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
-    cond = pencil_screen(basis, shift)
-    lam = basis.values - shift
-    lam_h = lam.conj()
     A = basis.shifted(shift)
+    if basis.usable:
+        cond = pencil_screen(basis, shift)
+        lam = basis.values - shift
+        lam_h = lam.conj()
 
-    def eig_solve(rhs):
-        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
-        # second congruence then overwrites Y with X.
-        Y = basis.block_congruence(basis.core_inverse, rhs)
-        Y /= -(lam[:, None] + lam_h[None, :])
-        return basis.block_congruence(basis.core_vectors, Y, copy=False)
+        def eig_solve(rhs):
+            # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
+            # second congruence then overwrites Y with X.
+            Y = basis.block_congruence(basis.core_inverse, rhs)
+            Y /= -(lam[:, None] + lam_h[None, :])
+            return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
-    X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
-    report = SolveReport(residual_norm=residual, condition_estimate=cond)
+        X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
+        report = SolveReport(residual_norm=residual, condition_estimate=cond, path="eigen")
+    else:
+        X, report = solve_sylvester(np.asarray(A), basis.rotate(C))
+        report.path = "fallback"
+    report.eigenvector_condition = basis.condition
+    report.deflated_modes = basis.deflated_modes
     return basis.rotate(X, copy=False), report
 
 
 def pencil_screen(basis, shift):
-    """The pencil screen of :func:`solve_lyapunov_eigen` for A = W - shift I
+    """The pencil screen of :func:`solve_lyapunov` for A = W - shift I
     from W's eigenbasis: the condition estimate ||A||_F / min
     |l_i + conj(l_j)|, or NearSingularPencil when that gap is below
     ``PENCIL_GAP_TOL * ||A||_F``."""
@@ -860,33 +864,28 @@ def frobenius_norm(A):
     return A.norm() if isinstance(A, Arrowhead) else float(np.linalg.norm(A))
 
 
-def inverse_diagonal(basis, z):
-    """1 / (lambda - z) for every eigenvalue of W: (W - z I)^-1 on the
-    deflated modes, which are decoupled in deflated coordinates.
+def shifted_inverse(basis, z):
+    """(W - z I)^-1 in deflated coordinates, in the form every function of
+    W takes there: the pair (core block, diagonal), read on ``basis.core``
+    and on the other indices (:meth:`Eigenbasis.block_congruence`,
+    :meth:`Eigenbasis.full`).
 
-    Raises SingularMatrix when min |lambda_i - z| falls below
-    ``PIVOT_TOL * max|W - z I|`` (the pivot rule of :func:`lu`).
+    The diagonal is 1 / (lambda - z) for every eigenvalue of W.  While
+    ``basis.usable`` the core block is V_core diag(1 / (lambda_core - z))
+    V_core^-1; above :data:`EIGEN_COND_MAX` it is the LU inverse
+    (:func:`linear_solve`) of the core block of W - z.  Raises SingularMatrix
+    when min |lambda_i - z| falls below ``PIVOT_TOL * max|W - z I|`` (the
+    pivot rule of :func:`lu`), or at a pivot of that LU.
     """
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     _check_pivots(np.abs(basis.values - z), scale, "|lambda_{} - z|", "W - z")
-    return 1.0 / (basis.values - z)
-
-
-def shifted_inverse(basis, z):
-    """(W - z I)^-1 = V diag(1 / (lambda - z)) V^-1 from W's eigenbasis,
-    in deflated coordinates and in the form every function of W takes
-    there: the pair (core block, diagonal).  The core block is
-    V_core diag(1 / (lambda_core - z)) V_core^-1 on ``basis.core``; the
-    diagonal is :func:`inverse_diagonal`, read on the other indices
-    (:meth:`Eigenbasis.block_congruence`, :meth:`Eigenbasis.full`).
-    SingularMatrix as in :func:`inverse_diagonal`.  The caller checks
-    ``basis.usable`` first.
-    """
-    _require_usable(basis)
-    diagonal = inverse_diagonal(basis, z)
+    diagonal = 1.0 / (basis.values - z)
     core = basis.core
-    return (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse, diagonal
+    if basis.usable:
+        return (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse, diagonal
+    identity = np.eye(core.size, dtype=np.complex128)
+    return linear_solve(np.asarray(basis.core_shifted(z)), identity), diagonal
 
 
 def svd(M):

@@ -4,11 +4,15 @@ Two independent routes certify the Lyapunov machinery on small instances:
 a fixed-step RK4 integration of dTheta/dt = W Theta + Theta W^dag, applied
 as RK4's one-step map built from the powers W^0..W^4, and a composite
 trapezoid of e^(Wt) Theta0 e^(W^dag t), summed by binary doubling from the
-one-step propagator e^(W dt).  Both take the same number of steps for a
-window t_max and step dt (``_step_count``).  Neither uses an eigen or Schur
-factorization or a Lyapunov solve, so the oracle stays independent of the
-path it certifies.  Fixed steps keep the oracle simple and auditable;
-accuracy is verified by step halving, not adaptivity.
+one-step propagator e^(W dt).  Both take their window as (t_max, dt) and
+the same number of steps for it (``_step_count``).  Neither value comes
+from an eigen or Schur factorization or a Lyapunov solve: RK4 uses only W's
+powers and matrix products, and the trapezoid only e^(W dt) and matrix
+products.  The trapezoid does call ``np.linalg.eigvals`` on W, but only for
+its stability gate and its tail bound, never for the integral itself, so
+the oracle's values stay independent of the path they certify.  Fixed
+steps keep the oracle simple and auditable; accuracy is verified by step
+halving, not adaptivity.
 """
 
 import math
@@ -38,24 +42,6 @@ def _step_count(t_max, dt):
     return math.ceil(ratio)
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Fixed-step 4th-order integration window."""
-
-    t_max: float
-    dt: float
-    overflow_limit: float = 1e12
-
-    def __post_init__(self):
-        _step_count(self.t_max, self.dt)
-        if not self.overflow_limit > 0:
-            raise ValueError(f"overflow_limit must be positive, got {self.overflow_limit!r}")
-
-    @property
-    def steps(self):
-        return _step_count(self.t_max, self.dt)
-
-
 @dataclass
 class QuadratureResult:
     value: np.ndarray
@@ -63,24 +49,26 @@ class QuadratureResult:
     steps: int
 
 
-def integrate_sylvester(W, theta0, cfg):
-    """Theta(t_max) from classic RK4 on dTheta/dt = W Theta + Theta W^dag.
+def integrate_sylvester(W, theta0, t_max, dt):
+    """Theta at the end of the window, from classic RK4 on
+    dTheta/dt = W Theta + Theta W^dag in ``_step_count(t_max, dt)`` steps
+    of dt.
 
-    Raises StepOverflow at the first step whose Frobenius norm exceeds
-    cfg.overflow_limit or is not finite (expected for generators with gain
-    and no damping).
+    Raises ValueError for a window ``_step_count`` rejects, and StepOverflow
+    at the first step whose Frobenius norm exceeds
+    ``kernels.OVERFLOW_NORM`` or is not finite (expected for generators with
+    gain and no damping).
     """
+    steps = _step_count(t_max, dt)
     Wm = numkit.matrix_of(W)
     theta = numkit.matrix_of(theta0)
-    out, done, overflowed = kernels.rk4_lyapunov(
-        Wm, theta, cfg.dt, cfg.steps, cfg.overflow_limit
-    )
+    out, done, overflowed = kernels.rk4_lyapunov(Wm, theta, dt, steps)
     if overflowed:
         raise StepOverflow(
-            f"state norm exceeded {cfg.overflow_limit:.1e} or is not finite at step {done} "
-            f"(t = {done * cfg.dt:.4g})",
+            f"state norm exceeded {kernels.OVERFLOW_NORM:.1e} or is not finite at step {done} "
+            f"(t = {done * dt:.4g})",
             step=done,
-            time=done * cfg.dt,
+            time=done * dt,
         )
     return out
 

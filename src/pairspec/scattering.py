@@ -22,12 +22,13 @@ that form; its ``matrix`` is formed only when it is read.  ``propagate``
 rotates Theta_in in and keeps its results in deflated coordinates: a
 :class:`PropagationResult` rotates ``theta_out``, ``theta_tilde_in`` and
 ``scattering`` out on first access, so a caller pays only for the matrices
-it reads.  When cond_1(V) exceeds ``numkit.EIGEN_COND_MAX`` (near an
-exceptional point) the solves fall back to the Schur solve of
-``numkit.solve_sylvester`` and the LU of ``numkit.linear_solve`` on the
-core, still in deflated coordinates.  Each report records the path,
-cond_1(V) and the number of deflated modes; its residuals are measured in
-deflated coordinates, which Q leaves unchanged up to rounding.
+it reads.  The solves are ``numkit.solve_lyapunov`` and
+``numkit.shifted_inverse``, and each picks its own route: when cond_1(V)
+is too large (near an exceptional point) they run the Schur solve and the
+LU inverse of the core instead, still in deflated coordinates.  The
+Lyapunov report records the route, cond_1(V) and the number of deflated
+modes; residuals are measured in deflated coordinates, which Q leaves
+unchanged up to rounding.
 """
 
 from dataclasses import dataclass, field, replace
@@ -121,12 +122,6 @@ def _eigenbasis(W):
     return numkit.eigenbasis(numkit.matrix_of(W))
 
 
-def _mark(report, basis):
-    report.path = "eigen" if basis.usable else "fallback"
-    report.eigenvector_condition = basis.condition
-    report.deflated_modes = basis.deflated_modes
-
-
 def regularized_epsilon(W, epsilon):
     """The shift a solve at ``epsilon`` runs at: ``epsilon`` itself, or
     ``DEFAULT_EPSILON`` when epsilon = 0 meets a near-singular pencil in
@@ -146,8 +141,8 @@ def time_integrated_covariance(W, theta_in, epsilon):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
     X is the all-time integral of the input correlations evaluated at the
-    regularized Laplace point, solved in the eigenbasis of W or, when
-    cond_1(V) is too large, by the Schur path (see the module doc), in
+    regularized Laplace point, solved by ``numkit.solve_lyapunov`` (the
+    eigenbasis of W, or the Schur path when cond_1(V) is too large) in
     deflated coordinates: Theta_in is rotated in and X out.  If
     epsilon = 0 meets a singular pencil (the generic case: W's spectrum is
     near-imaginary), the solve runs at ``DEFAULT_EPSILON`` instead
@@ -158,15 +153,10 @@ def time_integrated_covariance(W, theta_in, epsilon):
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     basis = _eigenbasis(W)
-    q = basis.q
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
     eff_eps = regularized_epsilon(basis, epsilon)
-    if q.usable:
-        X, report = numkit.solve_lyapunov_eigen(q, theta_q, eff_eps)
-    else:
-        X, report = numkit.solve_sylvester(np.asarray(q.shifted(eff_eps)), theta_q)
+    X, report = numkit.solve_lyapunov(basis.q, theta_q, eff_eps)
     report.regularized = eff_eps != epsilon
-    _mark(report, basis)
     X = basis.rotate(X, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
@@ -178,28 +168,22 @@ def scattering_matrix(W, z):
 
     Formed in deflated coordinates as a core block and a diagonal (see
     :class:`ScatteringMatrix`): the core block is A_c^dag (W - z)^-1_c on
-    the core, each deflated mode gets s_k = conj(l_k) / l_k, l_k =
-    lambda_k - z.  On the fallback path the core block is solved by LU on
-    the transposed c x c system.  Raises SingularMatrix when (W - z) is
-    singular at the requested z (min |lambda_i - z| below
+    the core, with (W - z)^-1 from ``numkit.shifted_inverse`` on either
+    route, and each deflated mode gets s_k = conj(l_k) / l_k,
+    l_k = lambda_k - z.  Raises SingularMatrix when (W - z) is singular at
+    the requested z (min |lambda_i - z| below
     ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of the fallback's LU);
     the caller is expected to retry with an epsilon shift.  The report and
     the matrix carry one residual, ||S A - A^dag||_F / ||A||_F for
-    A = W - z, taken blockwise on either path.
+    A = W - z, taken blockwise.
     """
     basis = _eigenbasis(W)
     q = basis.q
     A = q.core_shifted(z)
     A_h = A.conj().T
     lam = q.values - z
-    if q.usable:
-        inverse, diagonal = numkit.shifted_inverse(q, z)
-        core_block = A_h @ inverse
-    else:
-        # S A = A^dag  <=>  A^T S^T = conj(A)
-        A_dense = np.asarray(A)
-        core_block = numkit.linear_solve(A_dense.T, A_dense.conj()).T
-        diagonal = numkit.inverse_diagonal(q, z)
+    inverse, diagonal = numkit.shifted_inverse(q, z)
+    core_block = A_h @ inverse
     diagonal = lam.conj() * diagonal
     R = core_block @ A
     R -= np.asarray(A_h)
@@ -207,11 +191,9 @@ def scattering_matrix(W, z):
     r_rest[q.core] = 0.0
     residual = float(np.hypot(np.linalg.norm(R), np.linalg.norm(r_rest))
                      / numkit.frobenius_norm(q.shifted(z)))
-    report = numkit.SolveReport(residual_norm=residual)
-    _mark(report, basis)
     smat = ScatteringMatrix(core_block=core_block, diagonal=diagonal, basis=basis,
                             z_used=complex(z), residual=residual)
-    return smat, report
+    return smat, numkit.SolveReport(residual_norm=residual)
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
@@ -235,7 +217,7 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     them out on first access (see :class:`PropagationResult`).  There every
     product with A costs O(d^2): A X + X A^dag and A^dag G + G A are one
     ``numkit.lyapunov_product`` pass each.  S is a core block plus a
-    diagonal on either path, so G = S X S^dag costs a quarter of two dense
+    diagonal on either route, so G = S X S^dag costs a quarter of two dense
     products.  (Forming it as A^dag (R X R^dag) A with
     R = (W - eps)^-1 would lose cond(A) digits when an eigenvalue of W lies
     near eps.)

@@ -184,8 +184,26 @@ def _axes_to_units(axis_mev, units):
 def parse_grid_text(text, complex_values=False, source="<string>"):
     """(signal_mev, idler_mev, values, units) of a grid file's text, with
     both axes in increasing energy (rows/columns permuted accordingly), so
-    the result always maps onto an increasing FrequencyGrid."""
+    the result always maps onto an increasing FrequencyGrid.
+
+    The grid must be square with finite cells, and an intensity grid (real
+    cells) must have no negative cell and nonzero mass.  Cells are checked
+    in the file's order, so a bad cell is named by its 0-based data row and
+    column in the file."""
     signal_axis, idler_axis, values, units = _parse_in_file_order(text, complex_values, source)
+    if values.shape[0] != values.shape[1]:
+        raise ParseError(f"{source}: {'amplitude' if complex_values else 'intensity'} grid "
+                         f"must be square, got {values.shape[0]} rows of {values.shape[1]} cells")
+    if not complex_values and np.any(values < 0):
+        r, c = np.argwhere(values < 0)[0]
+        raise NegativeIntensity(
+            f"{source}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
+        )
+    if not np.all(np.isfinite(values)):
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{source}: non-finite cell {values[r, c]} at row {r}, col {c}")
+    if not complex_values and values.sum() == 0.0:
+        raise ParseError(f"{source}: intensity grid has zero total mass")
     return (*_ascending(signal_axis, idler_axis, values), units)
 
 
@@ -299,30 +317,14 @@ def grid_file_n(path):
 
 
 def _load_grid(path, complex_values):
-    """(FrequencyGrid, values) of a grid file, axes in increasing energy.
-
-    Cells are checked in the file's order, so a bad cell is named by its
-    0-based data row and column in the file."""
+    """(FrequencyGrid, values) of a grid file, axes in increasing energy,
+    its cells checked as :func:`parse_grid_text` checks them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    signal_axis, idler_axis, values, _ = _parse_in_file_order(text, complex_values, str(path))
-    if values.shape[0] != values.shape[1]:
-        raise ParseError(f"{path}: {'amplitude' if complex_values else 'intensity'} grid "
-                         "must be square")
-    if not complex_values and np.any(values < 0):
-        r, c = np.argwhere(values < 0)[0]
-        raise NegativeIntensity(
-            f"{path}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
-        )
-    if not np.all(np.isfinite(values)):
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{path}: non-finite cell {values[r, c]} at row {r}, col {c}")
-    if not complex_values and values.sum() == 0.0:
-        raise ParseError(f"{path}: intensity grid has zero total mass")
-    signal_axis, idler_axis, values = _ascending(signal_axis, idler_axis, values)
+    signal_axis, idler_axis, values, _ = parse_grid_text(text, complex_values, str(path))
     try:
         return FrequencyGrid(signal=signal_axis, idler=idler_axis), values
     except InvalidRange as exc:

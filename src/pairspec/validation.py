@@ -143,14 +143,17 @@ def run_validation(seed=20250801):
     add("lyapunov_vs_quadrature", worst, 1e-5)
 
     # --- RK4 vs matrix-exponential evolution ------------------------------
+    # Over seeds 0-999 and 20250801, RK4 read 3.4e-13 to 3.7e-11 and its
+    # step map with the h^4 terms dropped (third order) 4.5e-10 to 2.3e-8:
+    # 2e-10 keeps a 5x margin over the first and fails every one of the second.
     d = 6
     Wm = -1j * _random_hermitian(rng, d, scale=0.8) - 0.1 * np.eye(d)
     theta0 = _random_covariance(rng, d)
-    cfg = oracle.IntegrationConfig(t_max=0.5, dt=1e-3)
-    got = oracle.integrate_sylvester(Wm, theta0, cfg)
-    E = numkit.matrix_exponential(Wm, cfg.steps * cfg.dt)
+    t_max = 0.5
+    got = oracle.integrate_sylvester(Wm, theta0, t_max, dt=1e-3)
+    E = numkit.matrix_exponential(Wm, t_max)
     want = E @ theta0 @ E.conj().T
-    add("rk4_vs_expm", np.linalg.norm(got - want) / np.linalg.norm(want), 1e-8)
+    add("rk4_vs_expm", np.linalg.norm(got - want) / np.linalg.norm(want), 2e-10)
 
     # --- Scattering-matrix defining identity ------------------------------
     grid1 = model.build_grid(1, (1.0, 1.0), (1.1, 1.1))

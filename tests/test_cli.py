@@ -635,9 +635,15 @@ sweep.values = 100, 200
     # Data row 3, column 3 of the file, whatever order the loader sorts into.
     assert f"{message} at row 3, col 3" in err
     assert not out_dir.exists()
-    # convert copies the grid as it is.
-    assert main(["convert", str(path), str(tmp_path / "nm.csv")]) == 0
-    assert f",{bad}," in (tmp_path / "nm.csv").read_text(encoding="utf-8")
+    # convert refuses what load_jsa refuses, a cell that is not finite, and
+    # copies a negative cell as it is.
+    converted = tmp_path / "converted.csv"
+    if bad == "-1":
+        assert main(["convert", str(path), str(converted)]) == 0
+        assert f",{bad}," in converted.read_text(encoding="utf-8")
+    else:
+        assert main(["convert", str(path), str(converted)]) == 1
+        assert not converted.exists()
 
 
 # --- convert -----------------------------------------------------------------------
@@ -662,6 +668,22 @@ def test_convert_round_trip(tmp_path):
     assert np.array_equal(cells_back, cells)
     for axis, axis_back in ((signal, signal_back), (idler, idler_back)):
         assert np.all(np.abs(axis_back - axis) <= np.spacing(axis))
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Descending energy rows: the file's data row 1 is row 0 once sorted.
+    ("1800,1810\n1710,1,2\n1700,nan,3", "non-finite cell (nan+0j) at row 1, col 0"),
+    ("1800,1810,1820\n1700,1,2,3\n1710,4,5,6",
+     "amplitude grid must be square, got 2 rows of 3 cells"),
+], ids=["nan-cell", "not-square"])
+def test_convert_refuses_what_load_jsa_refuses(tmp_path, capsys, rows, message):
+    src = tmp_path / "mev.csv"
+    src.write_text("# units: meV\nwavelength_nm\\omega," + rows + "\n", encoding="utf-8")
+    out = tmp_path / "nm.csv"
+    assert main(["convert", str(src), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{src}: {message}" in err
+    assert not out.exists()
 
 
 # --- heatmap -----------------------------------------------------------------------

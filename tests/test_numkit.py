@@ -271,7 +271,7 @@ def test_eigenbasis_lyapunov_matches_kron(shift):
         C = random_covariance(rng, d)
         basis = numkit.eigenbasis(W)
         assert basis.usable
-        X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
+        X, report = numkit.solve_lyapunov(basis, C, shift)
         A = W - shift * np.eye(d)
         Xk, _ = numkit.solve_sylvester(A, C, method="kron")
         assert np.linalg.norm(X - Xk) / np.linalg.norm(Xk) < 1e-10
@@ -285,7 +285,7 @@ def test_eigenbasis_lyapunov_near_singular_pencil():
     # Same instance as the Schur path: lambda_i + conj(lambda_i) = 0 exactly.
     basis = numkit.eigenbasis(np.diag([1j, 2j, 3j]))
     with pytest.raises(NearSingularPencil) as exc_info:
-        numkit.solve_lyapunov_eigen(basis, np.eye(3), 0.0)
+        numkit.solve_lyapunov(basis, np.eye(3), 0.0)
     lam, mu = exc_info.value.pair
     assert abs(lam + mu) < 1e-12
 
@@ -320,6 +320,22 @@ def test_shifted_inverse_singular_raises():
     basis = numkit.eigenbasis(np.diag([-1j, -2j]))
     with pytest.raises(SingularMatrix):
         numkit.shifted_inverse(basis, -2j)
+
+
+def test_defective_matrix_takes_the_schur_and_lu_routes():
+    # A Jordan block has one eigenvector, so V is numerically singular and
+    # both solves pick their fallback: the Schur Lyapunov solve and the LU
+    # inverse.
+    W = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+    basis = numkit.eigenbasis(W)
+    C = np.eye(2, dtype=complex)
+    A = W - 1e-3 * np.eye(2)
+    X, report = numkit.solve_lyapunov(basis, C, 1e-3)
+    Xk, _ = numkit.solve_sylvester(A, C, method="kron")
+    assert report.path == "fallback"
+    assert report.eigenvector_condition == basis.condition > numkit.EIGEN_COND_MAX
+    assert _rel(X, Xk) < 1e-12
+    assert _rel(_inverse(basis, 1e-3), np.linalg.inv(A)) < 1e-14
 
 
 # --- structured eigenbasis of an arrowhead W -----------------------------------
@@ -425,7 +441,7 @@ def test_structured_lyapunov_and_inverse_match_dense(shift):
     basis = numkit.eigenbasis(W)
     assert basis.deflated_modes == 4 + 2
     C = random_covariance(rng, d)
-    X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
+    X, report = numkit.solve_lyapunov(basis, C, shift)
     A = W - shift * np.eye(d)
     Xk, _ = numkit.solve_sylvester(A, C, method="kron")
     assert _rel(X, Xk) < 1e-10
@@ -497,8 +513,8 @@ def test_secular_core_matches_dense_eig_and_kron(case):
     C = random_covariance(rng, d)
     for shift in (1e-3, 5e-4):
         A = W - shift * np.eye(d)
-        X, report = numkit.solve_lyapunov_eigen(basis, C, shift)
-        Xd, _ = numkit.solve_lyapunov_eigen(dense, C, shift)
+        X, report = numkit.solve_lyapunov(basis, C, shift)
+        Xd, _ = numkit.solve_lyapunov(dense, C, shift)
         Xk, _ = numkit.solve_sylvester(A, C, method="kron")
         assert _rel(X, Xk) < 1e-10
         assert _rel(X, Xd) < 1e-10
@@ -529,7 +545,7 @@ def _assert_dense_route_is_correct(W):
     assert _rel(basis.vectors @ np.diag(basis.values) @ basis.inverse, W) < 1e-12
     C = random_covariance(np.random.default_rng(71), W.shape[0])
     A = W - 1e-3 * np.eye(W.shape[0])
-    X, _ = numkit.solve_lyapunov_eigen(basis, C, 1e-3)
+    X, _ = numkit.solve_lyapunov(basis, C, 1e-3)
     Xk, _ = numkit.solve_sylvester(A, C, method="kron")
     assert _rel(X, Xk) < 1e-10
 

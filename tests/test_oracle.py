@@ -1,12 +1,11 @@
 """Brute-force time-domain oracles: RK4 integration and trapezoid quadrature."""
 
-import math
-
 import numpy as np
 import pytest
 
+from pairspec import kernels
 from pairspec.numkit import matrix_exponential, solve_sylvester
-from pairspec.oracle import IntegrationConfig, integrate_sylvester, quadrature_time_integral
+from pairspec.oracle import integrate_sylvester, quadrature_time_integral
 from pairspec.errors import NonConvergentIntegral, StepOverflow
 from helpers import random_covariance, random_hermitian, rk4_by_stages, small_system
 
@@ -15,8 +14,7 @@ def test_scalar_phase_preserves_magnitude():
     # W = -i w: |Theta(t)| is constant for all t.
     W = np.array([[-2.3j]])
     theta0 = np.array([[0.7 + 0.1j]])
-    cfg = IntegrationConfig(t_max=5.0, dt=1e-3)
-    out = integrate_sylvester(W, theta0, cfg)
+    out = integrate_sylvester(W, theta0, t_max=5.0, dt=1e-3)
     assert abs(out[0, 0]) == pytest.approx(abs(theta0[0, 0]), rel=1e-9)
 
 
@@ -25,9 +23,8 @@ def test_rk4_matches_matrix_exponential():
     d = 5
     W = -1j * random_hermitian(rng, d) - 0.2 * np.eye(d)
     theta0 = random_covariance(rng, d)
-    cfg = IntegrationConfig(t_max=1.0, dt=1e-3)
-    got = integrate_sylvester(W, theta0, cfg)
-    E = matrix_exponential(W, cfg.steps * cfg.dt)
+    got = integrate_sylvester(W, theta0, t_max=1.0, dt=1e-3)
+    E = matrix_exponential(W, 1.0)
     expected = E @ theta0 @ E.conj().T
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-8
 
@@ -36,8 +33,7 @@ def test_hurwitz_decays():
     rng = np.random.default_rng(4)
     W = -1j * random_hermitian(rng, 4) - 0.5 * np.eye(4)
     theta0 = random_covariance(rng, 4)
-    cfg = IntegrationConfig(t_max=30.0, dt=5e-3)
-    out = integrate_sylvester(W, theta0, cfg)
+    out = integrate_sylvester(W, theta0, t_max=30.0, dt=5e-3)
     assert np.linalg.norm(out) < 1e-10 * np.linalg.norm(theta0)
 
 
@@ -50,7 +46,7 @@ def test_rk4_global_error_is_fourth_order():
     exact = E @ theta0 @ E.conj().T
 
     def err(dt):
-        out = integrate_sylvester(W, theta0, IntegrationConfig(t_max=2.0, dt=dt))
+        out = integrate_sylvester(W, theta0, t_max=2.0, dt=dt)
         return np.linalg.norm(out - exact)
 
     e1, e2 = err(0.02), err(0.01)
@@ -63,42 +59,32 @@ def test_rk4_hermiticity_preserved():
     d = 5
     W = -1j * random_hermitian(rng, d)
     theta0 = random_covariance(rng, d)
-    out = integrate_sylvester(W, theta0, IntegrationConfig(t_max=1.0, dt=1e-3))
+    out = integrate_sylvester(W, theta0, t_max=1.0, dt=1e-3)
     defect = np.linalg.norm(out - out.conj().T) / np.linalg.norm(out)
     assert defect < 1e-9
 
 
 def test_step_overflow_raises_for_gain():
-    # Printed-convention resonant cavity-material block has a gain mode.
+    # Printed-convention resonant cavity-material block has a gain mode; the
+    # run stops at the first step past the fixed bound kernels.OVERFLOW_NORM.
     _, _, W, _, theta = small_system(n=2, g=0.1, sqrt_kappa=0.8)
-    cfg = IntegrationConfig(t_max=100.0, dt=1e-2, overflow_limit=1e6)
     with pytest.raises(StepOverflow) as exc_info:
-        integrate_sylvester(W, theta, cfg)
-    _, want = rk4_by_stages(W.matrix, theta.matrix, cfg.dt, cfg.steps, cfg.overflow_limit)
+        integrate_sylvester(W, theta, t_max=100.0, dt=1e-2)
+    _, want = rk4_by_stages(W.matrix, theta.matrix, 1e-2, 10_000, kernels.OVERFLOW_NORM)
     assert want is not None
     assert exc_info.value.step == want
 
 
-@pytest.mark.parametrize("limit", [1e160, 1e200, np.inf])
-def test_step_overflow_raises_beyond_the_squared_float_range(limit):
-    # W = 5: each step multiplies Theta by R(0.1) = sum_m 0.1^m / m!; the
-    # squared norm leaves the float range near 1e154, well before the limit,
-    # and with limit = inf the state itself overflows to inf.
-    cfg = IntegrationConfig(t_max=100.0, dt=1e-2, overflow_limit=limit)
-    with pytest.raises(StepOverflow) as exc_info:
-        integrate_sylvester(np.array([[5.0 + 0j]]), np.eye(1, dtype=complex), cfg)
-    growth = sum(0.1 ** m / math.factorial(m) for m in range(5))
-    ceiling = min(limit, np.finfo(float).max)
-    assert exc_info.value.step == math.floor(math.log(ceiling) / math.log(growth)) + 1
+_SCALAR = (np.eye(1, dtype=complex), np.eye(1, dtype=complex))
 
 
 def test_integration_config_validation():
     with pytest.raises(ValueError):
-        IntegrationConfig(t_max=-1.0, dt=0.1)
+        integrate_sylvester(*_SCALAR, t_max=-1.0, dt=0.1)
     with pytest.raises(ValueError):
-        IntegrationConfig(t_max=1.0, dt=0.0)
+        integrate_sylvester(*_SCALAR, t_max=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        IntegrationConfig(t_max=1e6, dt=1e-3)  # exceeds the step cap
+        integrate_sylvester(*_SCALAR, t_max=1e6, dt=1e-3)  # exceeds the step cap
 
 
 @pytest.mark.parametrize("field, kwargs", [
@@ -106,13 +92,10 @@ def test_integration_config_validation():
     ("t_max", dict(t_max=np.inf, dt=1e-3)),
     ("dt", dict(t_max=1.0, dt=np.nan)),
     ("dt", dict(t_max=1.0, dt=np.inf)),
-    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=0.0)),
-    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=-1.0)),
-    ("overflow_limit", dict(t_max=1.0, dt=1e-3, overflow_limit=np.nan)),
-], ids=["t_max-nan", "t_max-inf", "dt-nan", "dt-inf", "limit-0", "limit-neg", "limit-nan"])
+], ids=["t_max-nan", "t_max-inf", "dt-nan", "dt-inf"])
 def test_integration_config_names_the_bad_field(field, kwargs):
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        IntegrationConfig(**kwargs)
+        integrate_sylvester(*_SCALAR, **kwargs)
 
 
 @pytest.mark.parametrize("field, t_max, dt", [
@@ -132,10 +115,19 @@ def test_quadrature_names_the_bad_window_field(field, t_max, dt):
     (2.0, 0.02, 100), (2.0, 0.01, 200), (0.5, 1e-3, 500), (1.0, 1e-3, 1000),
     (5.0, 1e-3, 5000), (30.0, 5e-3, 6000), (100.0, 1e-2, 10000),
 ])
-def test_both_oracles_count_the_same_steps(t_max, dt, steps):
-    assert IntegrationConfig(t_max=t_max, dt=dt).steps == steps
-    W = -np.eye(1, dtype=complex)
-    assert quadrature_time_integral(W, np.eye(1, dtype=complex), t_max, dt).steps == steps
+def test_both_oracles_count_the_same_steps(t_max, dt, steps, monkeypatch):
+    taken = []
+    real = kernels.rk4_lyapunov
+
+    def counting(W, theta0, dt, steps):
+        taken.append(steps)
+        return real(W, theta0, dt, steps)
+
+    monkeypatch.setattr(kernels, "rk4_lyapunov", counting)
+    W, theta0 = -np.eye(1, dtype=complex), np.eye(1, dtype=complex)
+    integrate_sylvester(W, theta0, t_max, dt)
+    assert taken == [steps]
+    assert quadrature_time_integral(W, theta0, t_max, dt).steps == steps
 
 
 def test_quadrature_scalar_integral():

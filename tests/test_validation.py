@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pairspec import numkit, observables
+from pairspec import kernels, numkit, observables
 from pairspec.validation import run_validation
 
 
@@ -57,15 +57,34 @@ def test_validate_cli_exit_code(monkeypatch):
 def test_corrupted_eigenbasis_lyapunov_fails_suite(monkeypatch):
     # Mutation check on the eigenbasis route that time_integrated_covariance
     # and propagate take: a 1e-4 relative error must trip the suite.
-    real = numkit.solve_lyapunov_eigen
+    real = numkit.solve_lyapunov
 
     def corrupted(*args, **kwargs):
         X, report = real(*args, **kwargs)
         return X * (1.0 + 1e-4), report
 
-    monkeypatch.setattr(numkit, "solve_lyapunov_eigen", corrupted)
+    monkeypatch.setattr(numkit, "solve_lyapunov", corrupted)
     report = run_validation()
     assert not report.passed
+
+
+def test_third_order_step_map_fails_rk4_check(monkeypatch):
+    # Mutation check on the RK4 oracle: its step map with the h^4 terms
+    # dropped is a third-order method, and rk4_vs_expm must tell it apart.
+    def third_order(W, theta0, dt, steps):
+        T = np.array(theta0, dtype=complex)
+        for _ in range(steps):
+            term, acc = T, T.copy()
+            for m in range(1, 4):
+                term = dt / m * (W @ term + term @ W.conj().T)
+                acc += term
+            T = acc
+        return T, steps, False
+
+    monkeypatch.setattr(kernels, "rk4_lyapunov", third_order)
+    report = run_validation()
+    failed = [r.name for r in report.results if not r.passed]
+    assert failed == ["rk4_vs_expm"], "\n".join(report.lines())
 
 
 def test_validation_evaluates_wigner_grid_in_one_call(monkeypatch):
