@@ -29,15 +29,9 @@ from . import numkit, observables, scattering, states
 from .config import RunConfig, check_epsilon, check_fits_in_memory, load_config
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     DegenerateWidth,
-    NearSingularPencil,
-    NonConvergentIntegral,
-    NonPositiveDeterminant,
     PairspecError,
-    SingularCovariance,
-    SingularMatrix,
-    StepOverflow,
+    SolverError,
 )
 from .model import SystemParams, build_dynamical_matrix, build_grid
 from .states import (
@@ -50,16 +44,6 @@ from .states import (
 from .validation import run_validation
 
 OUT_DIR_ENV = "PAIRSPEC_OUT_DIR"
-
-_SOLVER_ERRORS = (
-    SingularMatrix,
-    NearSingularPencil,
-    ConvergenceFailure,
-    NonPositiveDeterminant,
-    SingularCovariance,
-    StepOverflow,
-    NonConvergentIntegral,
-)
 
 
 @dataclass
@@ -223,8 +207,7 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
 
 def _metrics_payload(cfg: RunConfig, out: RunOutputs):
     prop = out.prop
-    lyap = prop.reports["lyapunov"]
-    scat = prop.reports["scattering"]
+    lyap = prop.lyapunov
     payload = {
         "schema_version": 1,
         "entropy_nats": out.entropy,
@@ -233,15 +216,15 @@ def _metrics_payload(cfg: RunConfig, out: RunOutputs):
         "purity": {"mu": out.purity.mu, "log_abs_det": out.purity.log_abs_det},
         "diagnostics": {
             "epsilon_used": prop.epsilon_used,
-            "regularized": prop.regularized,
+            "regularized": lyap.regularized,
             "identity_gap": prop.identity_gap,
             "hermiticity_defect": prop.hermiticity_defect,
             "lyapunov_residual": lyap.residual_norm,
             "lyapunov_condition": lyap.condition_estimate,
-            "solver_path": lyap.path,
-            "eigenvector_condition": lyap.eigenvector_condition,
-            "deflated_modes": lyap.deflated_modes,
-            "scattering_residual": scat.residual_norm,
+            "solver_path": prop.basis.path,
+            "eigenvector_condition": prop.basis.condition,
+            "deflated_modes": prop.basis.deflated_modes,
+            "scattering_residual": prop.scattering_q.residual,
         },
         "config": dict(cfg.raw),
     }
@@ -350,7 +333,7 @@ def cmd_sweep(args):
         point_cfg = point_cfgs[idx]
         try:
             outputs = execute_run(point_cfg, check_epsilon_stability=False, inputs=inputs)
-        except _SOLVER_ERRORS as exc:
+        except SolverError as exc:
             # One failed point must not discard the others.
             return idx, value, m_count, None, None, f"{type(exc).__name__}: {exc}"
         sub = os.path.join(
@@ -359,10 +342,10 @@ def cmd_sweep(args):
         _write_run_artifacts(sub, point_cfg, outputs, heatmaps=False, input_text=input_text)
         # Only the point's entropy.csv numbers are kept, so its d x d
         # matrices are freed while the other points run.
-        lyap = outputs.prop.reports["lyapunov"]
         mu = outputs.purity.mu
         numbers = (f"{outputs.entropy:.17g},{'' if mu is None else f'{mu:.17g}'},"
-                   f"{outputs.purity.log_abs_det:.17g},{lyap.residual_norm:.17g},"
+                   f"{outputs.purity.log_abs_det:.17g},"
+                   f"{outputs.prop.lyapunov.residual_norm:.17g},"
                    f"{outputs.prop.epsilon_used:.17g}")
         return idx, value, m_count, numbers, sub, None
 
@@ -501,7 +484,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SOLVER_ERRORS as exc:
+    except SolverError as exc:
         print(f"solver failure during {args.stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (PairspecError, OSError) as exc:

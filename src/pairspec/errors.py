@@ -5,11 +5,15 @@ class PairspecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(PairspecError):
+class SolverError(PairspecError):
+    """A solve failed on valid input: exit 2, and a sweep point fails alone."""
+
+
+class SingularMatrix(SolverError):
     """A pivot fell below tolerance during a direct linear solve."""
 
 
-class NearSingularPencil(PairspecError):
+class NearSingularPencil(SolverError):
     """Some eigenvalue pair lambda_i(A) + lambda_j(B) is too close to zero."""
 
     def __init__(self, msg, pair=None, gap=None):
@@ -18,7 +22,7 @@ class NearSingularPencil(PairspecError):
         self.gap = gap
 
 
-class ConvergenceFailure(PairspecError):
+class ConvergenceFailure(SolverError):
     """An iterative factorization failed to converge."""
 
 
@@ -51,11 +55,11 @@ class DegenerateState(PairspecError):
     """All-zero amplitude has no Schmidt decomposition."""
 
 
-class SingularCovariance(PairspecError):
+class SingularCovariance(SolverError):
     """Covariance matrix is not invertible."""
 
 
-class NonPositiveDeterminant(PairspecError):
+class NonPositiveDeterminant(SolverError):
     """Purity requires |det| > 0; carries the offending determinant."""
 
     def __init__(self, msg, determinant=None):
@@ -63,7 +67,7 @@ class NonPositiveDeterminant(PairspecError):
         self.determinant = determinant
 
 
-class StepOverflow(PairspecError):
+class StepOverflow(SolverError):
     """Integrator state norm exceeded the overflow limit (unstable generator)."""
 
     def __init__(self, msg, step=None, time=None):
@@ -72,7 +76,7 @@ class StepOverflow(PairspecError):
         self.time = time
 
 
-class NonConvergentIntegral(PairspecError):
+class NonConvergentIntegral(SolverError):
     """Time integral does not converge (generator not strictly stable)."""
 
 

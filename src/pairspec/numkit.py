@@ -12,7 +12,8 @@ eigenbasis is accurate while cond_1(V) stays at or below
 runs the Schur path of :func:`solve_sylvester` and the shifted inverse
 takes the LU of :func:`linear_solve` on the core.  Both Lyapunov routes
 solve A X + X A^dag = -C and share one pencil screen and one refinement
-rule, and the Lyapunov report records which route ran.
+rule.  The route is a fact of the basis, ``Eigenbasis.path``; a
+:class:`SolveReport` holds only what the solve measured or decided.
 
 Every dense LU calls LAPACK getrf directly (:func:`_getrf`): it reports a
 zero pivot in its return value, not as a warning, so no solve touches the
@@ -37,9 +38,10 @@ with V touch only the core block and products with W - s cost O(d^2).
 Every function of W is a c x c core block plus a diagonal there, since the
 deflated modes are decoupled: :func:`shifted_inverse` returns (W - z)^-1 as
 that pair, and :meth:`Eigenbasis.block_congruence` and
-:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov` takes and
-returns matrices in W's coordinates and rotates once.  A W without that
-structure is factored densely, with Q = I and every index in the core.
+:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov` likewise takes C
+and returns X in deflated coordinates; only :meth:`Eigenbasis.rotate`
+moves a matrix between those and W's.  A W without that structure is
+factored densely, with Q = I and every index in the core.
 """
 
 from dataclasses import dataclass, replace
@@ -57,6 +59,13 @@ from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 # Lyapunov residual stays below 1e-9 and the S residual below 1.3e-11
 # (gates 1e-8 and 1e-10); at the exceptional point (3.1e7) they reach 1.3e-5
 # and 8e-10 while the Schur and LU solves stay below 1.4e-9 and 1e-15.
+# Those figures are for that d = 8 toy.  The Lyapunov residual is relative
+# to max(1, ||C||_F), and ||X|| grows like eps^-3 at an exceptional point:
+# on the cavity model at n = 16 with its material pair coalescing
+# (cond_1(V) = 4.5e8), ||X||_F = 1e10 at eps = 1e-3 and the Schur solve
+# reads 1.3e-3 at a backward error of 1.8e-17; just off the point
+# (cond_1(V) = 949) the eigen route reads 2.0e-8 at 2.2e-21.  Neither route
+# passes the 1e-8 gates there, although both solves are backward stable.
 EIGEN_COND_MAX = 1e5
 
 # A pivot below PIVOT_TOL * max|A| makes A singular (_check_pivots, applied
@@ -69,16 +78,14 @@ PENCIL_GAP_TOL = 1e-10
 
 @dataclass
 class SolveReport:
-    """Diagnostics attached to every solve."""
+    """What a solve measured or decided: its relative residual, its condition
+    estimate, and whether it ran at a regularized shift.  The route, cond_1(V)
+    and the deflated-mode count are the basis's (``Eigenbasis.path``,
+    ``.condition``, ``.deflated_modes``)."""
 
     residual_norm: float
     condition_estimate: float | None = None
     regularized: bool = False
-    # Set by solve_lyapunov: its route, "eigen" or "fallback", the
-    # cond_1(V) it rested on, and how many modes the eigenbasis deflated.
-    path: str | None = None
-    eigenvector_condition: float | None = None
-    deflated_modes: int | None = None
 
 
 def matrix_of(mat_like):
@@ -174,21 +181,19 @@ def _pencil_condition(lam, norm_a):
     return float(norm_a / gap)
 
 
-def _refine(solve, lyapunov, C):
+def _refine(solve, A, C):
     """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F))
-    from ``solve(rhs)``, which solves A X + X A^dag = -rhs, and
-    ``lyapunov(X)`` = A X + X A^dag: one refinement pass follows only when
-    the first pass's residual is above :data:`REFINE_ABOVE`."""
+    from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the Arrowhead
+    or array A: one refinement pass follows only when the first pass's
+    residual is above :data:`REFINE_ABOVE`."""
     c_norm = max(1.0, np.linalg.norm(C))
     X = solve(C)
-    R = lyapunov(X)
-    R += C
+    R = lyapunov_product(A, X, C.copy())
     residual = np.linalg.norm(R) / c_norm
     if not residual <= REFINE_ABOVE:
         X += solve(R)
         del R
-        R = lyapunov(X)
-        R += C
+        R = lyapunov_product(A, X, C.copy())
         residual = np.linalg.norm(R) / c_norm
     return X, float(residual)
 
@@ -232,12 +237,12 @@ def solve_sylvester(A, C, method="schur"):
     elif method == "schur":
         T, Q = schur(A, output="complex")
         cond = _pencil_condition(np.diag(T), norm_a)
-        A_h, Q_h = A.conj().T, Q.conj().T
+        Q_h = Q.conj().T
 
         def tri_solve(rhs):
             return Q @ kernels.sylvester_triangular(T, Q_h @ -rhs @ Q) @ Q_h
 
-        X, residual = _refine(tri_solve, lambda X: A @ X + X @ A_h, C)
+        X, residual = _refine(tri_solve, A, C)
     else:
         raise ValueError(f"unknown Sylvester method {method!r}")
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
@@ -316,28 +321,22 @@ class Arrowhead:
         out[:, self.tip] += Y @ self.col
         return out
 
-    def lyapunov(self, X, out=None):
-        """A X + X A^dag, with the diagonal terms summed first as
-        (a_i + conj(a_j)) X_ij, so that they cancel exactly between modes of
-        equal frequency instead of leaving the rounding of two large products.
-
-        A new array, or added into ``out`` (not X): each row strip of
-        A X + X A^dag is formed whole and then added, so ``out`` ends as
-        ``out + (A X + X A^dag)`` would."""
+    def lyapunov(self, X, out):
+        """``out`` + (A X + X A^dag), added into ``out`` (not X), with the
+        diagonal terms summed first as (a_i + conj(a_j)) X_ij, so that they
+        cancel exactly between modes of equal frequency instead of leaving
+        the rounding of two large products.  Each row strip of
+        A X + X A^dag is formed whole and then added."""
         t = self.tip
         diag_h, col_h = self.diag.conj(), self.col.conj()
         x_row, x_col = X[t], X[:, t]
         tip_row = _vector_times(self.row, X)
         tip_col = _vector_times(self.row.conj(), X.T)
-        if out is None:
-            out, add = np.empty(X.shape, dtype=np.complex128), False
-        else:
-            add = True
         strips = _strips(*X.shape)
         strip = np.empty((max(r1 - r0 for r0, r1 in strips), X.shape[1]), dtype=np.complex128)
         term = np.empty_like(strip)
         for r0, r1 in strips:
-            block = strip[:r1 - r0] if add else out[r0:r1]
+            block = strip[:r1 - r0]
             part = term[:r1 - r0]
             np.add(self.diag[r0:r1, None], diag_h[None, :], out=block)
             block *= X[r0:r1]
@@ -346,8 +345,7 @@ class Arrowhead:
             if r0 <= t < r1:
                 block[t - r0] += tip_row
             block[:, t] += tip_col[r0:r1]
-            if add:
-                out[r0:r1] += block
+            out[r0:r1] += block
         return out
 
     def restricted(self, idx):
@@ -636,8 +634,9 @@ class Eigenbasis:
 
     :meth:`rotate` maps a matrix between W's coordinates and the deflated
     ones (Y -> Q Y Q), where products with V touch only the core block, and
-    ``q`` is this factorization with Q = I, the view the deflated-coordinate
-    solves take.
+    ``q`` is this factorization with Q = I, which a W-coordinate function
+    takes to read a deflated-coordinate matrix as its own.  ``path`` names
+    the route the solves take: "eigen" while ``usable``, else "fallback".
 
     ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V in W's
     coordinates; it is inf (and ``core_inverse`` None) when V is
@@ -658,6 +657,12 @@ class Eigenbasis:
     def usable(self):
         """Whether cond_1(V) admits the eigenbasis solves."""
         return self.condition <= EIGEN_COND_MAX
+
+    @property
+    def path(self):
+        """The route of :func:`solve_lyapunov` and :func:`shifted_inverse`:
+        "eigen" while ``usable``, else "fallback"."""
+        return "eigen" if self.usable else "fallback"
 
     @property
     def dim(self):
@@ -803,40 +808,35 @@ def solve_lyapunov(basis, C, shift):
     returned X either way.  The pencil-gap screen runs on all d eigenvalues
     and raises NearSingularPencil (tolerance ``PENCIL_GAP_TOL * ||A||_F``,
     as in :func:`solve_sylvester`) with the offending pair.  Above
-    :data:`EIGEN_COND_MAX` the dense A goes to the Schur solve of
-    :func:`solve_sylvester` instead.
+    :data:`EIGEN_COND_MAX` (``basis.path`` "fallback") the dense A goes to
+    the Schur solve of :func:`solve_sylvester` instead.
 
-    C and X are in W's coordinates; the solve runs in deflated coordinates
-    (C is rotated in and X out once by ``basis.rotate``, the identity when
-    Q = I), where products with V touch only the core block and products
-    with A cost O(d^2).  The report records the route (``path``, "eigen" or
-    "fallback"), cond_1(V) and the number of deflated modes.
+    C and X are in the basis's deflated coordinates, as for
+    :func:`shifted_inverse`: there products with V touch only the core
+    block and products with A cost O(d^2).  The report holds the residual
+    and the condition estimate; the route, cond_1(V) and the deflated-mode
+    count are read from the basis.
     """
     C = _as_matrix(C, "C")
     d = basis.dim
     if C.shape != (d, d):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
     A = basis.shifted(shift)
-    if basis.usable:
-        cond = pencil_screen(basis, shift)
-        lam = basis.values - shift
-        lam_h = lam.conj()
+    if not basis.usable:
+        return solve_sylvester(np.asarray(A), C)
+    cond = pencil_screen(basis, shift)
+    lam = basis.values - shift
+    lam_h = lam.conj()
 
-        def eig_solve(rhs):
-            # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
-            # second congruence then overwrites Y with X.
-            Y = basis.block_congruence(basis.core_inverse, rhs)
-            Y /= -(lam[:, None] + lam_h[None, :])
-            return basis.block_congruence(basis.core_vectors, Y, copy=False)
+    def eig_solve(rhs):
+        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
+        # second congruence then overwrites Y with X.
+        Y = basis.block_congruence(basis.core_inverse, rhs)
+        Y /= -(lam[:, None] + lam_h[None, :])
+        return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
-        X, residual = _refine(eig_solve, lambda X: lyapunov_product(A, X), basis.rotate(C))
-        report = SolveReport(residual_norm=residual, condition_estimate=cond, path="eigen")
-    else:
-        X, report = solve_sylvester(np.asarray(A), basis.rotate(C))
-        report.path = "fallback"
-    report.eigenvector_condition = basis.condition
-    report.deflated_modes = basis.deflated_modes
-    return basis.rotate(X, copy=False), report
+    X, residual = _refine(eig_solve, A, C)
+    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
 def pencil_screen(basis, shift):
@@ -847,15 +847,12 @@ def pencil_screen(basis, shift):
     return _pencil_condition(basis.values - shift, frobenius_norm(basis.shifted(shift)))
 
 
-def lyapunov_product(A, X, out=None):
-    """A X + X A^dag of an Arrowhead (O(d^2), :meth:`Arrowhead.lyapunov`)
-    or an array; added into ``out`` when given."""
+def lyapunov_product(A, X, out):
+    """``out`` + (A X + X A^dag), added into ``out``, of an Arrowhead
+    (O(d^2), :meth:`Arrowhead.lyapunov`) or an array."""
     if isinstance(A, Arrowhead):
-        return A.lyapunov(X, out=out)
-    product = A @ X + X @ A.conj().T
-    if out is None:
-        return product
-    out += product
+        return A.lyapunov(X, out)
+    out += A @ X + X @ A.conj().T
     return out
 
 

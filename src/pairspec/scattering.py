@@ -25,13 +25,15 @@ rotates Theta_in in and keeps its results in deflated coordinates: a
 it reads.  The solves are ``numkit.solve_lyapunov`` and
 ``numkit.shifted_inverse``, and each picks its own route: when cond_1(V)
 is too large (near an exceptional point) they run the Schur solve and the
-LU inverse of the core instead, still in deflated coordinates.  The
-Lyapunov report records the route, cond_1(V) and the number of deflated
-modes; residuals are measured in deflated coordinates, which Q leaves
-unchanged up to rounding.
+LU inverse of the core instead, still in deflated coordinates.  The route,
+cond_1(V) and the number of deflated modes are the basis's
+(``Eigenbasis.path``, ``.condition``, ``.deflated_modes``); the Lyapunov
+report holds the solve's residual, and the ScatteringMatrix S's.  Residuals
+are measured in deflated coordinates, which Q leaves unchanged up to
+rounding.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from . import numkit
 from .errors import NearSingularPencil
 from .model import BlockLayout, DynamicalMatrix, FrequencyGrid
-from .states import CovarianceMatrix, JointSpectralAmplitude, jsi_of  # noqa: F401
+from .states import CovarianceMatrix, JointSpectralAmplitude
 
 # Default regularization (meV), and the one a solve at epsilon = 0 retries at
 # when the pencil is singular; every solve records whether it fired.
@@ -54,8 +56,8 @@ class ScatteringMatrix:
     ``core_block`` on ``basis.core`` plus ``diagonal``, read on the
     deflated modes (``numkit.Eigenbasis.block_congruence``).  ``matrix`` is
     S in the coordinates of ``basis``, formed on first access and cached.
-    ``residual`` is ||S A - A^dag||_F / ||A||_F for A = W - z, as in its
-    solve report.
+    ``residual``, ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one
+    diagnostic.
     """
 
     core_block: np.ndarray
@@ -81,6 +83,11 @@ class PropagationResult:
     ``scattering`` are the same matrices in W's coordinates, rotated out on
     first access and cached; the two covariances are CovarianceMatrix objects
     when the input or W carries a block ``layout``.
+
+    ``lyapunov`` is the Lyapunov solve's report (its residual, condition
+    estimate and whether it was regularized); the route, cond_1(V) and the
+    deflated-mode count are ``basis``'s, and S's residual is
+    ``scattering_q.residual``.
     """
 
     theta_out_q: np.ndarray
@@ -90,10 +97,9 @@ class PropagationResult:
     layout: BlockLayout | None
     grid: FrequencyGrid | None
     epsilon_used: float
-    regularized: bool
+    lyapunov: numkit.SolveReport
     identity_gap: float
     hermiticity_defect: float
-    reports: dict = field(default_factory=dict)
 
     def _covariance(self, Y):
         Y = self.basis.rotate(Y)
@@ -155,7 +161,7 @@ def time_integrated_covariance(W, theta_in, epsilon):
     basis = _eigenbasis(W)
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
     eff_eps = regularized_epsilon(basis, epsilon)
-    X, report = numkit.solve_lyapunov(basis.q, theta_q, eff_eps)
+    X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps)
     report.regularized = eff_eps != epsilon
     X = basis.rotate(X, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
@@ -173,27 +179,26 @@ def scattering_matrix(W, z):
     l_k = lambda_k - z.  Raises SingularMatrix when (W - z) is singular at
     the requested z (min |lambda_i - z| below
     ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of the fallback's LU);
-    the caller is expected to retry with an epsilon shift.  The report and
-    the matrix carry one residual, ||S A - A^dag||_F / ||A||_F for
-    A = W - z, taken blockwise.
+    the caller is expected to retry with an epsilon shift.  Returns the
+    :class:`ScatteringMatrix`, whose ``residual``
+    ||S A - A^dag||_F / ||A||_F for A = W - z, taken blockwise, is S's one
+    diagnostic.
     """
     basis = _eigenbasis(W)
-    q = basis.q
-    A = q.core_shifted(z)
+    A = basis.core_shifted(z)
     A_h = A.conj().T
-    lam = q.values - z
-    inverse, diagonal = numkit.shifted_inverse(q, z)
+    lam = basis.values - z
+    inverse, diagonal = numkit.shifted_inverse(basis, z)
     core_block = A_h @ inverse
     diagonal = lam.conj() * diagonal
     R = core_block @ A
     R -= np.asarray(A_h)
     r_rest = diagonal * lam - lam.conj()
-    r_rest[q.core] = 0.0
+    r_rest[basis.core] = 0.0
     residual = float(np.hypot(np.linalg.norm(R), np.linalg.norm(r_rest))
-                     / numkit.frobenius_norm(q.shifted(z)))
-    smat = ScatteringMatrix(core_block=core_block, diagonal=diagonal, basis=basis,
+                     / numkit.frobenius_norm(basis.shifted(z)))
+    return ScatteringMatrix(core_block=core_block, diagonal=diagonal, basis=basis,
                             z_used=complex(z), residual=residual)
-    return smat, numkit.SolveReport(residual_norm=residual)
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
@@ -224,20 +229,20 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     """
     theta_mat = numkit.matrix_of(theta_in)
     basis = _eigenbasis(W)
-    q = basis.q
     theta_q = basis.rotate(theta_mat)
 
+    # The two public solves take W-coordinate matrices; basis.q (Q = I)
+    # makes them read the deflated-coordinate ones as their own.
+    q = basis.q
     X, lyap_report = time_integrated_covariance(q, theta_q, epsilon)
-    regularized = lyap_report.regularized
-    eff_eps = DEFAULT_EPSILON if regularized else epsilon
-
-    smat, scat_report = scattering_matrix(q, eff_eps)
-    A = q.shifted(eff_eps)
+    eff_eps = DEFAULT_EPSILON if lyap_report.regularized else epsilon
+    smat = scattering_matrix(q, eff_eps)
+    A = basis.shifted(eff_eps)
 
     # The working set peaks here, at X, G and one congruence temporary; the
     # four products of A are then added into Theta_out a row strip at a
     # time, and rotate() has already copied Theta_in when Q != I.
-    G = q.block_congruence(smat.core_block, X, smat.diagonal)
+    G = basis.block_congruence(smat.core_block, X, smat.diagonal)
     theta_out = theta_q if basis.reflections else np.array(theta_q, dtype=np.complex128)
     del theta_q
     numkit.lyapunov_product(A, X, out=theta_out)
@@ -265,10 +270,9 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
         layout=layout,
         grid=grid,
         epsilon_used=float(eff_eps),
-        regularized=regularized,
+        lyapunov=lyap_report,
         identity_gap=identity_gap,
         hermiticity_defect=herm,
-        reports={"lyapunov": lyap_report, "scattering": scat_report},
     )
 
 

@@ -201,7 +201,10 @@ def parse_grid_text(text, complex_values=False, source="<string>"):
         )
     if not np.all(np.isfinite(values)):
         r, c = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{source}: non-finite cell {values[r, c]} at row {r}, col {c}")
+        # A cell with no imaginary part is named by its real value, so a
+        # real file reads alike as an intensity and as an amplitude grid.
+        cell = values[r, c].real if values[r, c].imag == 0 else values[r, c]
+        raise ParseError(f"{source}: non-finite cell {cell} at row {r}, col {c}")
     if not complex_values and values.sum() == 0.0:
         raise ParseError(f"{source}: intensity grid has zero total mass")
     return (*_ascending(signal_axis, idler_axis, values), units)

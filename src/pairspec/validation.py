@@ -159,7 +159,7 @@ def run_validation(seed=20250801):
     grid1 = model.build_grid(1, (1.0, 1.0), (1.1, 1.1))
     params1 = model.SystemParams(omega_c=1.05, material_freqs=(1.05,), g=0.2, sqrt_kappa=0.3)
     W4 = model.build_dynamical_matrix(grid1, params1)
-    smat, _ = scattering.scattering_matrix(W4, 1e-3)
+    smat = scattering.scattering_matrix(W4, 1e-3)
     add("scattering_identity", smat.residual, 1e-10)
 
     # --- Governing equation on a small grid -------------------------------

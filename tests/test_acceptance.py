@@ -40,7 +40,7 @@ _HERMITICITY_DEFECTS = []
 
 
 def _track(prop):
-    _SYLVESTER_RESIDUALS.append(prop.reports["lyapunov"].residual_norm)
+    _SYLVESTER_RESIDUALS.append(prop.lyapunov.residual_norm)
     _HERMITICITY_DEFECTS.append(prop.hermiticity_defect)
     return prop
 

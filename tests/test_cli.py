@@ -26,7 +26,7 @@ from pairspec import (
 from pairspec import cli as cli_mod
 from pairspec.cli import execute_run, main, render_heatmap
 from pairspec.config import KEYS, config_from_raw, load_config, parse_config_text
-from pairspec.errors import ConfigError
+from pairspec.errors import ConfigError, SolverError
 
 
 BASE_CONFIG = """
@@ -538,6 +538,35 @@ def test_failed_sweep_point_keeps_the_others(tmp_path, monkeypatch, capsys):
         assert metrics["diagnostics"]["deflated_modes"] == 16 + entry["material_count"] - 1
 
 
+def test_any_solver_error_fails_only_its_point(tmp_path, monkeypatch, capsys):
+    # The CLI catches solver failures by their base class, so a SolverError
+    # no handler names still fails only its own sweep point, and a run with
+    # exit 2.
+    class StrayFailure(SolverError):
+        pass
+
+    real = scattering.propagate
+
+    def failing_with_two_materials(theta, W, epsilon):
+        if W.dim == 2 * 16 + 1 + 2:
+            raise StrayFailure("synthetic failure")
+        return real(theta, W, epsilon=epsilon)
+
+    monkeypatch.setattr(scattering, "propagate", failing_with_two_materials)
+    text = BASE_CONFIG + (
+        "\nsweep.parameter = sqrt_kappa\nsweep.values = 150\nsweep.material_counts = 1, 2\n"
+    )
+    out_dir = tmp_path / "sweep"
+    assert main(["--out", str(out_dir), "--threads", "2", "sweep", write_config(tmp_path, text)]) == 2
+    assert "StrayFailure: synthetic failure" in capsys.readouterr().err
+    rows = (out_dir / "entropy.csv").read_text().strip().splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["ok", "failed"]
+    text = BASE_CONFIG.replace("system.material_freqs = 1809", "system.material_freqs = 1809, 1809")
+    assert main(["--out", str(tmp_path / "run"), "run", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure during run: StrayFailure: synthetic failure\n")
+
+
 def test_sweep_rejects_bad_point_before_running(tmp_path, capsys):
     text = BASE_CONFIG + "\nsweep.parameter = epsilon\nsweep.values = 1e-3, 0, -1\n"
     cfg_path = write_config(tmp_path, text)
@@ -636,6 +665,7 @@ sweep.values = 100, 200
     assert f"{message} at row 3, col 3" in err
     assert not out_dir.exists()
     # convert refuses what load_jsa refuses, a cell that is not finite, and
+    # names it as run does, though it parses every cell as complex; it
     # copies a negative cell as it is.
     converted = tmp_path / "converted.csv"
     if bad == "-1":
@@ -643,6 +673,7 @@ sweep.values = 100, 200
         assert f",{bad}," in converted.read_text(encoding="utf-8")
     else:
         assert main(["convert", str(path), str(converted)]) == 1
+        assert f"{message} at row 3, col 3" in capsys.readouterr().err
         assert not converted.exists()
 
 
@@ -672,7 +703,7 @@ def test_convert_round_trip(tmp_path):
 
 @pytest.mark.parametrize("rows, message", [
     # Descending energy rows: the file's data row 1 is row 0 once sorted.
-    ("1800,1810\n1710,1,2\n1700,nan,3", "non-finite cell (nan+0j) at row 1, col 0"),
+    ("1800,1810\n1710,1,2\n1700,nan,3", "non-finite cell nan at row 1, col 0"),
     ("1800,1810,1820\n1700,1,2,3\n1710,4,5,6",
      "amplitude grid must be square, got 2 rows of 3 cells"),
 ], ids=["nan-cell", "not-square"])
@@ -771,7 +802,7 @@ def test_run_factors_w_once(monkeypatch, n, core_method, congruences):
     assert out.epsilon_stability is not None  # the eps/2 check ran
     assert calls == {"eigenbasis": 1, "solve_sylvester": 0, "linear_solve": 0}
     assert methods == [core_method] * congruences
-    assert out.prop.reports["lyapunov"].residual_norm < 1e-11
+    assert out.prop.lyapunov.residual_norm < 1e-11
 
 
 def test_sweep_factors_w_once_per_point(tmp_path, monkeypatch):
@@ -793,7 +824,7 @@ def test_run_rotates_only_what_it_reads(monkeypatch, check, reflections):
     cfg = config_from_raw(parse_config_text(_readme_config_block()))
     out = execute_run(cfg, check_epsilon_stability=check)
     assert (out.epsilon_stability is not None) == check
-    assert out.prop.reports["lyapunov"].deflated_modes > 0
+    assert out.prop.basis.deflated_modes > 0
     assert calls == {"_reflect": reflections}
 
 
@@ -841,9 +872,9 @@ def test_run_equals_two_serial_propagations(monkeypatch, epsilon, damping, regul
         BASE_CONFIG.replace("system.epsilon = 1e-3", f"system.epsilon = {epsilon}")))
     out = execute_run(cfg)
     ref, half, change = _serial_reference(cfg)
-    assert out.prop.regularized == ref.regularized == regularized
+    assert out.prop.lyapunov.regularized == ref.lyapunov.regularized == regularized
     assert out.prop.epsilon_used == ref.epsilon_used
-    assert half.epsilon_used == ref.epsilon_used / 2 and not half.regularized
+    assert half.epsilon_used == ref.epsilon_used / 2 and not half.lyapunov.regularized
     assert out.epsilon_stability == change
     assert np.array_equal(out.prop.theta_out.matrix, ref.theta_out.matrix)
     assert np.array_equal(out.prop.theta_tilde_in.matrix, ref.theta_tilde_in.matrix)
@@ -851,8 +882,8 @@ def test_run_equals_two_serial_propagations(monkeypatch, epsilon, damping, regul
     assert out.prop.layout == ref.layout and out.prop.grid is not None
     for name in ("identity_gap", "hermiticity_defect"):
         assert getattr(out.prop, name) == getattr(ref, name)
-    for name in ("lyapunov", "scattering"):
-        assert out.prop.reports[name] == ref.reports[name]
+    assert out.prop.lyapunov == ref.lyapunov
+    assert out.prop.scattering_q.residual == ref.scattering_q.residual
 
 
 def test_concurrent_runs_match_the_serial_reference():
@@ -901,7 +932,7 @@ def test_run_propagates_eps_half_on_one_helper_thread(tmp_path, monkeypatch):
 def _failure_line(cfg, epsilon):
     """The stderr line of a run whose propagate at ``epsilon`` raises."""
     W, theta = _model(cfg)
-    with pytest.raises(cli_mod._SOLVER_ERRORS) as exc:
+    with pytest.raises(SolverError) as exc:
         scattering.propagate(theta, W, epsilon=epsilon)
     return f"solver failure during run: {type(exc.value).__name__}: {exc.value}\n"
 
@@ -954,6 +985,33 @@ def test_run_records_solver_path(tmp_path):
     diag = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())["diagnostics"]
     assert diag["solver_path"] == "eigen"
     assert 1.0 <= diag["eigenvector_condition"] < 1e5
+
+
+def test_run_at_an_exceptional_point_takes_the_fallback(tmp_path):
+    # g = 0 leaves the cavity-material pair, which coalesces at
+    # sqrt_kappa = 4.5 for a material 9 meV below the cavity.  There
+    # ||X||_F grows like eps^-3 (1e10 here), so the residual relative to
+    # max(1, ||Theta_in||_F) is above the 1e-8 gates although the Schur solve
+    # is backward stable.
+    text = (BASE_CONFIG.replace("system.g = 0.5", "system.g = 0")
+            .replace("system.material_freqs = 1809", "system.material_freqs = 1800")
+            .replace("system.sqrt_kappa = 488", "system.sqrt_kappa = 4.5"))
+    cfg_path = write_config(tmp_path, text)
+    out_dir = str(tmp_path / "out")
+    assert main(["--out", out_dir, "run", cfg_path]) == 0
+    diag = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())["diagnostics"]
+    assert diag["solver_path"] == "fallback"
+    assert diag["eigenvector_condition"] > numkit.EIGEN_COND_MAX
+    assert diag["identity_gap"] < 1e-8 and diag["hermiticity_defect"] < 1e-8
+    assert diag["lyapunov_residual"] > 1e-8
+    W, theta = _model(load_config(cfg_path))
+    prop = scattering.propagate(theta, W, epsilon=1e-3)
+    assert prop.lyapunov.residual_norm == diag["lyapunov_residual"]
+    A = W.matrix - 1e-3 * np.eye(W.dim)
+    X, C = prop.theta_tilde_in.matrix, theta.matrix
+    backward = (np.linalg.norm(A @ X + X @ A.conj().T + C)
+                / (2 * np.linalg.norm(A) * np.linalg.norm(X) + np.linalg.norm(C)))
+    assert backward < 1e-15
 
 
 # --- memory guard ----------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_free_mode_phases():
     # g = sqrt_kappa = 0: S is diagonal with (i w - eps)/(-i w - eps) entries.
     _, _, W, _, _ = small_system(n=2, g=0.0, sqrt_kappa=0.0)
     eps = 1e-3
-    smat, _ = scattering_matrix(W, eps)
+    smat = scattering_matrix(W, eps)
     S = smat.matrix
     freqs = np.concatenate([W.grid.signal, W.grid.idler, [W.params.omega_c], [W.params.omega_c]])
     expected = (1j * freqs - eps) / (-1j * freqs - eps)
@@ -86,20 +86,20 @@ def test_free_mode_phases():
     assert np.allclose(np.diag(S), expected)
     assert np.allclose(np.abs(np.diag(S)), 1.0)
     # eps -> 0 limit of each phase is -1.
-    smat_small, _ = scattering_matrix(W, 1e-9)
+    smat_small = scattering_matrix(W, 1e-9)
     assert np.allclose(np.diag(smat_small.matrix), -1.0, atol=1e-5)
 
 
 def test_large_z_limit_is_identity():
     _, _, W, _, _ = small_system(n=2, g=0.3, sqrt_kappa=0.4)
-    smat, _ = scattering_matrix(W, 1e9)
+    smat = scattering_matrix(W, 1e9)
     assert np.allclose(smat.matrix, np.eye(W.dim), atol=1e-6)
 
 
 def test_defining_identity_residual():
     _, _, W, _, _ = small_system(n=1, g=0.25, sqrt_kappa=0.35)
     z = 1e-3
-    smat, _ = scattering_matrix(W, z)
+    smat = scattering_matrix(W, z)
     A = W.matrix - z * np.eye(W.dim)
     direct = np.linalg.norm(smat.matrix @ A - A.conj().T) / np.linalg.norm(W.matrix)
     assert direct < 1e-10
@@ -139,7 +139,7 @@ def test_theta_out_hermitian_for_random_hermitian_input():
 def test_propagate_epsilon_zero_regularizes():
     _, _, W, _, theta = small_system(n=3, g=0.1, sqrt_kappa=0.0)
     prop = propagate(theta, W, epsilon=0.0)
-    assert prop.regularized
+    assert prop.lyapunov.regularized
     assert prop.epsilon_used == pytest.approx(1e-3)
     assert prop.scattering.z_used == pytest.approx(1e-3)
 
@@ -228,28 +228,27 @@ def _two_level_system(sqrt_kappa, eps=1e-3):
 def test_exceptional_point_takes_fallback_and_matches_kron():
     W, theta, A = _two_level_system(0.1)
     X, report = time_integrated_covariance(W, theta, 1e-3)
-    assert report.path == "fallback"
-    assert report.eigenvector_condition > numkit.EIGEN_COND_MAX
     assert report.residual_norm < 1e-8
     assert sylvester_residual(A, theta.matrix, X.matrix) < 1e-8
     Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
-    smat, scat_report = scattering_matrix(W, 1e-3)
+    smat = scattering_matrix(W, 1e-3)
     assert not smat.basis.usable
+    assert smat.basis.path == "fallback"
+    assert smat.basis.condition > numkit.EIGEN_COND_MAX
     assert smat.residual < 1e-10
-    assert scat_report.residual_norm == smat.residual
 
 
 def test_near_exceptional_point_takes_eigen_path():
     W, theta, A = _two_level_system(0.101)
     X, report = time_integrated_covariance(W, theta, 1e-3)
-    assert report.path == "eigen"
-    assert report.eigenvector_condition <= numkit.EIGEN_COND_MAX
     assert report.residual_norm < 1e-8
     Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
-    smat, _ = scattering_matrix(W, 1e-3)
+    smat = scattering_matrix(W, 1e-3)
     assert smat.basis.usable
+    assert smat.basis.path == "eigen"
+    assert smat.basis.condition <= numkit.EIGEN_COND_MAX
 
 
 @pytest.mark.parametrize("system, calls", [("exceptional_point", 1), ("readme", 0)])
@@ -322,11 +321,11 @@ def test_propagate_factors_a_plain_array_once(monkeypatch):
     _, _, W, _, theta = small_system(n=4, m_count=2)
     prop = propagate(theta, W.matrix, epsilon=1e-3)
     assert len(calls) == 1
-    assert prop.reports["lyapunov"].deflated_modes == 4 + 1
+    assert prop.basis.deflated_modes == 4 + 1
     # Both solves accept the factorization itself in place of W.
     basis = real(W.matrix)
     X, _ = time_integrated_covariance(basis, theta, 1e-3)
-    smat, _ = scattering_matrix(basis, 1e-3)
+    smat = scattering_matrix(basis, 1e-3)
     assert np.array_equal(X.matrix, prop.theta_tilde_in.matrix)
     assert np.array_equal(smat.matrix, prop.scattering.matrix)
     assert len(calls) == 1
@@ -419,8 +418,8 @@ def test_property_secular_core_matches_eig_based_solves(
     for eps in (1e-3, 5e-4):
         X, _ = time_integrated_covariance(basis, theta, eps)
         Xd, _ = time_integrated_covariance(dense, theta, eps)
-        S, _ = scattering_matrix(basis, eps)
-        Sd, _ = scattering_matrix(dense, eps)
+        S = scattering_matrix(basis, eps)
+        Sd = scattering_matrix(dense, eps)
         assert np.linalg.norm(X.matrix - Xd.matrix) / np.linalg.norm(Xd.matrix) < 1e-8
         assert np.linalg.norm(S.matrix - Sd.matrix) / np.linalg.norm(Sd.matrix) < 1e-8
 
@@ -445,7 +444,7 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
         path, gate = "eigen", 1e-12
     eps = 1e-3
     prop = propagate(theta, W, epsilon=eps)
-    assert prop.reports["lyapunov"].path == path
+    assert prop.basis.path == path
     assert path == "eigen" or prop.basis.deflated_modes == 3
     A = W.matrix - eps * np.eye(W.dim)
     X, S, out = prop.theta_tilde_in.matrix, prop.scattering.matrix, prop.theta_out.matrix
@@ -461,7 +460,7 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
     gap = np.linalg.norm(verbatim - cross) / np.linalg.norm(verbatim)
     herm = np.linalg.norm(out - out.conj().T) / np.linalg.norm(out)
     assert np.linalg.norm(verbatim - out) / np.linalg.norm(out) < 1e-12
-    for reported, dense in ((prop.reports["lyapunov"].residual_norm, lyap),
+    for reported, dense in ((prop.lyapunov.residual_norm, lyap),
                             (prop.scattering.residual, scat),
                             (prop.identity_gap, gap),
                             (prop.hermiticity_defect, herm)):
@@ -498,6 +497,6 @@ def test_hamiltonian_sign_matches_the_closed_form(n, g, sqrt_kappa, offset):
     for eps, ref in zip(epsilons, lossless_output(W.matrix, theta.matrix, epsilons)):
         prop = propagate(theta, basis, epsilon=eps)
         err = np.linalg.norm(prop.theta_out.matrix - ref) / np.linalg.norm(ref)
-        assert err <= 3e-17 * prop.reports["lyapunov"].condition_estimate
+        assert err <= 3e-17 * prop.lyapunov.condition_estimate
         S = prop.scattering.matrix
         assert np.linalg.norm(S.conj().T @ S - np.eye(W.dim)) <= 2.5e-13
