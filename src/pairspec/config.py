@@ -36,12 +36,12 @@ SCHEMA_VERSION = "1"
 
 # A run holds at most about this many dense d x d complex128 matrices at once,
 # with one matrix to spare.  Its eps and eps/2 propagations run at the same
-# time, each holding X, G = S X S^dag and a congruence temporary (S is a
-# core block plus a diagonal), besides the shared Theta_in, V_core and
-# V_core^-1: tracemalloc peaks of execute_run on the README config are at
-# most 9.45 and 9.24 at n = 64 and 128 (with and without continuum
-# scaling), and 10.0 and 8.67 at n = 32 and 256 (with it), also when both
-# peaks meet.
+# time, each holding X and G = S X S^dag (S is a diagonal plus a rank-4
+# term, so G takes no d x d temporary), besides the shared Theta_in, V_core
+# and V_core^-1: tracemalloc peaks of execute_run on the README config are
+# at most 9.08 and 8.79 at n = 64 and 128 (20 runs each, with and without
+# continuum scaling), and 10.3 and 8.07 at n = 32 and 256 (5 runs each),
+# also when both peaks meet.
 _DENSE_MATRICES_AT_PEAK = 11
 # Each sweep point running beside another adds at most this many: a point
 # runs no eps/2 shift, and the README sweep (8 points) peaked at 9.8, 17.0

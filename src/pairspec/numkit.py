@@ -5,22 +5,22 @@ multiple threads.  Matrices are plain 2-D complex128 ndarrays; every public
 entry point rejects NaN/Inf inputs.
 
 :func:`eigenbasis` factors a generator once as W = V diag(lambda) V^-1;
-:func:`solve_lyapunov` and :func:`shifted_inverse` then serve every shift
-W - s from that one factorization, and each picks its own route.  The
-eigenbasis is accurate while cond_1(V) stays at or below
-:data:`EIGEN_COND_MAX` (``Eigenbasis.usable``); above it the Lyapunov solve
-runs the Schur path of :func:`solve_sylvester` and the shifted inverse
-takes the LU of :func:`linear_solve` on the core.  Both Lyapunov routes
-solve A X + X A^dag = -C and share one pencil screen and one refinement
-rule.  The route is a fact of the basis, ``Eigenbasis.path``; a
-:class:`SolveReport` holds only what the solve measured or decided.
+:func:`solve_lyapunov` then serves every shift W - s from that one
+factorization.  The eigenbasis is accurate while cond_1(V) stays at or
+below :data:`EIGEN_COND_MAX` (``Eigenbasis.usable``); above it the
+Lyapunov solve runs the Schur path of :func:`solve_sylvester`.  Both
+Lyapunov routes solve A X + X A^dag = -C and share one pencil screen and
+one refinement rule.  The route is a fact of the basis, ``Eigenbasis.path``;
+a :class:`SolveReport` holds only what the solve measured or decided.
+:func:`adjoint_inverse` needs no eigenvectors and has no route: it forms
+A^dag A^-1 from W's arrowhead as a diagonal plus a rank-4 term.
 
 Every dense LU calls LAPACK getrf directly (:func:`_getrf`): it reports a
 zero pivot in its return value, not as a warning, so no solve touches the
 process-wide ``warnings`` filters, whose save-and-restore is not
 thread-safe.  :func:`lu` adds the one pivot rule, a pivot below
 ``PIVOT_TOL * max|A|`` raising SingularMatrix (:func:`_check_pivots`, which
-:func:`shifted_inverse` applies to |lambda - z|); :func:`linear_solve`
+:func:`adjoint_inverse` applies to |lambda - z|); :func:`linear_solve`
 and ``observables.wigner`` share it.  The LU of V stops only at an exactly
 zero pivot, since cond_1(V) judges the rest.
 
@@ -34,14 +34,13 @@ the roots of its secular equation, found all at once in O(c^2) per sweep,
 with eigenvectors in closed form (:func:`_secular_eig`); dense ``eig`` is
 the fallback.  The :class:`Eigenbasis` holds that one factorization, in
 deflated coordinates Q W Q, and Q.  The solves run there, where products
-with V touch only the core block and products with W - s cost O(d^2).
-Every function of W is a c x c core block plus a diagonal there, since the
-deflated modes are decoupled: :func:`shifted_inverse` returns (W - z)^-1 as
-that pair, and :meth:`Eigenbasis.block_congruence` and
-:meth:`Eigenbasis.full` take it.  :func:`solve_lyapunov` likewise takes C
-and returns X in deflated coordinates; only :meth:`Eigenbasis.rotate`
-moves a matrix between those and W's.  A W without that structure is
-factored densely, with Q = I and every index in the core.
+with V touch only the core block (:meth:`Eigenbasis.block_congruence`) and
+products with W - s cost O(d^2).  :func:`solve_lyapunov` takes C and
+returns X in deflated coordinates, and :func:`adjoint_inverse` returns
+A^dag A^-1 there as the triple that :func:`congruence` takes; only
+:meth:`Eigenbasis.rotate` moves a matrix between those coordinates and
+W's.  A W without that structure is factored densely, with Q = I and every
+index in the core.
 """
 
 from dataclasses import dataclass, replace
@@ -54,22 +53,23 @@ from scipy.linalg.lapack import zgetrf
 from . import kernels
 from .errors import ConvergenceFailure, NearSingularPencil, SingularMatrix
 
-# Largest cond_1(V) at which the eigenbasis solves are used.  On a d=8 model
-# approaching its exceptional point, up to cond_1(V) = 4.5e5 the eigenbasis
-# Lyapunov residual stays below 1e-9 and the S residual below 1.3e-11
-# (gates 1e-8 and 1e-10); at the exceptional point (3.1e7) they reach 1.3e-5
-# and 8e-10 while the Schur and LU solves stay below 1.4e-9 and 1e-15.
-# Those figures are for that d = 8 toy.  The Lyapunov residual is relative
-# to max(1, ||C||_F), and ||X|| grows like eps^-3 at an exceptional point:
-# on the cavity model at n = 16 with its material pair coalescing
-# (cond_1(V) = 4.5e8), ||X||_F = 1e10 at eps = 1e-3 and the Schur solve
-# reads 1.3e-3 at a backward error of 1.8e-17; just off the point
+# Largest cond_1(V) at which the eigenbasis Lyapunov solve is used.  On a
+# d=8 model approaching its exceptional point, up to cond_1(V) = 4.5e5 the
+# eigenbasis Lyapunov residual stays below 1e-9 (gate 1e-8); at the
+# exceptional point (3.1e7) it reaches 1.3e-5 while the Schur solve stays
+# below 1.4e-9.  Those figures are for that d = 8 toy.  The Lyapunov
+# residual is relative to max(1, ||C||_F), and ||X|| grows like eps^-3 at an
+# exceptional point: on the cavity model at n = 16 with its material pair
+# coalescing (cond_1(V) = 4.5e8), ||X||_F = 1e10 at eps = 1e-3 and the Schur
+# solve reads 1.3e-3 at a backward error of 1.8e-17; just off the point
 # (cond_1(V) = 949) the eigen route reads 2.0e-8 at 2.2e-21.  Neither route
 # passes the 1e-8 gates there, although both solves are backward stable.
 EIGEN_COND_MAX = 1e5
 
 # A pivot below PIVOT_TOL * max|A| makes A singular (_check_pivots, applied
-# by lu for linear_solve and observables.wigner, and by shifted_inverse).
+# by lu for linear_solve and observables.wigner, and to |lambda - z| by
+# adjoint_inverse, which takes the LU of linear_solve when the diagonal of
+# an arrowhead's A falls below it).
 PIVOT_TOL = 1e-12
 # A pair |lambda_i + conj(lambda_j)| of A's eigenvalues below
 # PENCIL_GAP_TOL * ||A||_F makes the Lyapunov pencil near-singular.
@@ -325,8 +325,12 @@ class Arrowhead:
         """``out`` + (A X + X A^dag), added into ``out`` (not X), with the
         diagonal terms summed first as (a_i + conj(a_j)) X_ij, so that they
         cancel exactly between modes of equal frequency instead of leaving
-        the rounding of two large products.  Each row strip of
-        A X + X A^dag is formed whole and then added."""
+        the rounding of two large products.  The two spoke terms
+        col_i X_tj + conj(col_j) X_it, each with the spoke as the first
+        factor, are summed before they are added, so that entry (i, j) and
+        the conjugate of (j, i) round alike and the result is exactly
+        Hermitian for Hermitian X.  Each row strip of A X + X A^dag is
+        formed whole and then added."""
         t = self.tip
         diag_h, col_h = self.diag.conj(), self.col.conj()
         x_row, x_col = X[t], X[:, t]
@@ -338,10 +342,11 @@ class Arrowhead:
         for r0, r1 in strips:
             block = strip[:r1 - r0]
             part = term[:r1 - r0]
-            np.add(self.diag[r0:r1, None], diag_h[None, :], out=block)
-            block *= X[r0:r1]
-            block += np.multiply(self.col[r0:r1, None], x_row[None, :], out=part)
-            block += np.multiply(x_col[r0:r1, None], col_h[None, :], out=part)
+            np.multiply(self.col[r0:r1, None], x_row[None, :], out=block)
+            block += np.multiply(col_h[None, :], x_col[r0:r1, None], out=part)
+            np.add(self.diag[r0:r1, None], diag_h[None, :], out=part)
+            part *= X[r0:r1]
+            block += part
             if r0 <= t < r1:
                 block[t - r0] += tip_row
             block[:, t] += tip_col[r0:r1]
@@ -636,7 +641,8 @@ class Eigenbasis:
     ones (Y -> Q Y Q), where products with V touch only the core block, and
     ``q`` is this factorization with Q = I, which a W-coordinate function
     takes to read a deflated-coordinate matrix as its own.  ``path`` names
-    the route the solves take: "eigen" while ``usable``, else "fallback".
+    the route the Lyapunov solve takes: "eigen" while ``usable``, else
+    "fallback".
 
     ``condition`` is cond_1(V) = ||V||_1 ||V^-1||_1 of the full V in W's
     coordinates; it is inf (and ``core_inverse`` None) when V is
@@ -660,8 +666,8 @@ class Eigenbasis:
 
     @property
     def path(self):
-        """The route of :func:`solve_lyapunov` and :func:`shifted_inverse`:
-        "eigen" while ``usable``, else "fallback"."""
+        """The route of :func:`solve_lyapunov`: "eigen" while ``usable``,
+        else "fallback" (the Schur solve)."""
         return "eigen" if self.usable else "fallback"
 
     @property
@@ -709,37 +715,17 @@ class Eigenbasis:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
 
-    def core_shifted(self, s):
-        """A_c, the core block of :meth:`shifted`: an Arrowhead (the core
-        holds the tip) when W is one, else the dense array W - s I."""
-        if self.arrowhead is None:
-            return self.shifted(s)
-        return self.arrowhead.restricted(self.core).shifted(s)
-
-    def full(self, M, rest):
-        """M (+) diag(rest), a function of W in deflated coordinates (as
-        :meth:`block_congruence` takes it), as a d x d matrix in W's
-        coordinates."""
-        Z = np.diag(rest)
-        Z[np.ix_(self.core, self.core)] = M
-        return self.rotate(Z, copy=False)
-
-    def block_congruence(self, M, Y, rest=None, copy=True):
-        """B Y B^dag for B = M (+) diag(rest) in deflated coordinates: M acts
-        on the core indices, the diagonal ``rest`` (default ones) on the
-        others.  Every function of Q W Q has this form, since the deflated
-        modes are decoupled there.  A new array, or Y (complex) overwritten
-        when ``copy`` is False."""
+    def block_congruence(self, M, Y, copy=True):
+        """B Y B^dag for B = M (+) I in deflated coordinates: M acts on the
+        core indices and the identity on the decoupled others, as V and
+        V^-1 do there.  A new array, or Y (complex) overwritten when
+        ``copy`` is False."""
         k = self.core
         if k.size == self.dim:
             return np.matmul(M @ Y, M.conj().T, out=None if copy else Y)
         Z = np.array(Y, dtype=np.complex128) if copy else Y
         Z[k] = M @ Z[k]
         Z[:, k] = Z[:, k] @ M.conj().T
-        if rest is not None:
-            others = np.setdiff1d(np.arange(self.dim), k)
-            Z[others] *= rest[others, None]
-            Z[:, others] *= rest[others].conj()
         return Z
 
 
@@ -751,8 +737,8 @@ def eigenbasis(W):
     solved from its secular equation, with dense ``eig`` as the fallback
     (see :class:`Eigenbasis` and :func:`_secular_eig`); otherwise W goes to
     ``eig`` whole.  The LU of V runs on the core only.  One factorization
-    serves the Lyapunov solve and the shifted inverse at every shift, since
-    W - s I has the eigenvectors of W.
+    serves the Lyapunov solve at every shift, since W - s I has the
+    eigenvectors of W.
     """
     W = _as_matrix(W, "W")
     d = W.shape[0]
@@ -811,11 +797,10 @@ def solve_lyapunov(basis, C, shift):
     :data:`EIGEN_COND_MAX` (``basis.path`` "fallback") the dense A goes to
     the Schur solve of :func:`solve_sylvester` instead.
 
-    C and X are in the basis's deflated coordinates, as for
-    :func:`shifted_inverse`: there products with V touch only the core
-    block and products with A cost O(d^2).  The report holds the residual
-    and the condition estimate; the route, cond_1(V) and the deflated-mode
-    count are read from the basis.
+    C and X are in the basis's deflated coordinates: there products with V
+    touch only the core block and products with A cost O(d^2).  The report
+    holds the residual and the condition estimate; the route, cond_1(V) and
+    the deflated-mode count are read from the basis.
     """
     C = _as_matrix(C, "C")
     d = basis.dim
@@ -861,28 +846,72 @@ def frobenius_norm(A):
     return A.norm() if isinstance(A, Arrowhead) else float(np.linalg.norm(A))
 
 
-def shifted_inverse(basis, z):
-    """(W - z I)^-1 in deflated coordinates, in the form every function of
-    W takes there: the pair (core block, diagonal), read on ``basis.core``
-    and on the other indices (:meth:`Eigenbasis.block_congruence`,
-    :meth:`Eigenbasis.full`).
+def adjoint_inverse(basis, z):
+    """A^dag A^-1 for A = Q W Q - z I, in the basis's deflated coordinates,
+    as (diagonal, left, right, residual): A^dag A^-1 is
+    diag(diagonal) + left @ right, and residual is
+    ||(A^dag A^-1) A - A^dag||_F / ||A||_F, taken a row strip at a time.
 
-    The diagonal is 1 / (lambda - z) for every eigenvalue of W.  While
-    ``basis.usable`` the core block is V_core diag(1 / (lambda_core - z))
-    V_core^-1; above :data:`EIGEN_COND_MAX` it is the LU inverse
-    (:func:`linear_solve`) of the core block of W - z.  Raises SingularMatrix
-    when min |lambda_i - z| falls below ``PIVOT_TOL * max|W - z I|`` (the
-    pivot rule of :func:`lu`), or at a pivot of that LU.
+    When W is an arrowhead, A = D + U V^T with D = diag - z, U = [col, e_t]
+    and V = [e_t, row], so A^dag = conj(D) + conj(V) U^dag and
+    A^dag A^-1 = Delta + [Delta U, conj(V)] M A^-1 with Delta = conj(D) / D
+    and M = [-V^T; U^dag].  The 4 x d right factor M A^-1 comes from
+    Sherman-Morrison-Woodbury, M D^-1 - (M D^-1 U) K^-1 V^T D^-1 with the
+    2 x 2 K = I + V^T D^-1 U (Golub & Van Loan, Matrix Computations,
+    2.1.4): O(d) work and no eigenvectors.  A W without that structure, or
+    an arrowhead whose D has an entry below ``PIVOT_TOL * max|A|``, gets
+    the whole of A^dag A^-1 as ``right`` (diagonal 0, left I) from the LU
+    of :func:`linear_solve`.
+
+    Raises SingularMatrix when min |lambda_i - z| falls below
+    ``PIVOT_TOL * max|A|`` (the pivot rule of :func:`lu`), or at a pivot
+    of that LU.
     """
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     _check_pivots(np.abs(basis.values - z), scale, "|lambda_{} - z|", "W - z")
-    diagonal = 1.0 / (basis.values - z)
-    core = basis.core
-    if basis.usable:
-        return (basis.core_vectors / (basis.values[core] - z)) @ basis.core_inverse, diagonal
-    identity = np.eye(core.size, dtype=np.complex128)
-    return linear_solve(np.asarray(basis.core_shifted(z)), identity), diagonal
+    d = basis.dim
+    if isinstance(A, Arrowhead) and np.abs(A.diag).min() >= PIVOT_TOL * scale:
+        D, e_t = A.diag, np.eye(1, d, A.tip)[0]
+        U, V = np.stack((A.col, e_t), axis=1), np.stack((e_t, A.row), axis=1)
+        diagonal = D.conj() / D
+        MD = np.vstack((-V.T, U.conj().T)) / D
+        K = np.eye(2) + V.T @ (U / D[:, None])
+        left = np.hstack((diagonal[:, None] * U, V.conj()))
+        right = MD - (MD @ U) @ np.linalg.solve(K, V.T / D)
+        B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
+                      diagonal[A.tip] * A.row - A.col.conj(), A.tip)
+    else:
+        A = np.asarray(A)
+        diagonal, left, right = np.zeros(d), np.eye(d), linear_solve(A.T, A.conj()).T
+        B = -A.conj().T
+    # S A - A^dag = B + left (right A) with B = Delta A - A^dag, taken a row
+    # strip at a time (rows r0:r1 of I times B), so that no d x d temporary
+    # is made.
+    M, total = right @ A, 0.0
+    for r0, r1 in _strips(d, d):
+        E = left[r0:r1] @ M + np.eye(r1 - r0, d, r0) @ B
+        total += np.vdot(E, E).real
+    return diagonal, left, right, float(np.sqrt(total) / frobenius_norm(A))
+
+
+def congruence(diagonal, left, right, X):
+    """B X B^dag for B = Delta + left @ right, Delta = diag(``diagonal``)
+    (left d x k, right k x d), as Delta X conj(Delta) plus one rank-2k
+    update:
+
+        B X B^dag = Delta X conj(Delta)
+                    + [left, Delta X R^dag + left R X R^dag] [R X conj(Delta); left^dag]
+
+    with R = ``right``.  G is formed a row strip at a time, so besides the
+    result only d x 2k arrays and strips are made."""
+    XR = X @ right.conj().T
+    outer = np.hstack((left, diagonal[:, None] * XR + left @ (right @ XR)))
+    inner = np.vstack(((right @ X) * diagonal.conj(), left.conj().T))
+    G = np.empty_like(X)
+    for r0, r1 in _strips(*X.shape):
+        G[r0:r1] = X[r0:r1] * diagonal[r0:r1, None] * diagonal.conj() + outer[r0:r1] @ inner
+    return G
 
 
 def svd(M):

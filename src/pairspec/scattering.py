@@ -6,31 +6,31 @@ W is shifted to W - eps*I in the Lyapunov solve, in the scattering matrix,
 and in the output assembly, so the algebraic identity between the full and
 reduced forms of the output map holds exactly at the working epsilon.
 
-Both solves run in the eigenbasis of W (:func:`pairspec.numkit.eigenbasis`),
-which serves every shift.  Each public solve factors the matrix of the W it
-is given, or takes a ``numkit.Eigenbasis`` of W in its place: a caller that
-solves one W more than once (a run and its eps/2 check) factors it once and
-passes the basis.  The cavity model's W is an arrowhead: equal signal/idler
-modes (and identical materials) are deflated exactly by a reflection Q, and
-the remaining core is solved from its secular equation.  The solves work in
-deflated coordinates Q W Q, where the deflated modes are decoupled, products
-with V touch only the core block and every product with W - eps costs
-O(d^2).  ``time_integrated_covariance`` rotates its input in and its result
-out.  The scattering matrix, like every function of W there, is a c x c
-core block plus a diagonal, and a :class:`ScatteringMatrix` keeps it in
+Each public solve factors the matrix of the W it is given
+(:func:`pairspec.numkit.eigenbasis`), or takes a ``numkit.Eigenbasis`` of W
+in its place: a caller that solves one W more than once (a run and its
+eps/2 check) factors it once and passes the basis.  The cavity model's W is
+an arrowhead: equal signal/idler modes (and identical materials) are
+deflated exactly by a reflection Q, and the remaining core is solved from
+its secular equation.  The solves work in deflated coordinates Q W Q, where
+the deflated modes are decoupled, products with V touch only the core block
+and every product with W - eps costs O(d^2).  ``time_integrated_covariance``
+rotates its input in and its result out.
+
+The Lyapunov solve is ``numkit.solve_lyapunov``: in W's eigenbasis, or by
+the Schur solve when cond_1(V) is too large (near an exceptional point).
+The scattering matrix needs no eigenvectors: W - eps is an arrowhead there,
+a diagonal plus a rank-2 term, so S is a diagonal plus a rank-4 term
+(``numkit.adjoint_inverse``), and a :class:`ScatteringMatrix` keeps it in
 that form; its ``matrix`` is formed only when it is read.  ``propagate``
 rotates Theta_in in and keeps its results in deflated coordinates: a
 :class:`PropagationResult` rotates ``theta_out``, ``theta_tilde_in`` and
 ``scattering`` out on first access, so a caller pays only for the matrices
-it reads.  The solves are ``numkit.solve_lyapunov`` and
-``numkit.shifted_inverse``, and each picks its own route: when cond_1(V)
-is too large (near an exceptional point) they run the Schur solve and the
-LU inverse of the core instead, still in deflated coordinates.  The route,
-cond_1(V) and the number of deflated modes are the basis's
-(``Eigenbasis.path``, ``.condition``, ``.deflated_modes``); the Lyapunov
-report holds the solve's residual, and the ScatteringMatrix S's.  Residuals
-are measured in deflated coordinates, which Q leaves unchanged up to
-rounding.
+it reads.  The Lyapunov route, cond_1(V) and the number of deflated modes
+are the basis's (``Eigenbasis.path``, ``.condition``, ``.deflated_modes``);
+the Lyapunov report holds the solve's residual, and the ScatteringMatrix
+S's.  Residuals are measured in deflated coordinates, which Q leaves
+unchanged up to rounding.
 """
 
 from dataclasses import dataclass, replace
@@ -52,23 +52,24 @@ DEFAULT_EPSILON = 1e-3
 class ScatteringMatrix:
     """Asymptotic mode map S = (W^dag - z)(W - z)^(-1) of a factored W.
 
-    S is held as every function of W is in deflated coordinates: the c x c
-    ``core_block`` on ``basis.core`` plus ``diagonal``, read on the
-    deflated modes (``numkit.Eigenbasis.block_congruence``).  ``matrix`` is
-    S in the coordinates of ``basis``, formed on first access and cached.
-    ``residual``, ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one
-    diagnostic.
+    S is held in the deflated coordinates of ``basis`` as
+    diag(``diagonal``) + ``left`` @ ``right``, as ``numkit.adjoint_inverse``
+    returns it and ``numkit.congruence`` takes it: for an arrowhead W a
+    d x 4 and a 4 x d factor.  ``matrix`` is S in the coordinates of
+    ``basis``, formed on first access and cached.  ``residual``,
+    ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one diagnostic.
     """
 
-    core_block: np.ndarray
     diagonal: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    residual: float
     basis: numkit.Eigenbasis
     z_used: complex
-    residual: float
 
     @cached_property
     def matrix(self):
-        return self.basis.full(self.core_block, self.diagonal)
+        return self.basis.rotate(np.diag(self.diagonal) + self.left @ self.right, copy=False)
 
 
 @dataclass
@@ -170,35 +171,20 @@ def time_integrated_covariance(W, theta_in, epsilon):
 
 
 def scattering_matrix(W, z):
-    """S = (W^dag - z)(W - z)^(-1) = (W^dag - z) V (Lambda - z)^(-1) V^(-1).
+    """S = (W^dag - z)(W - z)^(-1).
 
-    Formed in deflated coordinates as a core block and a diagonal (see
-    :class:`ScatteringMatrix`): the core block is A_c^dag (W - z)^-1_c on
-    the core, with (W - z)^-1 from ``numkit.shifted_inverse`` on either
-    route, and each deflated mode gets s_k = conj(l_k) / l_k,
-    l_k = lambda_k - z.  Raises SingularMatrix when (W - z) is singular at
-    the requested z (min |lambda_i - z| below
-    ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of the fallback's LU);
-    the caller is expected to retry with an epsilon shift.  Returns the
+    Formed in deflated coordinates by ``numkit.adjoint_inverse``: for an
+    arrowhead W, S = Delta + L R with Delta = conj(D) / D for the diagonal D
+    of W - z, L d x 4 and R 4 x d, by Sherman-Morrison-Woodbury; otherwise
+    from the LU of ``numkit.linear_solve``.  Raises SingularMatrix when
+    (W - z) is singular at the requested z (min |lambda_i - z| below
+    ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of that LU); the caller
+    is expected to retry with an epsilon shift.  Returns the
     :class:`ScatteringMatrix`, whose ``residual``
-    ||S A - A^dag||_F / ||A||_F for A = W - z, taken blockwise, is S's one
-    diagnostic.
+    ||S A - A^dag||_F / ||A||_F for A = W - z is S's one diagnostic.
     """
     basis = _eigenbasis(W)
-    A = basis.core_shifted(z)
-    A_h = A.conj().T
-    lam = basis.values - z
-    inverse, diagonal = numkit.shifted_inverse(basis, z)
-    core_block = A_h @ inverse
-    diagonal = lam.conj() * diagonal
-    R = core_block @ A
-    R -= np.asarray(A_h)
-    r_rest = diagonal * lam - lam.conj()
-    r_rest[basis.core] = 0.0
-    residual = float(np.hypot(np.linalg.norm(R), np.linalg.norm(r_rest))
-                     / numkit.frobenius_norm(basis.shifted(z)))
-    return ScatteringMatrix(core_block=core_block, diagonal=diagonal, basis=basis,
-                            z_used=complex(z), residual=residual)
+    return ScatteringMatrix(*numkit.adjoint_inverse(basis, z), basis=basis, z_used=complex(z))
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
@@ -221,11 +207,11 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     there; its ``theta_out``, ``theta_tilde_in`` and ``scattering`` rotate
     them out on first access (see :class:`PropagationResult`).  There every
     product with A costs O(d^2): A X + X A^dag and A^dag G + G A are one
-    ``numkit.lyapunov_product`` pass each.  S is a core block plus a
-    diagonal on either route, so G = S X S^dag costs a quarter of two dense
-    products.  (Forming it as A^dag (R X R^dag) A with
-    R = (W - eps)^-1 would lose cond(A) digits when an eigenvalue of W lies
-    near eps.)
+    ``numkit.lyapunov_product`` pass each.  S is a diagonal plus a rank-4
+    term, so G = S X S^dag is X scaled by the diagonal plus one rank-8
+    update (``numkit.congruence``), also O(d^2).  (Forming it as
+    A^dag (R X R^dag) A with R = (W - eps)^-1 would lose cond(A) digits when
+    an eigenvalue of W lies near eps.)
     """
     theta_mat = numkit.matrix_of(theta_in)
     basis = _eigenbasis(W)
@@ -239,10 +225,10 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     smat = scattering_matrix(q, eff_eps)
     A = basis.shifted(eff_eps)
 
-    # The working set peaks here, at X, G and one congruence temporary; the
-    # four products of A are then added into Theta_out a row strip at a
-    # time, and rotate() has already copied Theta_in when Q != I.
-    G = basis.block_congruence(smat.core_block, X, smat.diagonal)
+    # The working set peaks here, at X and G; the four products of A are
+    # then added into Theta_out a row strip at a time, and rotate() has
+    # already copied Theta_in when Q != I.
+    G = numkit.congruence(smat.diagonal, smat.left, smat.right, X)
     theta_out = theta_q if basis.reflections else np.array(theta_q, dtype=np.complex128)
     del theta_q
     numkit.lyapunov_product(A, X, out=theta_out)

@@ -194,17 +194,19 @@ def parse_grid_text(text, complex_values=False, source="<string>"):
     if values.shape[0] != values.shape[1]:
         raise ParseError(f"{source}: {'amplitude' if complex_values else 'intensity'} grid "
                          f"must be square, got {values.shape[0]} rows of {values.shape[1]} cells")
-    if not complex_values and np.any(values < 0):
-        r, c = np.argwhere(values < 0)[0]
-        raise NegativeIntensity(
-            f"{source}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
-        )
+    # Finiteness before sign: a -inf cell is named as non-finite in an
+    # intensity grid too, as in an amplitude grid, which has no sign check.
     if not np.all(np.isfinite(values)):
         r, c = np.argwhere(~np.isfinite(values))[0]
         # A cell with no imaginary part is named by its real value, so a
         # real file reads alike as an intensity and as an amplitude grid.
         cell = values[r, c].real if values[r, c].imag == 0 else values[r, c]
         raise ParseError(f"{source}: non-finite cell {cell} at row {r}, col {c}")
+    if not complex_values and np.any(values < 0):
+        r, c = np.argwhere(values < 0)[0]
+        raise NegativeIntensity(
+            f"{source}: negative intensity {values[r, c]:.6g} at row {r}, col {c}"
+        )
     if not complex_values and values.sum() == 0.0:
         raise ParseError(f"{source}: intensity grid has zero total mass")
     return (*_ascending(signal_axis, idler_axis, values), units)

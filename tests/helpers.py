@@ -16,6 +16,12 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * (H + H.conj().T) / 2.0
 
 
+def dense_scattering(A):
+    """A^dag A^-1 by one dense solve, the reference for S: S A = A^dag is
+    A^T S^T = conj(A)."""
+    return np.linalg.solve(A.T, A.conj()).T
+
+
 def random_covariance(rng, d):
     """Hermitian positive definite with a vacuum-like floor."""
     C = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

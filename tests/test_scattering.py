@@ -28,7 +28,7 @@ from pairspec.errors import SingularMatrix
 from pairspec.numkit import sylvester_residual
 from pairspec.oracle import quadrature_time_integral
 from pairspec.validation import lossless_output
-from helpers import paper_system, random_covariance, small_system, tv_distance
+from helpers import dense_scattering, paper_system, random_covariance, small_system, tv_distance
 
 
 # --- time_integrated_covariance ---------------------------------------------
@@ -110,6 +110,29 @@ def test_singular_shift_raises():
     W = np.diag([-1j, -2j])
     with pytest.raises(SingularMatrix):
         scattering_matrix(W, -1j)  # z equal to an eigenvalue makes W - z singular
+
+
+@pytest.mark.parametrize("offset", ["equal", "half-step"])
+@pytest.mark.parametrize("material_sign", ["paper", "hamiltonian"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_scattering_matrix_matches_a_dense_solve(n, material_sign, offset):
+    # S is a diagonal plus a rank-4 term, from the arrowhead of W - eps by
+    # Sherman-Morrison-Woodbury.  Over these 16 cases (eps in {1e-2, 1e-3})
+    # it was within 3.1e-16 of the dense solve, and its residual at most
+    # 1.1e-16 (2.4e-16 to 5.3e-16 while S came from W's eigenvectors); the
+    # bounds keep a 3x margin.
+    step = 120.0 / (n - 1)
+    shift = 0.5 * step if offset == "half-step" else 0.0
+    _, _, W, _, _ = paper_system(n=n, idler_span=(1740.0 + shift, 1860.0 + shift),
+                                 material_sign=material_sign)
+    basis = numkit.eigenbasis(W.matrix)
+    assert basis.deflated_modes == (n if shift == 0.0 else 0)
+    for eps in (1e-2, 1e-3):
+        smat = scattering_matrix(basis, eps)
+        assert smat.left.shape == (W.dim, 4) and smat.right.shape == (4, W.dim)
+        ref = dense_scattering(W.matrix - eps * np.eye(W.dim))
+        assert np.linalg.norm(smat.matrix - ref) / np.linalg.norm(ref) < 1e-15
+        assert smat.residual < 3.5e-16
 
 
 # --- propagate -----------------------------------------------------------------
@@ -232,11 +255,15 @@ def test_exceptional_point_takes_fallback_and_matches_kron():
     assert sylvester_residual(A, theta.matrix, X.matrix) < 1e-8
     Xk, _ = numkit.solve_sylvester(A, theta.matrix, method="kron")
     assert np.linalg.norm(X.matrix - Xk) / np.linalg.norm(Xk) < 1e-8
+    # S needs no eigenvectors, so cond_1(V) = 8.4e7 does not reach it: it
+    # is within 2.6e-16 of the dense solve, with residual 1.2e-16.
     smat = scattering_matrix(W, 1e-3)
     assert not smat.basis.usable
     assert smat.basis.path == "fallback"
     assert smat.basis.condition > numkit.EIGEN_COND_MAX
     assert smat.residual < 1e-10
+    ref = dense_scattering(A)
+    assert np.linalg.norm(smat.matrix - ref) / np.linalg.norm(ref) < 1e-14
 
 
 def test_near_exceptional_point_takes_eigen_path():
@@ -254,8 +281,9 @@ def test_near_exceptional_point_takes_eigen_path():
 @pytest.mark.parametrize("system, calls", [("exceptional_point", 1), ("readme", 0)])
 def test_fallback_solves_run_through_numkit_attributes(system, calls, monkeypatch):
     # The traced benchmark wraps numkit.solve_sylvester and numkit.linear_solve
-    # by attribute, so a fallback propagate must reach each through the
-    # module: one Schur Lyapunov solve and one LU inverse of the core.
+    # by attribute, so a fallback propagate must reach the Schur Lyapunov
+    # solve through the module.  S takes no LU on an arrowhead W, at an
+    # exceptional point too.
     if system == "exceptional_point":
         W, theta, _ = _two_level_system(0.1)
     else:
@@ -267,7 +295,7 @@ def test_fallback_solves_run_through_numkit_attributes(system, calls, monkeypatc
             return _real(*args, **kwargs)
         monkeypatch.setattr(numkit, name, counting)
     propagate(theta, W, epsilon=1e-3)
-    assert counts == {"solve_sylvester": calls, "linear_solve": calls}
+    assert counts == {"solve_sylvester": calls, "linear_solve": 0}
 
 
 _SMALL_MODELS = dict(
@@ -448,8 +476,8 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
     assert path == "eigen" or prop.basis.deflated_modes == 3
     A = W.matrix - eps * np.eye(W.dim)
     X, S, out = prop.theta_tilde_in.matrix, prop.scattering.matrix, prop.theta_out.matrix
-    # S formed from its core block and diagonal is A^dag A^-1 (7.6e-16 at
-    # most on these four systems).
+    # S formed from its diagonal and rank-4 term is A^dag A^-1 (3.5e-16 at
+    # most on these four systems, 7.6e-16 from W's eigenvectors).
     S_dense = A.conj().T @ np.linalg.inv(A)
     assert np.linalg.norm(S - S_dense) / np.linalg.norm(S_dense) < 1e-14
     lyap = sylvester_residual(A, theta.matrix, X)
