@@ -128,10 +128,11 @@ def _system_params(cfg: RunConfig):
     )
 
 
-def _theta_out_q(theta_q, q, epsilon):
-    """Theta_out of one propagation, in deflated coordinates; its X and S are
-    freed on return."""
-    return scattering.propagate(theta_q, q, epsilon=epsilon).theta_out_q
+def _theta_out_q(theta_q, q, epsilon, quotient):
+    """Theta_out of one propagation, in deflated coordinates, written over
+    its X; its S is freed on return."""
+    return scattering.propagate(theta_q, q, epsilon=epsilon, quotient=quotient,
+                                keep_theta_tilde_in=False).theta_out_q
 
 
 def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
@@ -166,16 +167,25 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
 
     stability = None
     if check_epsilon_stability:
-        # The eps/2 propagation needs nothing from the eps one but the shift,
-        # decided here by the solve's own rule, so it runs on a helper thread
-        # meanwhile.  Leaving the pool joins that thread, also when the main
-        # solve raises, whose error then wins.
-        half_epsilon = scattering.regularized_epsilon(q, cfg.epsilon) / 2.0
+        # The eps/2 shift is half of the one the solve runs at, decided here
+        # by the solve's own rule.  On the eigen route both shifts' first
+        # passes come from one V^-1 Theta_in V^-dag, divided here.  The eps/2
+        # propagation needs nothing else from the eps one, so it runs on a
+        # helper thread meanwhile and writes its Theta_out over its X.
+        # Leaving the pool joins that thread, also when the main solve
+        # raises, whose error then wins.
+        shift = scattering.regularized_epsilon(q, cfg.epsilon)
+        if basis.usable:
+            quotient, half_quotient = numkit.lyapunov_quotients(basis, theta_q, (shift, shift / 2.0))
+        else:
+            quotient = half_quotient = None
         with ThreadPoolExecutor(max_workers=1) as pool:
-            half = pool.submit(_theta_out_q, theta_q, q, half_epsilon)
-            prop = scattering.propagate(theta_q, q, epsilon=cfg.epsilon)
+            half = pool.submit(_theta_out_q, theta_q, q, shift / 2.0, half_quotient)
+            del half_quotient
+            prop = scattering.propagate(theta_q, q, epsilon=cfg.epsilon, quotient=quotient)
+            del quotient
             half_out = half.result()
-        del theta_q
+        del theta_q, half
         # Q is real orthogonal, so the Frobenius norms are read in deflated
         # coordinates and only the main Theta_out is ever rotated out.
         half_out -= prop.theta_out_q
@@ -186,12 +196,14 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
         del theta_q
     prop = dataclasses.replace(prop, basis=basis, layout=layout, grid=grid)
 
+    # |det Theta_out| is the same in deflated coordinates (Q is orthogonal),
+    # so purity reads Theta_out there, before anything is rotated out.
+    pur = observables.purity(prop.theta_out_q)
     jsa_out = scattering.extract_output_jsa(prop.theta_out)
     jsi_out_raw = states.jsi_of(jsa_out, normalize=False)
     jsi_out = jsi_out_raw.normalized()
     spectrum = observables.schmidt(jsa_out, use_magnitude=cfg.entropy_variant == "magnitude")
     entropy = observables.von_neumann_entropy(spectrum)
-    pur = observables.purity(prop.theta_out)
 
     return RunOutputs(
         jsi_in=jsi_in,

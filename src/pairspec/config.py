@@ -36,17 +36,19 @@ SCHEMA_VERSION = "1"
 
 # A run holds at most about this many dense d x d complex128 matrices at once,
 # with one matrix to spare.  Its eps and eps/2 propagations run at the same
-# time, each holding X and G = S X S^dag (S is a diagonal plus a rank-4
-# term, so G takes no d x d temporary), besides the shared Theta_in, V_core
-# and V_core^-1: tracemalloc peaks of execute_run on the README config are
-# at most 9.08 and 8.79 at n = 64 and 128 (20 runs each, with and without
-# continuum scaling), and 10.3 and 8.07 at n = 32 and 256 (5 runs each),
-# also when both peaks meet.
-_DENSE_MATRICES_AT_PEAK = 11
+# time beside the shared Theta_in and V_core, V_core^-1: the eps shift holds
+# X and Theta_out, the eps/2 shift one matrix (its Theta_out is written over
+# its X), and both first passes come from one V^-1 Theta_in V^-dag made
+# before they start.  tracemalloc peaks of execute_run on the README config
+# (tools/peak_memory.py) are at most 6.76, 6.44 and 5.37 at n = 64, 128 and
+# 256 (20 runs each).
+_DENSE_MATRICES_AT_PEAK = 8
 # Each sweep point running beside another adds at most this many: a point
-# runs no eps/2 shift, and the README sweep (8 points) peaked at 9.8, 17.0
-# and 31.2 matrices at n = 64 with 1, 2 and 4 threads, 7.2, 13.3 and 24.1
-# at n = 128, and 7.1, 11.9 and 22.1 at n = 256.
+# runs no eps/2 shift.  The README sweep (8 points) peaked at 9.8, 6.7 and
+# 5.1 matrices with one thread at n = 64, 128 and 256, and each point
+# beyond the first added at most 7.1, 5.8 and 4.4 with 2 and 4 threads
+# (4 runs each).  At n = 64 the text of a point's artifacts, not its
+# d x d matrices, sets that figure, as it did before (7.1).
 _DENSE_MATRICES_PER_SWEEP_POINT = 8
 
 

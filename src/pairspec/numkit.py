@@ -36,14 +36,20 @@ the fallback.  The :class:`Eigenbasis` holds that one factorization, in
 deflated coordinates Q W Q, and Q.  The solves run there, where products
 with V touch only the core block (:meth:`Eigenbasis.block_congruence`) and
 products with W - s cost O(d^2).  :func:`solve_lyapunov` takes C and
-returns X in deflated coordinates, and :func:`adjoint_inverse` returns
-A^dag A^-1 there as the triple that :func:`congruence` takes; only
-:meth:`Eigenbasis.rotate` moves a matrix between those coordinates and
-W's.  A W without that structure is factored densely, with Q = I and every
-index in the core.
+returns X in deflated coordinates (several shifts of one C can share
+V^-1 C V^-dag, :func:`lyapunov_quotients`), and :func:`adjoint_inverse`
+returns A^dag A^-1 there as the triple that :func:`congruence` and
+:func:`output_covariance` take; only :meth:`Eigenbasis.rotate` moves a
+matrix between those coordinates and W's.  A W without that structure is
+factored densely, with Q = I and every index in the core.
+
+The O(d^2) passes (the Lyapunov product and residual, the pencil screen
+and division, Theta_out's assembly, the reflections) work a row strip at a
+time (:func:`_strips`) and the products with the core blocks in a few wide
+strips, so that a solve's d x d arrays are its operands and results only.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -81,11 +87,14 @@ class SolveReport:
     """What a solve measured or decided: its relative residual, its condition
     estimate, and whether it ran at a regularized shift.  The route, cond_1(V)
     and the deflated-mode count are the basis's (``Eigenbasis.path``,
-    ``.condition``, ``.deflated_modes``)."""
+    ``.condition``, ``.deflated_modes``).  ``residual_matrix`` is
+    C + A X + X A^dag itself when the caller asked to keep it
+    (:func:`solve_lyapunov`), else None; it takes no part in comparisons."""
 
     residual_norm: float
     condition_estimate: float | None = None
     regularized: bool = False
+    residual_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def matrix_of(mat_like):
@@ -165,12 +174,23 @@ def linear_solve(A, B):
 def _pencil_condition(lam, norm_a):
     """||A||_F / min |lam_i + conj(lam_j)|, the condition estimate of
     A X + X A^dag = -C for A of spectrum ``lam`` and ||A||_F = ``norm_a``;
-    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``."""
+    NearSingularPencil when that gap is below ``PENCIL_GAP_TOL * ||A||_F``.
+    The sums are screened a row strip at a time (:func:`_strips`); the
+    first smallest pair in row order is the one named."""
     tol = PENCIL_GAP_TOL * max(norm_a, 1e-300)
     conj = lam.conj()
-    sums = np.abs(lam[:, None] + conj[None, :])
-    i, j = divmod(int(np.argmin(sums)), lam.size)
-    gap = float(sums[i, j])
+    strips = _strips(lam.size, lam.size)
+    sums = _strip_buffer(strips, lam.size)
+    mags = np.empty(sums.shape)
+    gap, i, j = np.inf, 0, 0
+    for r0, r1 in strips:
+        part = np.abs(np.add(lam[r0:r1, None], conj[None, :], out=sums[:r1 - r0]),
+                      out=mags[:r1 - r0])
+        k = int(np.argmin(part))
+        if part.flat[k] < gap:
+            gap = float(part.flat[k])
+            i, j = divmod(k, lam.size)
+            i += r0
     if gap < tol:
         raise NearSingularPencil(
             f"eigenvalue pair lambda_A={lam[i]:.6g}, lambda_B={conj[j]:.6g} "
@@ -181,21 +201,59 @@ def _pencil_condition(lam, norm_a):
     return float(norm_a / gap)
 
 
-def _refine(solve, A, C):
-    """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F))
-    from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the Arrowhead
-    or array A: one refinement pass follows only when the first pass's
-    residual is above :data:`REFINE_ABOVE`."""
+def _pencil_divide(lam, Y, out):
+    """``out`` = Y / -(l_i + conj(l_j)) for l = ``lam``, a row strip at a
+    time, so that no d x d divisor is made; ``out`` may be Y."""
+    lam_h = lam.conj()
+    strips = _strips(*Y.shape)
+    divisor = _strip_buffer(strips, Y.shape[1])
+    for r0, r1 in strips:
+        part = np.add(lam[r0:r1, None], lam_h[None, :], out=divisor[:r1 - r0])
+        np.negative(part, out=part)
+        np.divide(Y[r0:r1], part, out=out[r0:r1])
+    return out
+
+
+def _refine(solve, A, C, X=None, keep_residual=False):
+    """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F),
+    R) from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the
+    Arrowhead or array A, starting from the first pass X (``solve(C)`` when
+    None): one refinement pass follows only when the first pass's residual
+    is above :data:`REFINE_ABOVE`.  R = C + A X + X A^dag of the returned X
+    when ``keep_residual``, else None: only then is it stored (made after
+    the first pass), otherwise each strip is dropped once summed."""
     c_norm = max(1.0, np.linalg.norm(C))
-    X = solve(C)
-    R = lyapunov_product(A, X, C.copy())
-    residual = np.linalg.norm(R) / c_norm
+    if X is None:
+        X = solve(C)
+    R = np.empty_like(X) if keep_residual else None
+    residual = _residual(A, X, C, R) / c_norm
     if not residual <= REFINE_ABOVE:
-        X += solve(R)
-        del R
-        R = lyapunov_product(A, X, C.copy())
-        residual = np.linalg.norm(R) / c_norm
-    return X, float(residual)
+        rhs = R if R is not None else np.empty_like(X)
+        if R is None:
+            _residual(A, X, C, rhs)
+        X += solve(rhs)
+        del rhs
+        residual = _residual(A, X, C, R) / c_norm
+    return X, float(residual), R
+
+
+def _residual(A, X, C, out=None):
+    """||C + A X + X A^dag||_F, with that sum written into ``out`` when it
+    is given.  For an Arrowhead A the sum is formed a row strip at a time
+    (:meth:`Arrowhead.product_strips`), so that without ``out`` no d x d
+    array is made."""
+    if not isinstance(A, Arrowhead):
+        R = lyapunov_product(A, X, np.array(C, dtype=np.complex128))
+        if out is not None:
+            out[...] = R
+        return float(np.linalg.norm(R))
+    total = 0.0
+    for r0, r1, block in A.product_strips(lambda r0, r1: X[r0:r1], A.spokes(X)):
+        block += C[r0:r1]
+        total += np.vdot(block, block).real
+        if out is not None:
+            out[r0:r1] = block
+    return float(np.sqrt(total))
 
 
 def sylvester_residual(A, C, X):
@@ -242,7 +300,7 @@ def solve_sylvester(A, C, method="schur"):
         def tri_solve(rhs):
             return Q @ kernels.sylvester_triangular(T, Q_h @ -rhs @ Q) @ Q_h
 
-        X, residual = _refine(tri_solve, A, C)
+        X, residual, _ = _refine(tri_solve, A, C)
     else:
         raise ValueError(f"unknown Sylvester method {method!r}")
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
@@ -251,20 +309,42 @@ def solve_sylvester(A, C, method="schur"):
 # The O(d^2) passes of the Lyapunov product work on strips of rows (or of
 # columns) of at most this many bytes and an eighth of the rows, so that
 # their temporaries stay small beside the d x d result.
-_STRIP_BYTES = 1 << 18
+_STRIP_BYTES = 1 << 17
 
 
 def _strips(rows, width):
     """(start, stop) bounds of strips of ``rows`` rows of ``width`` complex
-    entries, at most ``_STRIP_BYTES`` and an eighth of the rows each.  No
-    strip has one row unless there is only one: a one-row product goes to a
-    dot kernel, which sums in another order than a matrix-vector product
-    does."""
+    entries, at most ``_STRIP_BYTES`` and an eighth of the rows each, or one
+    strip when all the rows fit in ``_STRIP_BYTES`` (a small matrix pays no
+    loop).  No strip has one row unless there is only one: a one-row
+    product goes to a dot kernel, which sums in another order than a
+    matrix-vector product does."""
+    if 16 * rows * width <= _STRIP_BYTES:
+        return [(0, rows)]
     step = max(2, min(_STRIP_BYTES // (16 * max(width, 1)), -(-rows // 8)))
     bounds = list(range(0, rows, step)) + [rows]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
+
+
+# The products with V_core and V_core^-1 (:meth:`Eigenbasis.block_congruence`)
+# take a c x d block in equal strips of at most about this many bytes: one
+# BLAS call for a small block, a few wide ones for a large one.
+_BLOCK_BYTES = 1 << 20
+
+
+def _even_strips(n, count):
+    """(start, stop) bounds of ceil(``count``) (at least one) near-equal
+    strips of ``n``."""
+    step = -(-n // max(1, int(np.ceil(count))))
+    bounds = list(range(0, n, step)) + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _strip_buffer(strips, width):
+    """An empty complex array with the rows of the tallest of ``strips``."""
+    return np.empty((max(r1 - r0 for r0, r1 in strips), width), dtype=np.complex128)
 
 
 def _vector_times(v, Y):
@@ -283,8 +363,9 @@ class Arrowhead:
 
     The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
     ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
-    d x d ndarray Y, and :meth:`lyapunov` works a row strip at a time
-    (:func:`_strips`), so its only d x d array is the result;
+    d x d ndarray Y, and A Y + Y A^dag is formed a row strip at a time
+    (:meth:`product_strips`, :func:`_strips`), so that :meth:`lyapunov`
+    makes no d x d array besides its result;
     ``np.asarray(A)`` is the dense matrix.
     """
 
@@ -321,35 +402,48 @@ class Arrowhead:
         out[:, self.tip] += Y @ self.col
         return out
 
-    def lyapunov(self, X, out):
-        """``out`` + (A X + X A^dag), added into ``out`` (not X), with the
-        diagonal terms summed first as (a_i + conj(a_j)) X_ij, so that they
-        cancel exactly between modes of equal frequency instead of leaving
-        the rounding of two large products.  The two spoke terms
-        col_i X_tj + conj(col_j) X_it, each with the spoke as the first
-        factor, are summed before they are added, so that entry (i, j) and
-        the conjugate of (j, i) round alike and the result is exactly
-        Hermitian for Hermitian X.  Each row strip of A X + X A^dag is
-        formed whole and then added."""
+    def spokes(self, Y):
+        """What a row strip of A Y + Y A^dag reads of Y beyond its own rows:
+        (Y[tip], Y[:, tip], row^T Y, Y conj(row)), the first two copied, so
+        that Y's rows may be overwritten once their strip is formed."""
+        t = self.tip
+        return (Y[t].copy(), Y[:, t].copy(), _vector_times(self.row, Y),
+                _vector_times(self.row.conj(), Y.T))
+
+    def product_strips(self, rows, spokes):
+        """Yield (r0, r1, block) with ``block`` rows r0:r1 of A Y + Y A^dag,
+        from ``rows(r0, r1)`` = Y[r0:r1] and Y's :meth:`spokes`; each block
+        is overwritten by the next.  The diagonal terms are summed first as
+        (a_i + conj(a_j)) Y_ij, so that they cancel exactly between modes of
+        equal frequency instead of leaving the rounding of two large
+        products.  The two spoke terms col_i Y_tj + conj(col_j) Y_it, each
+        with the spoke as the first factor, are summed before they are
+        added, so that entry (i, j) and the conjugate of (j, i) round alike
+        and the result is exactly Hermitian for Hermitian Y."""
         t = self.tip
         diag_h, col_h = self.diag.conj(), self.col.conj()
-        x_row, x_col = X[t], X[:, t]
-        tip_row = _vector_times(self.row, X)
-        tip_col = _vector_times(self.row.conj(), X.T)
-        strips = _strips(*X.shape)
-        strip = np.empty((max(r1 - r0 for r0, r1 in strips), X.shape[1]), dtype=np.complex128)
+        y_row, y_col, tip_row, tip_col = spokes
+        d = self.diag.size
+        strips = _strips(d, d)
+        strip = _strip_buffer(strips, d)
         term = np.empty_like(strip)
         for r0, r1 in strips:
             block = strip[:r1 - r0]
             part = term[:r1 - r0]
-            np.multiply(self.col[r0:r1, None], x_row[None, :], out=block)
-            block += np.multiply(col_h[None, :], x_col[r0:r1, None], out=part)
+            np.multiply(self.col[r0:r1, None], y_row[None, :], out=block)
+            block += np.multiply(col_h[None, :], y_col[r0:r1, None], out=part)
             np.add(self.diag[r0:r1, None], diag_h[None, :], out=part)
-            part *= X[r0:r1]
+            part *= rows(r0, r1)
             block += part
             if r0 <= t < r1:
                 block[t - r0] += tip_row
             block[:, t] += tip_col[r0:r1]
+            yield r0, r1, block
+
+    def lyapunov(self, X, out):
+        """``out`` + (A X + X A^dag), added into ``out`` (not X) a row strip
+        at a time (:meth:`product_strips`)."""
+        for r0, r1, block in self.product_strips(lambda r0, r1: X[r0:r1], self.spokes(X)):
             out[r0:r1] += block
         return out
 
@@ -423,18 +517,22 @@ def _as_index(a):
 
 
 def _reflect_rows(Y, reflections):
-    """Q Y in place: each group's reflection H mixes that group's rows."""
+    """Q Y in place: each group's reflection H mixes that group's rows, a
+    column strip of at most about ``_STRIP_BYTES`` of them at a time, so
+    that the mixed rows stay small beside Y."""
     for idx, H in reflections:
-        members = [_as_index(idx[:, j]) for j in range(H.shape[0])]
-        rows = [Y[m] for m in members]
-        mixed = []
-        for i in range(H.shape[0]):
-            acc = H[i, 0] * rows[0]
-            for j in range(1, H.shape[0]):
-                acc += H[i, j] * rows[j]
-            mixed.append(acc)
-        for m, acc in zip(members, mixed):
-            Y[m] = acc
+        k = H.shape[0]
+        members = [_as_index(idx[:, j]) for j in range(k)]
+        for c0, c1 in _even_strips(Y.shape[1], 16 * idx.size * Y.shape[1] / _STRIP_BYTES):
+            rows = [Y[m, c0:c1] for m in members]
+            mixed = []
+            for i in range(k):
+                acc = H[i, 0] * rows[0]
+                for j in range(1, k):
+                    acc += H[i, j] * rows[j]
+                mixed.append(acc)
+            for m, acc in zip(members, mixed):
+                Y[m, c0:c1] = acc
     return Y
 
 
@@ -719,13 +817,20 @@ class Eigenbasis:
         """B Y B^dag for B = M (+) I in deflated coordinates: M acts on the
         core indices and the identity on the decoupled others, as V and
         V^-1 do there.  A new array, or Y (complex) overwritten when
-        ``copy`` is False."""
-        k = self.core
-        if k.size == self.dim:
-            return np.matmul(M @ Y, M.conj().T, out=None if copy else Y)
+        ``copy`` is False.  M multiplies the core rows, then the core
+        columns, in equal strips of at most about :data:`_BLOCK_BYTES`
+        (one strip below it), so that the gathered block and its product
+        stay small beside Y."""
         Z = np.array(Y, dtype=np.complex128) if copy else Y
-        Z[k] = M @ Z[k]
-        Z[:, k] = Z[:, k] @ M.conj().T
+        k = _as_index(self.core)
+        parts = _even_strips(self.dim, 16 * self.core.size * self.dim / _BLOCK_BYTES)
+        for c0, c1 in parts:
+            Z[k, c0:c1] = M @ Z[k, c0:c1]
+        for r0, r1 in parts:
+            # Z M^dag = conj(conj(Z) M^T), so that no conjugate copy of M is
+            # made.
+            block = np.conjugate(Z[r0:r1, k]) @ M.T
+            Z[r0:r1, k] = np.conjugate(block, out=block)
         return Z
 
 
@@ -782,7 +887,7 @@ def _with_inverse(basis):
     return replace(basis, core_inverse=core_inverse, condition=condition)
 
 
-def solve_lyapunov(basis, C, shift):
+def solve_lyapunov(basis, C, shift, quotient=None, keep_residual=False):
     """Solve A X + X A^dag = -C for A = W - shift I from W's eigenbasis.
 
     While ``basis.usable``, with Y = V^-1 X V^-dag the equation is diagonal:
@@ -797,6 +902,12 @@ def solve_lyapunov(basis, C, shift):
     :data:`EIGEN_COND_MAX` (``basis.path`` "fallback") the dense A goes to
     the Schur solve of :func:`solve_sylvester` instead.
 
+    ``quotient`` is the first pass's bracket at this shift from
+    :func:`lyapunov_quotients`; the solve takes it over and forms X in it.
+    It is read only on the eigen route, after the screen.  With
+    ``keep_residual`` the report's ``residual_matrix`` holds
+    C + A X + X A^dag of the returned X.
+
     C and X are in the basis's deflated coordinates: there products with V
     touch only the core block and products with A cost O(d^2).  The report
     holds the residual and the condition estimate; the route, cond_1(V) and
@@ -808,20 +919,45 @@ def solve_lyapunov(basis, C, shift):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
     A = basis.shifted(shift)
     if not basis.usable:
-        return solve_sylvester(np.asarray(A), C)
+        X, report = solve_sylvester(np.asarray(A), C)
+        if keep_residual:
+            report.residual_matrix = np.empty_like(X)
+            _residual(A, X, C, report.residual_matrix)
+        return X, report
     cond = pencil_screen(basis, shift)
     lam = basis.values - shift
-    lam_h = lam.conj()
 
     def eig_solve(rhs):
         # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
         # second congruence then overwrites Y with X.
         Y = basis.block_congruence(basis.core_inverse, rhs)
-        Y /= -(lam[:, None] + lam_h[None, :])
+        _pencil_divide(lam, Y, Y)
         return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
-    X, residual = _refine(eig_solve, A, C)
-    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
+    X = None
+    if quotient is not None:
+        X = basis.block_congruence(basis.core_vectors, quotient, copy=False)
+    X, residual, R = _refine(eig_solve, A, C, X, keep_residual)
+    return X, SolveReport(residual_norm=residual, condition_estimate=cond, residual_matrix=R)
+
+
+def lyapunov_quotients(basis, C, shifts):
+    """The bracket of :func:`solve_lyapunov`'s first pass at each of
+    ``shifts``, (V^-1 C V^-dag) / -(l_i + conj(l_j)) with
+    l = lambda - shift, from one congruence of C (deflated coordinates; the
+    basis must be ``usable``).  Each is a new array but the last, which is
+    divided in place of V^-1 C V^-dag; ``solve_lyapunov(basis, C, shift,
+    quotient=...)`` takes one over.  The pencil is not screened here: a
+    quotient at a shift whose screen fails may hold inf or nan, and its
+    solve raises before reading it."""
+    if not basis.usable:
+        raise ValueError("lyapunov_quotients needs a usable eigenbasis")
+    C_hat = basis.block_congruence(basis.core_inverse, _as_matrix(C, "C"))
+    with np.errstate(all="ignore"):
+        quotients = [_pencil_divide(basis.values - s, C_hat, np.empty_like(C_hat))
+                     for s in shifts[:-1]]
+        quotients.append(_pencil_divide(basis.values - shifts[-1], C_hat, C_hat))
+    return quotients
 
 
 def pencil_screen(basis, shift):
@@ -848,9 +984,7 @@ def frobenius_norm(A):
 
 def adjoint_inverse(basis, z):
     """A^dag A^-1 for A = Q W Q - z I, in the basis's deflated coordinates,
-    as (diagonal, left, right, residual): A^dag A^-1 is
-    diag(diagonal) + left @ right, and residual is
-    ||(A^dag A^-1) A - A^dag||_F / ||A||_F, taken a row strip at a time.
+    as (diagonal, left, right): A^dag A^-1 is diag(diagonal) + left @ right.
 
     When W is an arrowhead, A = D + U V^T with D = diag - z, U = [col, e_t]
     and V = [e_t, row], so A^dag = conj(D) + conj(V) U^dag and
@@ -860,8 +994,9 @@ def adjoint_inverse(basis, z):
     2 x 2 K = I + V^T D^-1 U (Golub & Van Loan, Matrix Computations,
     2.1.4): O(d) work and no eigenvectors.  A W without that structure, or
     an arrowhead whose D has an entry below ``PIVOT_TOL * max|A|``, gets
-    the whole of A^dag A^-1 as ``right`` (diagonal 0, left I) from the LU
-    of :func:`linear_solve`.
+    the whole of A^dag A^-1 as ``right`` (``diagonal`` and ``left`` None)
+    from the LU of :func:`linear_solve`.  Its residual is
+    :func:`adjoint_inverse_residual`.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
     ``PIVOT_TOL * max|A|`` (the pivot rule of :func:`lu`), or at a pivot
@@ -870,48 +1005,181 @@ def adjoint_inverse(basis, z):
     A = basis.shifted(z)
     scale = A.abs_max() if isinstance(A, Arrowhead) else np.abs(A).max()
     _check_pivots(np.abs(basis.values - z), scale, "|lambda_{} - z|", "W - z")
-    d = basis.dim
-    if isinstance(A, Arrowhead) and np.abs(A.diag).min() >= PIVOT_TOL * scale:
-        D, e_t = A.diag, np.eye(1, d, A.tip)[0]
-        U, V = np.stack((A.col, e_t), axis=1), np.stack((e_t, A.row), axis=1)
-        diagonal = D.conj() / D
-        MD = np.vstack((-V.T, U.conj().T)) / D
-        K = np.eye(2) + V.T @ (U / D[:, None])
-        left = np.hstack((diagonal[:, None] * U, V.conj()))
-        right = MD - (MD @ U) @ np.linalg.solve(K, V.T / D)
-        B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
-                      diagonal[A.tip] * A.row - A.col.conj(), A.tip)
-    else:
+    if not (isinstance(A, Arrowhead) and np.abs(A.diag).min() >= PIVOT_TOL * scale):
         A = np.asarray(A)
-        diagonal, left, right = np.zeros(d), np.eye(d), linear_solve(A.T, A.conj()).T
-        B = -A.conj().T
-    # S A - A^dag = B + left (right A) with B = Delta A - A^dag, taken a row
-    # strip at a time (rows r0:r1 of I times B), so that no d x d temporary
-    # is made.
-    M, total = right @ A, 0.0
+        return None, None, linear_solve(A.T, A.conj()).T
+    D, e_t = A.diag, np.eye(1, basis.dim, A.tip)[0]
+    U, V = np.stack((A.col, e_t), axis=1), np.stack((e_t, A.row), axis=1)
+    diagonal = D.conj() / D
+    MD = np.vstack((-V.T, U.conj().T)) / D
+    K = np.eye(2) + V.T @ (U / D[:, None])
+    left = np.hstack((diagonal[:, None] * U, V.conj()))
+    right = MD - (MD @ U) @ np.linalg.solve(K, V.T / D)
+    return diagonal, left, right
+
+
+def adjoint_inverse_residual(basis, z, diagonal, left, right):
+    """||S A - A^dag||_F / ||A||_F for A = Q W Q - z I and S as
+    :func:`adjoint_inverse` returns it, taken a row strip at a time so that
+    no d x d temporary is made: S A - A^dag = B + left (right A) with the
+    arrowhead B = Delta A - A^dag, or rows of right A - A^dag when S is
+    held whole."""
+    A = basis.shifted(z)
+    d, total = basis.dim, 0.0
+    if left is None:
+        A = np.asarray(A)
+        A_h = A.conj().T
+        for r0, r1 in _strips(d, d):
+            E = right[r0:r1] @ A - A_h[r0:r1]
+            total += np.vdot(E, E).real
+        return float(np.sqrt(total) / frobenius_norm(A))
+    D = A.diag
+    B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
+                  diagonal[A.tip] * A.row - A.col.conj(), A.tip)
+    M = right @ A
     for r0, r1 in _strips(d, d):
+        # Rows r0:r1 of I times B.
         E = left[r0:r1] @ M + np.eye(r1 - r0, d, r0) @ B
         total += np.vdot(E, E).real
-    return diagonal, left, right, float(np.sqrt(total) / frobenius_norm(A))
+    return float(np.sqrt(total) / frobenius_norm(A))
 
 
-def congruence(diagonal, left, right, X):
-    """B X B^dag for B = Delta + left @ right, Delta = diag(``diagonal``)
-    (left d x k, right k x d), as Delta X conj(Delta) plus one rank-2k
-    update:
+class _Congruence:
+    """G = B X B^dag, read without forming G, for B = diag(``diagonal``) +
+    ``left`` @ ``right`` (left d x k, right k x d) or, when ``left`` is
+    None, the d x d B = ``right``.  G is Delta X conj(Delta) (no such term
+    for a dense B) plus outer @ inner: for the rank form
 
         B X B^dag = Delta X conj(Delta)
                     + [left, Delta X R^dag + left R X R^dag] [R X conj(Delta); left^dag]
 
-    with R = ``right``.  G is formed a row strip at a time, so besides the
-    result only d x 2k arrays and strips are made."""
-    XR = X @ right.conj().T
-    outer = np.hstack((left, diagonal[:, None] * XR + left @ (right @ XR)))
-    inner = np.vstack(((right @ X) * diagonal.conj(), left.conj().T))
+    with R = ``right``, whose factors are d x 2k, and for a dense B,
+    B (X B^dag).  X's rows are read only by :meth:`rows`, so X may be
+    overwritten a strip at a time once the vectors of G a caller needs are
+    taken."""
+
+    def __init__(self, diagonal, left, right, X):
+        self.X, self.diagonal = X, diagonal
+        XR = X @ right.conj().T
+        if left is None:
+            self.outer, self.inner = right, XR
+            return
+        self.diagonal_h = diagonal.conj()
+        self.outer = np.hstack((left, diagonal[:, None] * XR + left @ (right @ XR)))
+        self.inner = np.vstack(((right @ X) * self.diagonal_h, left.conj().T))
+
+    def rows(self, r0, r1, out):
+        """G[r0:r1], written into ``out``."""
+        if self.diagonal is None:
+            return np.matmul(self.outer[r0:r1], self.inner, out=out)
+        np.multiply(self.X[r0:r1], self.diagonal[r0:r1, None], out=out)
+        out *= self.diagonal_h
+        out += self.outer[r0:r1] @ self.inner
+        return out
+
+    def row(self, t):
+        """G[t]."""
+        g = self.outer[t] @ self.inner
+        if self.diagonal is not None:
+            g += self.X[t] * self.diagonal[t] * self.diagonal_h
+        return g
+
+    def column(self, t):
+        """G[:, t]."""
+        g = self.outer @ self.inner[:, t]
+        if self.diagonal is not None:
+            g += self.X[:, t] * self.diagonal * self.diagonal_h[t]
+        return g
+
+    def vector_times(self, v):
+        """v^T G."""
+        g = (v @ self.outer) @ self.inner
+        if self.diagonal is not None:
+            g += _vector_times(v * self.diagonal, self.X) * self.diagonal_h
+        return g
+
+    def times(self, v):
+        """G v."""
+        g = self.outer @ (self.inner @ v)
+        if self.diagonal is not None:
+            g += self.diagonal * (self.X @ (self.diagonal_h * v))
+        return g
+
+
+def congruence(diagonal, left, right, X):
+    """G = B X B^dag for B = diag(``diagonal``) + ``left`` @ ``right``, or
+    B = ``right`` when ``left`` is None (see :class:`_Congruence`), formed a
+    row strip at a time, so that besides the result only d x 2k arrays and
+    strips are made for the rank form."""
     G = np.empty_like(X)
+    parts = _Congruence(diagonal, left, right, X)
     for r0, r1 in _strips(*X.shape):
-        G[r0:r1] = X[r0:r1] * diagonal[r0:r1, None] * diagonal.conj() + outer[r0:r1] @ inner
+        parts.rows(r0, r1, G[r0:r1])
     return G
+
+
+def output_covariance(A, X, factors, C, residual=None):
+    """(Theta, ||C + A X + X A^dag||_F) with
+
+        Theta = C + (A X + X A^dag) + (A^dag G + G A),  G = S X S^dag,
+
+    for S = diag(diagonal) + left @ right as ``factors`` = (diagonal, left,
+    right) hold it (:func:`adjoint_inverse`).  ``residual``, when given,
+    already holds C + A X + X A^dag (``solve_lyapunov``'s kept residual)
+    and becomes Theta; otherwise Theta is written over X.
+
+    For an Arrowhead A, G is never formed: each row strip of A^dag G + G A
+    is made from that strip of G and G's tip row and column, conj(col)^T G
+    and G col (:class:`_Congruence`, :meth:`Arrowhead.product_strips` of
+    A^dag), and added to the same strip of C + A X + X A^dag, read from
+    ``residual`` or formed from X; the strip is written after X's rows are
+    read, so besides Theta only strips and d x 8 arrays are made.  Either
+    way each entry is the same sum, so both give the same bits.  A dense A
+    forms G and the products whole."""
+    if not isinstance(A, Arrowhead):
+        R = residual if residual is not None else lyapunov_product(A, X, np.array(C))
+        gap = float(np.linalg.norm(R))
+        lyapunov_product(A.conj().T, congruence(*factors, X), R)
+        if residual is None:
+            X[...] = R
+            R = X
+        return R, gap
+    B = A.conj().T
+    G = _Congruence(*factors, X)
+    t = A.tip
+    g_spokes = (G.row(t), G.column(t), G.vector_times(B.row), G.times(B.row.conj()))
+    strips = _strips(*X.shape)
+    g_rows = _strip_buffer(strips, X.shape[1])
+    k_strips = B.product_strips(lambda r0, r1: G.rows(r0, r1, g_rows[:r1 - r0]), g_spokes)
+    if residual is None:
+        r_strips = A.product_strips(lambda r0, r1: X[r0:r1], A.spokes(X))
+    total = 0.0
+    for r0, r1, k_block in k_strips:
+        if residual is None:
+            _, _, block = next(r_strips)
+            block += C[r0:r1]
+        else:
+            block = residual[r0:r1]
+        total += np.vdot(block, block).real
+        block += k_block
+        if residual is None:
+            X[r0:r1] = block
+    return (X if residual is None else residual), float(np.sqrt(total))
+
+
+def antihermitian_norm(M):
+    """||M - M^dag||_F, summed a row strip at a time with no d x d
+    conjugate-transpose copy."""
+    total = 0.0
+    for r0, r1 in _strips(*M.shape):
+        E = M[r0:r1] - M[:, r0:r1].T.conj()
+        total += np.vdot(E, E).real
+    return float(np.sqrt(total))
+
+
+def abs_max(M):
+    """max |M_ij|, taken a row strip at a time with no d x d temporary."""
+    return max(float(np.abs(M[r0:r1]).max()) for r0, r1 in _strips(*M.shape))
 
 
 def svd(M):

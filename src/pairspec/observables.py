@@ -131,7 +131,7 @@ def purity(theta):
     mat = np.asarray(mat, dtype=np.complex128)
     log_abs, phase = numkit.log_determinant(mat)
     if not np.isfinite(log_abs) or (
-        log_abs / mat.shape[0] - np.log(np.abs(mat).max()) < np.log(PURITY_DET_TOL)
+        log_abs / mat.shape[0] - np.log(numkit.abs_max(mat)) < np.log(PURITY_DET_TOL)
     ):
         raise NonPositiveDeterminant(
             f"log|det Theta| = {log_abs:.6g}: |det Theta|^(1/d) / max|Theta| is below "

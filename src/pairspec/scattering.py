@@ -22,11 +22,14 @@ the Schur solve when cond_1(V) is too large (near an exceptional point).
 The scattering matrix needs no eigenvectors: W - eps is an arrowhead there,
 a diagonal plus a rank-2 term, so S is a diagonal plus a rank-4 term
 (``numkit.adjoint_inverse``), and a :class:`ScatteringMatrix` keeps it in
-that form; its ``matrix`` is formed only when it is read.  ``propagate``
-rotates Theta_in in and keeps its results in deflated coordinates: a
-:class:`PropagationResult` rotates ``theta_out``, ``theta_tilde_in`` and
-``scattering`` out on first access, so a caller pays only for the matrices
-it reads.  The Lyapunov route, cond_1(V) and the number of deflated modes
+that form; its ``matrix`` and residual are formed only when they are read.
+``propagate`` rotates Theta_in in, adds A^dag G + G A for G = S X S^dag to
+the Lyapunov residual Theta_in + A X + X A^dag a row strip at a time
+(``numkit.output_covariance``; G is never formed) and keeps its results in
+deflated coordinates: a :class:`PropagationResult` rotates ``theta_out``,
+``theta_tilde_in`` and ``scattering`` out, and forms its identity gap and
+hermiticity defect, on first access, so a caller pays only for what it
+reads.  The Lyapunov route, cond_1(V) and the number of deflated modes
 are the basis's (``Eigenbasis.path``, ``.condition``, ``.deflated_modes``);
 the Lyapunov report holds the solve's residual, and the ScatteringMatrix
 S's.  Residuals are measured in deflated coordinates, which Q leaves
@@ -54,22 +57,31 @@ class ScatteringMatrix:
 
     S is held in the deflated coordinates of ``basis`` as
     diag(``diagonal``) + ``left`` @ ``right``, as ``numkit.adjoint_inverse``
-    returns it and ``numkit.congruence`` takes it: for an arrowhead W a
-    d x 4 and a 4 x d factor.  ``matrix`` is S in the coordinates of
-    ``basis``, formed on first access and cached.  ``residual``,
-    ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one diagnostic.
+    returns it and ``numkit.output_covariance`` takes it: for an arrowhead
+    W a d x 4 and a 4 x d factor, else S itself as ``right`` (``diagonal``
+    and ``left`` None).  ``matrix`` is S in the coordinates of ``basis``,
+    and ``residual``, ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one
+    diagnostic; both are formed on first access and cached.
     """
 
-    diagonal: np.ndarray
-    left: np.ndarray
+    diagonal: np.ndarray | None
+    left: np.ndarray | None
     right: np.ndarray
-    residual: float
     basis: numkit.Eigenbasis
     z_used: complex
 
+    @property
+    def factors(self):
+        return self.diagonal, self.left, self.right
+
     @cached_property
     def matrix(self):
-        return self.basis.rotate(np.diag(self.diagonal) + self.left @ self.right, copy=False)
+        S = np.array(self.right) if self.left is None else np.diag(self.diagonal) + self.left @ self.right
+        return self.basis.rotate(S, copy=False)
+
+    @cached_property
+    def residual(self):
+        return numkit.adjoint_inverse_residual(self.basis, self.z_used, *self.factors)
 
 
 @dataclass
@@ -83,26 +95,31 @@ class PropagationResult:
     defect read the same there.  ``theta_out``, ``theta_tilde_in`` and
     ``scattering`` are the same matrices in W's coordinates, rotated out on
     first access and cached; the two covariances are CovarianceMatrix objects
-    when the input or W carries a block ``layout``.
+    when the input or W carries a block ``layout``.  ``theta_tilde_in_q``
+    (and ``theta_tilde_in``) is None when the propagation wrote Theta_out
+    over X.
 
     ``lyapunov`` is the Lyapunov solve's report (its residual, condition
     estimate and whether it was regularized); the route, cond_1(V) and the
     deflated-mode count are ``basis``'s, and S's residual is
-    ``scattering_q.residual``.
+    ``scattering_q.residual``.  ``identity_gap`` (from ``gap_norm``,
+    ||A X + X A^dag + Theta_in||_F) and ``hermiticity_defect`` are formed
+    on first access, so a caller that reads only Theta_out pays for neither.
     """
 
     theta_out_q: np.ndarray
-    theta_tilde_in_q: np.ndarray
+    theta_tilde_in_q: np.ndarray | None
     scattering_q: ScatteringMatrix
     basis: numkit.Eigenbasis
     layout: BlockLayout | None
     grid: FrequencyGrid | None
     epsilon_used: float
     lyapunov: numkit.SolveReport
-    identity_gap: float
-    hermiticity_defect: float
+    gap_norm: float
 
     def _covariance(self, Y):
+        if Y is None:
+            return None
         Y = self.basis.rotate(Y)
         if self.layout is None:
             return Y
@@ -119,6 +136,22 @@ class PropagationResult:
     @cached_property
     def scattering(self):
         return replace(self.scattering_q, basis=self.basis)
+
+    @cached_property
+    def _out_norm(self):
+        return float(np.linalg.norm(self.theta_out_q))
+
+    @cached_property
+    def identity_gap(self):
+        """||A X + X A^dag + Theta_in||_F / ||Theta_out||_F."""
+        return self.gap_norm / self._out_norm if self._out_norm > 0 else 0.0
+
+    @cached_property
+    def hermiticity_defect(self):
+        """||Theta_out - Theta_out^dag||_F / ||Theta_out||_F."""
+        if self._out_norm == 0:
+            return 0.0
+        return numkit.antihermitian_norm(self.theta_out_q) / self._out_norm
 
 
 def _eigenbasis(W):
@@ -144,7 +177,7 @@ def regularized_epsilon(W, epsilon):
     return epsilon
 
 
-def time_integrated_covariance(W, theta_in, epsilon):
+def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None, keep_residual=False):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
     X is the all-time integral of the input correlations evaluated at the
@@ -156,15 +189,22 @@ def time_integrated_covariance(W, theta_in, epsilon):
     (:func:`regularized_epsilon`) and flags the report as regularized.
 
     W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W;
-    theta_in and X are in W's coordinates.
+    theta_in and X are in W's coordinates.  ``quotient`` and
+    ``keep_residual`` go to ``numkit.solve_lyapunov``: the first pass's
+    bracket from ``numkit.lyapunov_quotients`` at the shift the solve runs
+    at (in deflated coordinates, so a caller that passes it passes
+    ``basis.q``), which X is formed in, and whether the report keeps
+    Theta_in + A X + X A^dag as ``residual_matrix`` (rotated out with X).
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     basis = _eigenbasis(W)
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
     eff_eps = regularized_epsilon(basis, epsilon)
-    X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps)
+    X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps, quotient, keep_residual)
     report.regularized = eff_eps != epsilon
     X = basis.rotate(X, copy=False)
+    if report.residual_matrix is not None:
+        report.residual_matrix = basis.rotate(report.residual_matrix, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
     return X, report
@@ -176,8 +216,8 @@ def scattering_matrix(W, z):
     Formed in deflated coordinates by ``numkit.adjoint_inverse``: for an
     arrowhead W, S = Delta + L R with Delta = conj(D) / D for the diagonal D
     of W - z, L d x 4 and R 4 x d, by Sherman-Morrison-Woodbury; otherwise
-    from the LU of ``numkit.linear_solve``.  Raises SingularMatrix when
-    (W - z) is singular at the requested z (min |lambda_i - z| below
+    whole, from the LU of ``numkit.linear_solve``.  Raises SingularMatrix
+    when (W - z) is singular at the requested z (min |lambda_i - z| below
     ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of that LU); the caller
     is expected to retry with an epsilon shift.  Returns the
     :class:`ScatteringMatrix`, whose ``residual``
@@ -187,7 +227,7 @@ def scattering_matrix(W, z):
     return ScatteringMatrix(*numkit.adjoint_inverse(basis, z), basis=basis, z_used=complex(z))
 
 
-def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
+def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None, keep_theta_tilde_in=True):
     """Map the input covariance to the output covariance.
 
     Output assembly (all operators at the shared regularized shift
@@ -199,19 +239,27 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     at z = eps.  The algebraically reduced form
     Theta_out = (S X S^dag) A + A^dag (S X S^dag) follows by substituting the
     Lyapunov identity; their relative gap, ||A X + X A^dag + Theta_in|| over
-    ||Theta_out|| with A X + X A^dag formed anew from X, is recorded as a
-    diagnostic (it measures nothing but the solver residual).
+    ||Theta_out||, is the ``identity_gap`` diagnostic (it measures nothing
+    but the solver residual).
 
     Everything runs in deflated coordinates (``numkit.Eigenbasis.q``):
     Theta_in is rotated in once and the result keeps X, S and Theta_out
     there; its ``theta_out``, ``theta_tilde_in`` and ``scattering`` rotate
     them out on first access (see :class:`PropagationResult`).  There every
-    product with A costs O(d^2): A X + X A^dag and A^dag G + G A are one
-    ``numkit.lyapunov_product`` pass each.  S is a diagonal plus a rank-4
-    term, so G = S X S^dag is X scaled by the diagonal plus one rank-8
-    update (``numkit.congruence``), also O(d^2).  (Forming it as
+    product with A costs O(d^2).  The Lyapunov solve keeps
+    Theta_in + A X + X A^dag, Theta_out's first term, in the array that
+    becomes Theta_out, and ``numkit.output_covariance`` adds
+    A^dag G + G A to it a row strip at a time, from X and S's diagonal and
+    rank-4 factors: G = S X S^dag is never formed.  (Forming it as
     A^dag (R X R^dag) A with R = (W - eps)^-1 would lose cond(A) digits when
     an eigenvalue of W lies near eps.)
+
+    ``quotient`` is the Lyapunov first pass's bracket at the shift the
+    solve runs at (``numkit.lyapunov_quotients``, for a caller that solves
+    several shifts of one W and Theta_in); X is formed in it.  With
+    ``keep_theta_tilde_in`` False, Theta_out is written over X a row strip
+    at a time and ``theta_tilde_in_q`` is None: the call then holds one
+    d x d matrix of its own.
     """
     theta_mat = numkit.matrix_of(theta_in)
     basis = _eigenbasis(W)
@@ -220,27 +268,18 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
     # The two public solves take W-coordinate matrices; basis.q (Q = I)
     # makes them read the deflated-coordinate ones as their own.
     q = basis.q
-    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon)
+    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon, quotient=quotient,
+                                                keep_residual=keep_theta_tilde_in)
+    residual, lyap_report.residual_matrix = lyap_report.residual_matrix, None
     eff_eps = DEFAULT_EPSILON if lyap_report.regularized else epsilon
     smat = scattering_matrix(q, eff_eps)
-    A = basis.shifted(eff_eps)
 
-    # The working set peaks here, at X and G; the four products of A are
-    # then added into Theta_out a row strip at a time, and rotate() has
-    # already copied Theta_in when Q != I.
-    G = numkit.congruence(smat.diagonal, smat.left, smat.right, X)
-    theta_out = theta_q if basis.reflections else np.array(theta_q, dtype=np.complex128)
+    # The working set peaks here, at X and Theta_out (the residual, or X
+    # itself), besides Theta_in where the assembly still reads it.
+    C = theta_q if residual is None else None
     del theta_q
-    numkit.lyapunov_product(A, X, out=theta_out)
-    gap_norm = np.linalg.norm(theta_out)
-    numkit.lyapunov_product(A.conj().T, G, out=theta_out)
-    del G
-    out_norm = np.linalg.norm(theta_out)
-    identity_gap = float(gap_norm / out_norm) if out_norm > 0 else 0.0
-    defect = np.conjugate(theta_out.T, out=np.empty_like(theta_out))
-    np.subtract(theta_out, defect, out=defect)
-    herm = float(np.linalg.norm(defect) / out_norm if out_norm > 0 else 0.0)
-    del defect
+    theta_out, gap_norm = numkit.output_covariance(basis.shifted(eff_eps), X, smat.factors,
+                                                   C, residual)
 
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)
@@ -250,15 +289,14 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON):
 
     return PropagationResult(
         theta_out_q=theta_out,
-        theta_tilde_in_q=X,
+        theta_tilde_in_q=X if keep_theta_tilde_in else None,
         scattering_q=smat,
         basis=basis,
         layout=layout,
         grid=grid,
         epsilon_used=float(eff_eps),
         lyapunov=lyap_report,
-        identity_gap=identity_gap,
-        hermiticity_defect=herm,
+        gap_norm=gap_norm,
     )
 
 

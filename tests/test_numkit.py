@@ -310,9 +310,9 @@ def test_eigenbasis_condition_of_normal_and_defective_matrices():
 
 def _adjoint_inverse(basis, z):
     """A^dag A^-1 for A = W - z I in W's coordinates, from the diagonal and
-    the two factors of numkit.adjoint_inverse."""
-    diagonal, left, right, _ = numkit.adjoint_inverse(basis, z)
-    return basis.rotate(np.diag(diagonal) + left @ right)
+    the two factors of numkit.adjoint_inverse (or the whole of it)."""
+    diagonal, left, right = numkit.adjoint_inverse(basis, z)
+    return basis.rotate(right if left is None else np.diag(diagonal) + left @ right)
 
 
 @pytest.mark.parametrize("W, z", [
@@ -331,13 +331,14 @@ def test_adjoint_inverse_takes_one_lu_without_the_woodbury_form(W, z):
         calls.append(1)
         return real(*args)
 
+    basis = numkit.eigenbasis(W)
     with mock.patch.object(numkit, "linear_solve", counting):
-        diagonal, left, right, residual = numkit.adjoint_inverse(numkit.eigenbasis(W), z)
+        diagonal, left, right = numkit.adjoint_inverse(basis, z)
     A = W - z * np.eye(W.shape[0])
     assert calls == [1]
-    assert not diagonal.any() and np.array_equal(left, np.eye(W.shape[0]))
+    assert diagonal is None and left is None
     assert _rel(right, dense_scattering(A)) < 1e-14
-    assert residual < 1e-15
+    assert numkit.adjoint_inverse_residual(basis, z, diagonal, left, right) < 1e-15
 
 
 def test_adjoint_inverse_singular_raises():
@@ -430,16 +431,20 @@ def _random_arrowhead(rng, d, tip):
 
 
 # d = 9 runs the products in strips of two rows, the last of which absorbs a
-# one-row remainder; d = 181 in eight strips.
+# one-row remainder (with a 512-byte strip budget: at the default one a
+# matrix this small is one strip); d = 181 in eight strips.
 @pytest.mark.parametrize("d, tip", [(9, 0), (9, 5), (181, 3), (181, 180)])
-def test_lyapunov_product_keeps_the_tip_of_hermitian_x_exactly_hermitian(d, tip):
+def test_lyapunov_product_keeps_the_tip_of_hermitian_x_exactly_hermitian(d, tip, monkeypatch):
     # The tip row of A X and the tip column of X A^dag are vector products
     # summed alike, so for Hermitian X they are exact conjugates; every
     # other entry sums its two spoke terms before adding them, so it is
     # exactly Hermitian too.
     rng = np.random.default_rng(d + tip)
-    assert numkit._strips(9, 9) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    assert numkit._strips(9, 9) == [(0, 9)]
     assert len(numkit._strips(181, 181)) == 8
+    if d == 9:
+        monkeypatch.setattr(numkit, "_STRIP_BYTES", 512)
+        assert numkit._strips(9, 9) == [(0, 2), (2, 4), (4, 6), (6, 9)]
     A = _random_arrowhead(rng, d, tip)
     X = random_hermitian(rng, d)
     assert np.array_equal(X, X.conj().T)
@@ -463,6 +468,59 @@ def test_lyapunov_product_of_the_model_arrowhead_is_exactly_hermitian():
     X = random_hermitian(np.random.default_rng(90), basis.dim)
     L = numkit.lyapunov_product(basis.shifted(1e-3), X, np.zeros_like(X))
     assert np.abs(L - L.conj().T).max() == 0.0
+
+
+# --- Theta_out assembled a row strip at a time -----------------------------------
+
+@pytest.mark.parametrize("offset", ["equal", "half-step"])
+@pytest.mark.parametrize("material_sign", ["paper", "hamiltonian"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_sign, offset):
+    # output_covariance adds A^dag G + G A without forming G = S X S^dag.
+    # Against G formed whole by congruence and both products added by
+    # lyapunov_product, over these 8 cases at eps in {1e-3, 5e-4} the
+    # relative gap was at most 2.3e-16 on the paper sign and 4.5e-12 on the
+    # hamiltonian sign, whose lossless Theta_out is a small difference of
+    # large terms (both assemblies sit as close to its closed form; see
+    # test_hamiltonian_sign_matches_the_closed_form); the bounds keep a 4x
+    # margin.  Written over X or into the kept residual, it gives the same
+    # bits, and its gap norm is ||C + A X + X A^dag||_F.
+    bound = 1e-15 if material_sign == "paper" else 2e-11
+    step = 120.0 / (n - 1)
+    shift = 0.5 * step if offset == "half-step" else 0.0
+    _, _, W, _, theta = paper_system(n=n, idler_span=(1740.0 + shift, 1860.0 + shift),
+                                     material_sign=material_sign)
+    basis = numkit.eigenbasis(W.matrix)
+    C = basis.rotate(theta.matrix)
+    for eps in (1e-3, 5e-4):
+        X, report = numkit.solve_lyapunov(basis, C, eps, keep_residual=True)
+        R = report.residual_matrix
+        A = basis.shifted(eps)
+        factors = numkit.adjoint_inverse(basis, eps)
+        ref = numkit.lyapunov_product(A.conj().T, numkit.congruence(*factors, X),
+                                      numkit.lyapunov_product(A, X, C.copy()))
+        gap_ref = np.linalg.norm(R)
+        kept, gap = numkit.output_covariance(A, X, factors, C, R)
+        assert kept is R
+        over_x, gap_over_x = numkit.output_covariance(A, X.copy(), factors, C)
+        assert np.array_equal(kept, over_x) and gap == gap_over_x
+        assert np.linalg.norm(kept - ref) / np.linalg.norm(ref) < bound
+        assert abs(gap - gap_ref) <= 1e-14 * gap_ref
+
+
+def test_lyapunov_quotients_give_each_shift_its_own_first_pass():
+    # One congruence of C serves both shifts: each quotient makes the same X
+    # and report, bit for bit, as the solve's own first pass at its shift.
+    _, _, W, _, theta = paper_system(n=32)
+    basis = numkit.eigenbasis(W.matrix)
+    C = basis.rotate(theta.matrix)
+    shifts = (1e-3, 5e-4)
+    quotients = numkit.lyapunov_quotients(basis, C, shifts)
+    for shift, quotient in zip(shifts, quotients):
+        X, report = numkit.solve_lyapunov(basis, C, shift, quotient=quotient)
+        X_own, report_own = numkit.solve_lyapunov(basis, C, shift)
+        assert X is quotient
+        assert np.array_equal(X, X_own) and report == report_own
 
 
 @pytest.mark.parametrize("case", _ARROWHEAD_CASES)

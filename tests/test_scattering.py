@@ -28,7 +28,14 @@ from pairspec.errors import SingularMatrix
 from pairspec.numkit import sylvester_residual
 from pairspec.oracle import quadrature_time_integral
 from pairspec.validation import lossless_output
-from helpers import dense_scattering, paper_system, random_covariance, small_system, tv_distance
+from helpers import (
+    dense_scattering,
+    paper_system,
+    random_covariance,
+    random_hurwitz,
+    small_system,
+    tv_distance,
+)
 
 
 # --- time_integrated_covariance ---------------------------------------------
@@ -388,6 +395,47 @@ def test_lazy_fields_rotate_the_deflated_results_once():
     assert np.array_equal(smat.matrix, basis.rotate(prop.scattering_q.matrix))
     assert (smat.z_used, smat.residual) == (prop.scattering_q.z_used, prop.scattering_q.residual)
     assert prop.scattering is smat
+
+
+def test_theta_out_over_x_equals_the_kept_propagation():
+    # Without theta_tilde_in, Theta_out is written over X and its
+    # diagnostics are formed only when read; the numbers are the same bits.
+    _, _, W, _, theta = small_system(n=5, m_count=2)
+    basis = numkit.eigenbasis(W.matrix)
+    kept = propagate(theta, basis, epsilon=1e-3)
+    over_x = propagate(theta, basis, epsilon=1e-3, keep_theta_tilde_in=False)
+    assert over_x.theta_tilde_in_q is None and over_x.theta_tilde_in is None
+    assert np.array_equal(over_x.theta_out_q, kept.theta_out_q)
+    for name in ("identity_gap", "hermiticity_defect"):
+        assert name not in vars(over_x)
+        assert getattr(over_x, name) == getattr(kept, name)
+    assert "residual" not in vars(over_x.scattering_q)
+    assert over_x.scattering_q.residual == kept.scattering_q.residual
+    assert over_x.lyapunov == kept.lyapunov
+
+
+def test_dense_w_propagates_with_s_held_whole():
+    # A W with no arrowhead structure holds S itself, not S behind an
+    # identity factor.  On this d = 100 instance Theta_out was within 3.2e-15
+    # of the same sum of plain numpy products, S equal to a dense solve, S's
+    # residual 3.0e-15, the identity gap 2.7e-14 and the hermiticity defect
+    # 4.7e-15; the bounds keep a 3x margin.
+    rng = np.random.default_rng(7)
+    d, eps = 100, 1e-3
+    W = random_hurwitz(rng, d)
+    theta = random_covariance(rng, d)
+    prop = propagate(theta, W, epsilon=eps)
+    smat = prop.scattering
+    assert smat.diagonal is None and smat.left is None and smat.right.shape == (d, d)
+    A = W - eps * np.eye(d)
+    S = dense_scattering(A)
+    X = prop.theta_tilde_in
+    G = S @ X @ S.conj().T
+    ref = theta + A @ X + X @ A.conj().T + A.conj().T @ G + G @ A
+    assert np.linalg.norm(prop.theta_out - ref) / np.linalg.norm(ref) < 1e-14
+    assert np.linalg.norm(smat.matrix - S) / np.linalg.norm(S) < 1e-15
+    assert smat.residual < 1e-14
+    assert prop.identity_gap < 1e-13 and prop.hermiticity_defect < 1.5e-14
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
