@@ -128,13 +128,6 @@ def _system_params(cfg: RunConfig):
     )
 
 
-def _theta_out_q(theta_q, q, epsilon, quotient):
-    """Theta_out of one propagation, in deflated coordinates, written over
-    its X; its S is freed on return."""
-    return scattering.propagate(theta_q, q, epsilon=epsilon, quotient=quotient,
-                                keep_theta_tilde_in=False).theta_out_q
-
-
 def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     """Run the full pipeline for one configuration; returns RunOutputs.
 
@@ -171,20 +164,20 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
         # by the solve's own rule.  On the eigen route both shifts' first
         # passes come from one V^-1 Theta_in V^-dag, divided here.  The eps/2
         # propagation needs nothing else from the eps one, so it runs on a
-        # helper thread meanwhile and writes its Theta_out over its X.
-        # Leaving the pool joins that thread, also when the main solve
-        # raises, whose error then wins.
+        # helper thread meanwhile.  Leaving the pool joins that thread, also
+        # when the main solve raises, whose error then wins.
         shift = scattering.regularized_epsilon(q, cfg.epsilon)
         if basis.usable:
             quotient, half_quotient = numkit.lyapunov_quotients(basis, theta_q, (shift, shift / 2.0))
         else:
             quotient = half_quotient = None
         with ThreadPoolExecutor(max_workers=1) as pool:
-            half = pool.submit(_theta_out_q, theta_q, q, shift / 2.0, half_quotient)
+            half = pool.submit(scattering.propagate, theta_q, q, epsilon=shift / 2.0,
+                               quotient=half_quotient)
             del half_quotient
             prop = scattering.propagate(theta_q, q, epsilon=cfg.epsilon, quotient=quotient)
             del quotient
-            half_out = half.result()
+            half_out = half.result().theta_out_q
         del theta_q, half
         # Q is real orthogonal, so the Frobenius norms are read in deflated
         # coordinates and only the main Theta_out is ever rotated out.

@@ -36,19 +36,20 @@ SCHEMA_VERSION = "1"
 
 # A run holds at most about this many dense d x d complex128 matrices at once,
 # with one matrix to spare.  Its eps and eps/2 propagations run at the same
-# time beside the shared Theta_in and V_core, V_core^-1: the eps shift holds
-# X and Theta_out, the eps/2 shift one matrix (its Theta_out is written over
-# its X), and both first passes come from one V^-1 Theta_in V^-dag made
-# before they start.  tracemalloc peaks of execute_run on the README config
-# (tools/peak_memory.py) are at most 6.76, 6.44 and 5.37 at n = 64, 128 and
-# 256 (20 runs each).
-_DENSE_MATRICES_AT_PEAK = 8
+# time beside the shared Theta_in and V_core, V_core^-1: each shift holds one
+# matrix (its Theta_out is written over its X), and both first passes come
+# from one V^-1 Theta_in V^-dag made before they start.  tracemalloc peaks
+# on the README config (tools/peak_memory.py, 35 runs each) are at most
+# 6.33, 5.70 and 4.66 for execute_run and 7.95, 5.06 and 3.43 for writing
+# its artifacts at n = 64, 128 and 256: the write at n = 64, from the text
+# of its three n x n grids, sets this count.
+_DENSE_MATRICES_AT_PEAK = 9
 # Each sweep point running beside another adds at most this many: a point
-# runs no eps/2 shift.  The README sweep (8 points) peaked at 9.8, 6.7 and
-# 5.1 matrices with one thread at n = 64, 128 and 256, and each point
-# beyond the first added at most 7.1, 5.8 and 4.4 with 2 and 4 threads
-# (4 runs each).  At n = 64 the text of a point's artifacts, not its
-# d x d matrices, sets that figure, as it did before (7.1).
+# runs no eps/2 shift.  The README sweep (8 points) peaked at 8.7, 5.7 and
+# 4.0 matrices with one thread at n = 64, 128 and 256, and each point
+# beyond the first added at most 6.5, 5.0 and 3.4 with 2 and 4 threads
+# (one run each).  At n = 64 the text of a point's artifacts, not its
+# d x d matrices, sets that figure.
 _DENSE_MATRICES_PER_SWEEP_POINT = 8
 
 

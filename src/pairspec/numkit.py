@@ -43,13 +43,13 @@ returns A^dag A^-1 there as the triple that :func:`congruence` and
 matrix between those coordinates and W's.  A W without that structure is
 factored densely, with Q = I and every index in the core.
 
-The O(d^2) passes (the Lyapunov product and residual, the pencil screen
-and division, Theta_out's assembly, the reflections) work a row strip at a
+The O(d^2) passes (the Lyapunov residual, the pencil screen and
+division, Theta_out's assembly, the reflections) work a row strip at a
 time (:func:`_strips`) and the products with the core blocks in a few wide
 strips, so that a solve's d x d arrays are its operands and results only.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -87,14 +87,11 @@ class SolveReport:
     """What a solve measured or decided: its relative residual, its condition
     estimate, and whether it ran at a regularized shift.  The route, cond_1(V)
     and the deflated-mode count are the basis's (``Eigenbasis.path``,
-    ``.condition``, ``.deflated_modes``).  ``residual_matrix`` is
-    C + A X + X A^dag itself when the caller asked to keep it
-    (:func:`solve_lyapunov`), else None; it takes no part in comparisons."""
+    ``.condition``, ``.deflated_modes``)."""
 
     residual_norm: float
     condition_estimate: float | None = None
     regularized: bool = False
-    residual_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def matrix_of(mat_like):
@@ -214,27 +211,25 @@ def _pencil_divide(lam, Y, out):
     return out
 
 
-def _refine(solve, A, C, X=None, keep_residual=False):
-    """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F),
-    R) from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the
+def _refine(solve, A, C, X=None):
+    """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F))
+    from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the
     Arrowhead or array A, starting from the first pass X (``solve(C)`` when
     None): one refinement pass follows only when the first pass's residual
-    is above :data:`REFINE_ABOVE`.  R = C + A X + X A^dag of the returned X
-    when ``keep_residual``, else None: only then is it stored (made after
-    the first pass), otherwise each strip is dropped once summed."""
+    is above :data:`REFINE_ABOVE`.  The residual matrix is stored only as
+    that pass's right-hand side; otherwise each strip is dropped once
+    summed."""
     c_norm = max(1.0, np.linalg.norm(C))
     if X is None:
         X = solve(C)
-    R = np.empty_like(X) if keep_residual else None
-    residual = _residual(A, X, C, R) / c_norm
+    residual = _residual(A, X, C) / c_norm
     if not residual <= REFINE_ABOVE:
-        rhs = R if R is not None else np.empty_like(X)
-        if R is None:
-            _residual(A, X, C, rhs)
+        rhs = np.empty_like(X)
+        _residual(A, X, C, rhs)
         X += solve(rhs)
         del rhs
-        residual = _residual(A, X, C, R) / c_norm
-    return X, float(residual), R
+        residual = _residual(A, X, C) / c_norm
+    return X, float(residual)
 
 
 def _residual(A, X, C, out=None):
@@ -243,7 +238,7 @@ def _residual(A, X, C, out=None):
     (:meth:`Arrowhead.product_strips`), so that without ``out`` no d x d
     array is made."""
     if not isinstance(A, Arrowhead):
-        R = lyapunov_product(A, X, np.array(C, dtype=np.complex128))
+        R = C + (A @ X + X @ A.conj().T)
         if out is not None:
             out[...] = R
         return float(np.linalg.norm(R))
@@ -300,7 +295,7 @@ def solve_sylvester(A, C, method="schur"):
         def tri_solve(rhs):
             return Q @ kernels.sylvester_triangular(T, Q_h @ -rhs @ Q) @ Q_h
 
-        X, residual, _ = _refine(tri_solve, A, C)
+        X, residual = _refine(tri_solve, A, C)
     else:
         raise ValueError(f"unknown Sylvester method {method!r}")
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
@@ -364,9 +359,8 @@ class Arrowhead:
     The matrix is diag(diag) + col e_tip^T + e_tip row^T with ``col`` and
     ``row`` zero at ``tip``.  ``A @ Y`` and ``Y @ A`` cost O(d^2) for a
     d x d ndarray Y, and A Y + Y A^dag is formed a row strip at a time
-    (:meth:`product_strips`, :func:`_strips`), so that :meth:`lyapunov`
-    makes no d x d array besides its result;
-    ``np.asarray(A)`` is the dense matrix.
+    (:meth:`product_strips`, :func:`_strips`), so that no d x d array is
+    made besides the caller's; ``np.asarray(A)`` is the dense matrix.
     """
 
     # ndarray operators return NotImplemented for this class, so ``Y @ A``
@@ -439,13 +433,6 @@ class Arrowhead:
                 block[t - r0] += tip_row
             block[:, t] += tip_col[r0:r1]
             yield r0, r1, block
-
-    def lyapunov(self, X, out):
-        """``out`` + (A X + X A^dag), added into ``out`` (not X) a row strip
-        at a time (:meth:`product_strips`)."""
-        for r0, r1, block in self.product_strips(lambda r0, r1: X[r0:r1], self.spokes(X)):
-            out[r0:r1] += block
-        return out
 
     def restricted(self, idx):
         """The principal submatrix on the ascending indices ``idx``, which
@@ -808,7 +795,11 @@ class Eigenbasis:
 
     def shifted(self, s):
         """A = Q W Q - s I in deflated coordinates: an Arrowhead when W is
-        one, else the dense array W - s I (Q = I)."""
+        one, else the dense array W - s I (Q = I).  Every solve, screen and
+        S of the basis passes through here, so a shift that is not finite
+        raises ValueError here."""
+        if not np.isfinite(s):
+            raise ValueError(f"shift must be finite, got {s}")
         if self.arrowhead is None:
             return self.matrix - s * np.eye(self.dim)
         return self.arrowhead.shifted(s)
@@ -887,7 +878,7 @@ def _with_inverse(basis):
     return replace(basis, core_inverse=core_inverse, condition=condition)
 
 
-def solve_lyapunov(basis, C, shift, quotient=None, keep_residual=False):
+def solve_lyapunov(basis, C, shift, quotient=None):
     """Solve A X + X A^dag = -C for A = W - shift I from W's eigenbasis.
 
     While ``basis.usable``, with Y = V^-1 X V^-dag the equation is diagonal:
@@ -904,9 +895,7 @@ def solve_lyapunov(basis, C, shift, quotient=None, keep_residual=False):
 
     ``quotient`` is the first pass's bracket at this shift from
     :func:`lyapunov_quotients`; the solve takes it over and forms X in it.
-    It is read only on the eigen route, after the screen.  With
-    ``keep_residual`` the report's ``residual_matrix`` holds
-    C + A X + X A^dag of the returned X.
+    It is read only on the eigen route, after the screen.
 
     C and X are in the basis's deflated coordinates: there products with V
     touch only the core block and products with A cost O(d^2).  The report
@@ -919,11 +908,7 @@ def solve_lyapunov(basis, C, shift, quotient=None, keep_residual=False):
         raise ValueError(f"C must be {d}x{d}, got {C.shape}")
     A = basis.shifted(shift)
     if not basis.usable:
-        X, report = solve_sylvester(np.asarray(A), C)
-        if keep_residual:
-            report.residual_matrix = np.empty_like(X)
-            _residual(A, X, C, report.residual_matrix)
-        return X, report
+        return solve_sylvester(np.asarray(A), C)
     cond = pencil_screen(basis, shift)
     lam = basis.values - shift
 
@@ -937,8 +922,8 @@ def solve_lyapunov(basis, C, shift, quotient=None, keep_residual=False):
     X = None
     if quotient is not None:
         X = basis.block_congruence(basis.core_vectors, quotient, copy=False)
-    X, residual, R = _refine(eig_solve, A, C, X, keep_residual)
-    return X, SolveReport(residual_norm=residual, condition_estimate=cond, residual_matrix=R)
+    X, residual = _refine(eig_solve, A, C, X)
+    return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
 def lyapunov_quotients(basis, C, shifts):
@@ -966,15 +951,6 @@ def pencil_screen(basis, shift):
     |l_i + conj(l_j)|, or NearSingularPencil when that gap is below
     ``PENCIL_GAP_TOL * ||A||_F``."""
     return _pencil_condition(basis.values - shift, frobenius_norm(basis.shifted(shift)))
-
-
-def lyapunov_product(A, X, out):
-    """``out`` + (A X + X A^dag), added into ``out``, of an Arrowhead
-    (O(d^2), :meth:`Arrowhead.lyapunov`) or an array."""
-    if isinstance(A, Arrowhead):
-        return A.lyapunov(X, out)
-    out += A @ X + X @ A.conj().T
-    return out
 
 
 def frobenius_norm(A):
@@ -1118,32 +1094,27 @@ def congruence(diagonal, left, right, X):
     return G
 
 
-def output_covariance(A, X, factors, C, residual=None):
+def output_covariance(A, X, factors, C):
     """(Theta, ||C + A X + X A^dag||_F) with
 
         Theta = C + (A X + X A^dag) + (A^dag G + G A),  G = S X S^dag,
 
     for S = diag(diagonal) + left @ right as ``factors`` = (diagonal, left,
-    right) hold it (:func:`adjoint_inverse`).  ``residual``, when given,
-    already holds C + A X + X A^dag (``solve_lyapunov``'s kept residual)
-    and becomes Theta; otherwise Theta is written over X.
+    right) hold it (:func:`adjoint_inverse`), Theta written over X.
 
     For an Arrowhead A, G is never formed: each row strip of A^dag G + G A
     is made from that strip of G and G's tip row and column, conj(col)^T G
     and G col (:class:`_Congruence`, :meth:`Arrowhead.product_strips` of
-    A^dag), and added to the same strip of C + A X + X A^dag, read from
-    ``residual`` or formed from X; the strip is written after X's rows are
-    read, so besides Theta only strips and d x 8 arrays are made.  Either
-    way each entry is the same sum, so both give the same bits.  A dense A
-    forms G and the products whole."""
+    A^dag), and added to the same strip of C + A X + X A^dag (the strips of
+    :func:`_residual`); the strip is written after X's rows are read, so
+    besides Theta only strips and d x 8 arrays are made.  A dense A forms G
+    and the products whole."""
     if not isinstance(A, Arrowhead):
-        R = residual if residual is not None else lyapunov_product(A, X, np.array(C))
+        R = C + (A @ X + X @ A.conj().T)
         gap = float(np.linalg.norm(R))
-        lyapunov_product(A.conj().T, congruence(*factors, X), R)
-        if residual is None:
-            X[...] = R
-            R = X
-        return R, gap
+        G = congruence(*factors, X)
+        np.add(R, A.conj().T @ G + G @ A, out=X)
+        return X, gap
     B = A.conj().T
     G = _Congruence(*factors, X)
     t = A.tip
@@ -1151,20 +1122,14 @@ def output_covariance(A, X, factors, C, residual=None):
     strips = _strips(*X.shape)
     g_rows = _strip_buffer(strips, X.shape[1])
     k_strips = B.product_strips(lambda r0, r1: G.rows(r0, r1, g_rows[:r1 - r0]), g_spokes)
-    if residual is None:
-        r_strips = A.product_strips(lambda r0, r1: X[r0:r1], A.spokes(X))
+    r_strips = A.product_strips(lambda r0, r1: X[r0:r1], A.spokes(X))
     total = 0.0
-    for r0, r1, k_block in k_strips:
-        if residual is None:
-            _, _, block = next(r_strips)
-            block += C[r0:r1]
-        else:
-            block = residual[r0:r1]
+    for (r0, r1, block), (_, _, k_block) in zip(r_strips, k_strips):
+        block += C[r0:r1]
         total += np.vdot(block, block).real
         block += k_block
-        if residual is None:
-            X[r0:r1] = block
-    return (X if residual is None else residual), float(np.sqrt(total))
+        X[r0:r1] = block
+    return X, float(np.sqrt(total))
 
 
 def antihermitian_norm(M):

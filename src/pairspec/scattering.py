@@ -23,17 +23,19 @@ The scattering matrix needs no eigenvectors: W - eps is an arrowhead there,
 a diagonal plus a rank-2 term, so S is a diagonal plus a rank-4 term
 (``numkit.adjoint_inverse``), and a :class:`ScatteringMatrix` keeps it in
 that form; its ``matrix`` and residual are formed only when they are read.
-``propagate`` rotates Theta_in in, adds A^dag G + G A for G = S X S^dag to
-the Lyapunov residual Theta_in + A X + X A^dag a row strip at a time
-(``numkit.output_covariance``; G is never formed) and keeps its results in
-deflated coordinates: a :class:`PropagationResult` rotates ``theta_out``,
-``theta_tilde_in`` and ``scattering`` out, and forms its identity gap and
-hermiticity defect, on first access, so a caller pays only for what it
-reads.  The Lyapunov route, cond_1(V) and the number of deflated modes
-are the basis's (``Eigenbasis.path``, ``.condition``, ``.deflated_modes``);
-the Lyapunov report holds the solve's residual, and the ScatteringMatrix
-S's.  Residuals are measured in deflated coordinates, which Q leaves
-unchanged up to rounding.
+``propagate`` rotates Theta_in in, forms the Lyapunov residual
+Theta_in + A X + X A^dag and A^dag G + G A for G = S X S^dag a row strip
+at a time and writes their sum over X (``numkit.output_covariance``; G is
+never formed), and keeps its results in deflated coordinates: a
+:class:`PropagationResult` rotates ``theta_out`` and ``scattering`` out,
+and forms its identity gap and hermiticity defect, on first access, so a
+caller pays only for what it reads.  X itself is what
+:func:`time_integrated_covariance` returns.  The Lyapunov route,
+cond_1(V) and the number of deflated modes are the basis's
+(``Eigenbasis.path``, ``.condition``, ``.deflated_modes``); the Lyapunov
+report holds the solve's residual, and the ScatteringMatrix S's.
+Residuals are measured in deflated coordinates, which Q leaves unchanged
+up to rounding.
 """
 
 from dataclasses import dataclass, replace
@@ -88,16 +90,13 @@ class ScatteringMatrix:
 class PropagationResult:
     """One propagation, held in the deflated coordinates of ``basis``.
 
-    ``theta_out_q`` and ``theta_tilde_in_q`` are Q Y Q of Theta_out and X
-    (Q = ``basis.rotate``; Q = I when nothing deflates), and
-    ``scattering_q`` is S with its ``matrix`` in those coordinates.  Q is
-    real orthogonal, so Frobenius norms, log|det| and the hermiticity
-    defect read the same there.  ``theta_out``, ``theta_tilde_in`` and
+    ``theta_out_q`` is Q Theta_out Q (Q = ``basis.rotate``; Q = I when
+    nothing deflates), and ``scattering_q`` is S with its ``matrix`` in
+    those coordinates.  Q is real orthogonal, so Frobenius norms, log|det|
+    and the hermiticity defect read the same there.  ``theta_out`` and
     ``scattering`` are the same matrices in W's coordinates, rotated out on
-    first access and cached; the two covariances are CovarianceMatrix objects
-    when the input or W carries a block ``layout``.  ``theta_tilde_in_q``
-    (and ``theta_tilde_in``) is None when the propagation wrote Theta_out
-    over X.
+    first access and cached; ``theta_out`` is a CovarianceMatrix when the
+    input or W carries a block ``layout``.
 
     ``lyapunov`` is the Lyapunov solve's report (its residual, condition
     estimate and whether it was regularized); the route, cond_1(V) and the
@@ -108,7 +107,6 @@ class PropagationResult:
     """
 
     theta_out_q: np.ndarray
-    theta_tilde_in_q: np.ndarray | None
     scattering_q: ScatteringMatrix
     basis: numkit.Eigenbasis
     layout: BlockLayout | None
@@ -117,21 +115,12 @@ class PropagationResult:
     lyapunov: numkit.SolveReport
     gap_norm: float
 
-    def _covariance(self, Y):
-        if Y is None:
-            return None
-        Y = self.basis.rotate(Y)
+    @cached_property
+    def theta_out(self):
+        Y = self.basis.rotate(self.theta_out_q)
         if self.layout is None:
             return Y
         return CovarianceMatrix(matrix=Y, layout=self.layout, grid=self.grid)
-
-    @cached_property
-    def theta_out(self):
-        return self._covariance(self.theta_out_q)
-
-    @cached_property
-    def theta_tilde_in(self):
-        return self._covariance(self.theta_tilde_in_q)
 
     @cached_property
     def scattering(self):
@@ -177,7 +166,7 @@ def regularized_epsilon(W, epsilon):
     return epsilon
 
 
-def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None, keep_residual=False):
+def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None):
     """Solve (W - eps) X + X (W - eps)^dag = -Theta_in.
 
     X is the all-time integral of the input correlations evaluated at the
@@ -189,22 +178,19 @@ def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None, keep_resi
     (:func:`regularized_epsilon`) and flags the report as regularized.
 
     W may be a DynamicalMatrix, an array or a ``numkit.Eigenbasis`` of W;
-    theta_in and X are in W's coordinates.  ``quotient`` and
-    ``keep_residual`` go to ``numkit.solve_lyapunov``: the first pass's
-    bracket from ``numkit.lyapunov_quotients`` at the shift the solve runs
-    at (in deflated coordinates, so a caller that passes it passes
-    ``basis.q``), which X is formed in, and whether the report keeps
-    Theta_in + A X + X A^dag as ``residual_matrix`` (rotated out with X).
+    theta_in and X are in W's coordinates.  ``quotient`` goes to
+    ``numkit.solve_lyapunov``: the first pass's bracket from
+    ``numkit.lyapunov_quotients`` at the shift the solve runs at (in
+    deflated coordinates, so a caller that passes it passes ``basis.q``),
+    which X is formed in.  A shift that is not finite raises ValueError.
     Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
     """
     basis = _eigenbasis(W)
     theta_q = basis.rotate(numkit.matrix_of(theta_in))
     eff_eps = regularized_epsilon(basis, epsilon)
-    X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps, quotient, keep_residual)
+    X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps, quotient)
     report.regularized = eff_eps != epsilon
     X = basis.rotate(X, copy=False)
-    if report.residual_matrix is not None:
-        report.residual_matrix = basis.rotate(report.residual_matrix, copy=False)
     if isinstance(theta_in, CovarianceMatrix):
         X = CovarianceMatrix(matrix=X, layout=theta_in.layout, grid=theta_in.grid)
     return X, report
@@ -227,7 +213,7 @@ def scattering_matrix(W, z):
     return ScatteringMatrix(*numkit.adjoint_inverse(basis, z), basis=basis, z_used=complex(z))
 
 
-def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None, keep_theta_tilde_in=True):
+def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None):
     """Map the input covariance to the output covariance.
 
     Output assembly (all operators at the shared regularized shift
@@ -243,23 +229,22 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None, keep_theta
     but the solver residual).
 
     Everything runs in deflated coordinates (``numkit.Eigenbasis.q``):
-    Theta_in is rotated in once and the result keeps X, S and Theta_out
-    there; its ``theta_out``, ``theta_tilde_in`` and ``scattering`` rotate
-    them out on first access (see :class:`PropagationResult`).  There every
-    product with A costs O(d^2).  The Lyapunov solve keeps
-    Theta_in + A X + X A^dag, Theta_out's first term, in the array that
-    becomes Theta_out, and ``numkit.output_covariance`` adds
-    A^dag G + G A to it a row strip at a time, from X and S's diagonal and
-    rank-4 factors: G = S X S^dag is never formed.  (Forming it as
-    A^dag (R X R^dag) A with R = (W - eps)^-1 would lose cond(A) digits when
-    an eigenvalue of W lies near eps.)
+    Theta_in is rotated in once and the result keeps S and Theta_out
+    there; its ``theta_out`` and ``scattering`` rotate them out on first
+    access (see :class:`PropagationResult`).  There every product with A
+    costs O(d^2).  ``numkit.output_covariance`` forms Theta_out's first
+    term Theta_in + A X + X A^dag and adds A^dag G + G A to it a row strip
+    at a time, from X and S's diagonal and rank-4 factors, and writes each
+    strip over the rows of X it has read: G = S X S^dag is never formed,
+    and the call holds one d x d matrix of its own besides Theta_in.
+    (Forming G as A^dag (R X R^dag) A with R = (W - eps)^-1 would lose
+    cond(A) digits when an eigenvalue of W lies near eps.)  X is not kept;
+    :func:`time_integrated_covariance` returns it.
 
     ``quotient`` is the Lyapunov first pass's bracket at the shift the
     solve runs at (``numkit.lyapunov_quotients``, for a caller that solves
-    several shifts of one W and Theta_in); X is formed in it.  With
-    ``keep_theta_tilde_in`` False, Theta_out is written over X a row strip
-    at a time and ``theta_tilde_in_q`` is None: the call then holds one
-    d x d matrix of its own.
+    several shifts of one W and Theta_in); X is formed in it.  A shift that
+    is not finite raises ValueError.
     """
     theta_mat = numkit.matrix_of(theta_in)
     basis = _eigenbasis(W)
@@ -268,18 +253,11 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None, keep_theta
     # The two public solves take W-coordinate matrices; basis.q (Q = I)
     # makes them read the deflated-coordinate ones as their own.
     q = basis.q
-    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon, quotient=quotient,
-                                                keep_residual=keep_theta_tilde_in)
-    residual, lyap_report.residual_matrix = lyap_report.residual_matrix, None
+    X, lyap_report = time_integrated_covariance(q, theta_q, epsilon, quotient=quotient)
     eff_eps = DEFAULT_EPSILON if lyap_report.regularized else epsilon
     smat = scattering_matrix(q, eff_eps)
-
-    # The working set peaks here, at X and Theta_out (the residual, or X
-    # itself), besides Theta_in where the assembly still reads it.
-    C = theta_q if residual is None else None
-    del theta_q
     theta_out, gap_norm = numkit.output_covariance(basis.shifted(eff_eps), X, smat.factors,
-                                                   C, residual)
+                                                   theta_q)
 
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)
@@ -289,7 +267,6 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None, keep_theta
 
     return PropagationResult(
         theta_out_q=theta_out,
-        theta_tilde_in_q=X if keep_theta_tilde_in else None,
         scattering_q=smat,
         basis=basis,
         layout=layout,

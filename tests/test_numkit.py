@@ -385,6 +385,14 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _lyapunov_sum(A, X, C):
+    """C + A X + X A^dag by the strip kernel the solves run
+    (``numkit._residual``)."""
+    out = np.empty_like(X, dtype=complex)
+    numkit._residual(A, X, C, out)
+    return out
+
+
 def _lyapunov(basis, C, shift):
     """numkit.solve_lyapunov with C and X in W's coordinates: C is rotated
     into the basis's deflated coordinates and X out."""
@@ -409,7 +417,7 @@ def test_arrowhead_products_match_dense(case):
             (Y @ A, Y @ Ad),
             (A.conj().T @ Y, Ad.conj().T @ Y),
             (Y @ A.conj().T, Y @ Ad.conj().T),
-            (A.lyapunov(Y, np.zeros((d, d), dtype=complex)), Ad @ Y + Y @ Ad.conj().T),
+            (_lyapunov_sum(A, Y, np.zeros((d, d), dtype=complex)), Ad @ Y + Y @ Ad.conj().T),
         ):
             assert _rel(got, want) < 1e-13
         # Subtracting an Arrowhead from an array would densify A, so it is
@@ -448,15 +456,17 @@ def test_lyapunov_product_keeps_the_tip_of_hermitian_x_exactly_hermitian(d, tip,
     A = _random_arrowhead(rng, d, tip)
     X = random_hermitian(rng, d)
     assert np.array_equal(X, X.conj().T)
-    L = numkit.lyapunov_product(A, X, np.zeros((d, d), dtype=complex))
+    L = _lyapunov_sum(A, X, np.zeros((d, d), dtype=complex))
     assert np.array_equal(L[tip], L[:, tip].conj())
     assert np.array_equal(L, L.conj().T)
     assert _rel(L, np.asarray(A) @ X + X @ np.asarray(A).conj().T) < 1e-14
-    # Accumulating into a target rounds as adding the whole product would.
+    # Adding C rounds as adding the whole product would, and the norm is
+    # that sum's.
     base = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    target = base.copy()
-    assert numkit.lyapunov_product(A, X, target) is target
+    target = np.empty_like(base)
+    norm = numkit._residual(A, X, base, target)
     assert np.array_equal(target, base + L)
+    assert norm == pytest.approx(np.linalg.norm(target), rel=1e-14)
 
 
 def test_lyapunov_product_of_the_model_arrowhead_is_exactly_hermitian():
@@ -466,7 +476,7 @@ def test_lyapunov_product_of_the_model_arrowhead_is_exactly_hermitian():
     basis = numkit.eigenbasis(paper_system(n=90)[2].matrix)
     assert basis.deflated_modes == 90
     X = random_hermitian(np.random.default_rng(90), basis.dim)
-    L = numkit.lyapunov_product(basis.shifted(1e-3), X, np.zeros_like(X))
+    L = _lyapunov_sum(basis.shifted(1e-3), X, np.zeros_like(X))
     assert np.abs(L - L.conj().T).max() == 0.0
 
 
@@ -477,14 +487,14 @@ def test_lyapunov_product_of_the_model_arrowhead_is_exactly_hermitian():
 @pytest.mark.parametrize("n", [64, 256])
 def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_sign, offset):
     # output_covariance adds A^dag G + G A without forming G = S X S^dag.
-    # Against G formed whole by congruence and both products added by
-    # lyapunov_product, over these 8 cases at eps in {1e-3, 5e-4} the
-    # relative gap was at most 2.3e-16 on the paper sign and 4.5e-12 on the
-    # hamiltonian sign, whose lossless Theta_out is a small difference of
-    # large terms (both assemblies sit as close to its closed form; see
-    # test_hamiltonian_sign_matches_the_closed_form); the bounds keep a 4x
-    # margin.  Written over X or into the kept residual, it gives the same
-    # bits, and its gap norm is ||C + A X + X A^dag||_F.
+    # Against G formed whole by congruence and both products added by the
+    # strip kernel of the residual, over these 8 cases at eps in
+    # {1e-3, 5e-4} the relative gap was at most 2.3e-16 on the paper sign
+    # and 4.5e-12 on the hamiltonian sign, whose lossless Theta_out is a
+    # small difference of large terms (both assemblies sit as close to its
+    # closed form; see test_hamiltonian_sign_matches_the_closed_form); the
+    # bounds keep a 4x margin.  It writes Theta_out over X, and its gap
+    # norm is ||C + A X + X A^dag||_F.
     bound = 1e-15 if material_sign == "paper" else 2e-11
     step = 120.0 / (n - 1)
     shift = 0.5 * step if offset == "half-step" else 0.0
@@ -493,18 +503,15 @@ def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_s
     basis = numkit.eigenbasis(W.matrix)
     C = basis.rotate(theta.matrix)
     for eps in (1e-3, 5e-4):
-        X, report = numkit.solve_lyapunov(basis, C, eps, keep_residual=True)
-        R = report.residual_matrix
+        X, _ = numkit.solve_lyapunov(basis, C, eps)
         A = basis.shifted(eps)
         factors = numkit.adjoint_inverse(basis, eps)
-        ref = numkit.lyapunov_product(A.conj().T, numkit.congruence(*factors, X),
-                                      numkit.lyapunov_product(A, X, C.copy()))
+        R = _lyapunov_sum(A, X, C)
+        ref = _lyapunov_sum(A.conj().T, numkit.congruence(*factors, X), R)
         gap_ref = np.linalg.norm(R)
-        kept, gap = numkit.output_covariance(A, X, factors, C, R)
-        assert kept is R
-        over_x, gap_over_x = numkit.output_covariance(A, X.copy(), factors, C)
-        assert np.array_equal(kept, over_x) and gap == gap_over_x
-        assert np.linalg.norm(kept - ref) / np.linalg.norm(ref) < bound
+        theta_out, gap = numkit.output_covariance(A, X, factors, C)
+        assert theta_out is X
+        assert np.linalg.norm(theta_out - ref) / np.linalg.norm(ref) < bound
         assert abs(gap - gap_ref) <= 1e-14 * gap_ref
 
 

@@ -174,6 +174,21 @@ def test_propagate_epsilon_zero_regularizes():
     assert prop.scattering.z_used == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("solve", [
+    lambda theta, W, s: propagate(theta, W, epsilon=s),
+    lambda theta, W, s: time_integrated_covariance(W, theta, s),
+    lambda theta, W, s: scattering_matrix(W, s),
+], ids=["propagate", "time_integrated_covariance", "scattering_matrix"])
+def test_nonfinite_shift_raises(solve, shift):
+    # A NaN shift is not 0, so it would skip the regularization and leave a
+    # NaN Theta_out flagged as regularized; every solve, screen and S takes
+    # its shift through Eigenbasis.shifted, which refuses it.
+    _, _, W, _, theta = small_system(n=4, m_count=2)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        solve(theta, W, shift)
+
+
 def test_g_to_zero_continuity():
     # ||Theta_out(g) - Theta_out(0)|| must decrease monotonically to zero.
     diffs = []
@@ -359,9 +374,9 @@ def test_propagate_factors_a_plain_array_once(monkeypatch):
     assert prop.basis.deflated_modes == 4 + 1
     # Both solves accept the factorization itself in place of W.
     basis = real(W.matrix)
-    X, _ = time_integrated_covariance(basis, theta, 1e-3)
+    _, report = time_integrated_covariance(basis, theta, 1e-3)
     smat = scattering_matrix(basis, 1e-3)
-    assert np.array_equal(X.matrix, prop.theta_tilde_in.matrix)
+    assert report == prop.lyapunov
     assert np.array_equal(smat.matrix, prop.scattering.matrix)
     assert len(calls) == 1
 
@@ -380,38 +395,28 @@ def test_in_place_change_to_w_takes_effect():
 
 
 def test_lazy_fields_rotate_the_deflated_results_once():
+    # Theta_out and S are rotated out of deflated coordinates, and the
+    # identity gap, the hermiticity defect and S's residual formed, only
+    # when they are read.
     _, _, W, _, theta = small_system(n=4, m_count=2)
     prop = propagate(theta, W, epsilon=1e-3)
     basis = prop.basis
     assert basis.reflections  # Q != I: the fields are rotations, not the same arrays
-    for name, deflated in (("theta_out", prop.theta_out_q),
-                           ("theta_tilde_in", prop.theta_tilde_in_q)):
-        kept = deflated.copy()
-        field = getattr(prop, name)
-        assert np.array_equal(field.matrix, basis.rotate(kept))
-        assert np.array_equal(deflated, kept)  # rotated out into a new array
-        assert getattr(prop, name) is field
+    for name in ("theta_out", "scattering", "identity_gap", "hermiticity_defect"):
+        assert name not in vars(prop)
+    assert "residual" not in vars(prop.scattering_q)
+    kept = prop.theta_out_q.copy()
+    theta_out = prop.theta_out
+    assert np.array_equal(theta_out.matrix, basis.rotate(kept))
+    assert np.array_equal(prop.theta_out_q, kept)  # rotated out into a new array
+    assert prop.theta_out is theta_out
+    norm = np.linalg.norm(kept)
+    assert prop.identity_gap == prop.gap_norm / norm
+    assert prop.hermiticity_defect == numkit.antihermitian_norm(kept) / norm
     smat = prop.scattering
     assert np.array_equal(smat.matrix, basis.rotate(prop.scattering_q.matrix))
     assert (smat.z_used, smat.residual) == (prop.scattering_q.z_used, prop.scattering_q.residual)
     assert prop.scattering is smat
-
-
-def test_theta_out_over_x_equals_the_kept_propagation():
-    # Without theta_tilde_in, Theta_out is written over X and its
-    # diagnostics are formed only when read; the numbers are the same bits.
-    _, _, W, _, theta = small_system(n=5, m_count=2)
-    basis = numkit.eigenbasis(W.matrix)
-    kept = propagate(theta, basis, epsilon=1e-3)
-    over_x = propagate(theta, basis, epsilon=1e-3, keep_theta_tilde_in=False)
-    assert over_x.theta_tilde_in_q is None and over_x.theta_tilde_in is None
-    assert np.array_equal(over_x.theta_out_q, kept.theta_out_q)
-    for name in ("identity_gap", "hermiticity_defect"):
-        assert name not in vars(over_x)
-        assert getattr(over_x, name) == getattr(kept, name)
-    assert "residual" not in vars(over_x.scattering_q)
-    assert over_x.scattering_q.residual == kept.scattering_q.residual
-    assert over_x.lyapunov == kept.lyapunov
 
 
 def test_dense_w_propagates_with_s_held_whole():
@@ -429,7 +434,7 @@ def test_dense_w_propagates_with_s_held_whole():
     assert smat.diagonal is None and smat.left is None and smat.right.shape == (d, d)
     A = W - eps * np.eye(d)
     S = dense_scattering(A)
-    X = prop.theta_tilde_in
+    X, _ = time_integrated_covariance(W, theta, eps)
     G = S @ X @ S.conj().T
     ref = theta + A @ X + X @ A.conj().T + A.conj().T @ G + G @ A
     assert np.linalg.norm(prop.theta_out - ref) / np.linalg.norm(ref) < 1e-14
@@ -523,7 +528,8 @@ def test_deflated_coordinate_diagnostics_match_dense_recomputation(kwargs):
     assert prop.basis.path == path
     assert path == "eigen" or prop.basis.deflated_modes == 3
     A = W.matrix - eps * np.eye(W.dim)
-    X, S, out = prop.theta_tilde_in.matrix, prop.scattering.matrix, prop.theta_out.matrix
+    X = time_integrated_covariance(W, theta, eps)[0].matrix
+    S, out = prop.scattering.matrix, prop.theta_out.matrix
     # S formed from its diagonal and rank-4 term is A^dag A^-1 (3.5e-16 at
     # most on these four systems, 7.6e-16 from W's eigenvectors).
     S_dense = A.conj().T @ np.linalg.inv(A)

@@ -1,21 +1,25 @@
-"""Print the tracemalloc peak of ``execute_run`` per phase, in d x d matrices.
+"""Print the tracemalloc peak of ``pairspec run`` per phase, in d x d matrices.
 
 Each grid size n runs the README config (its ``### Config format`` block)
-with the eps/2 check on, and prints the peak of each phase in units of one
-d x d complex128 matrix (d = 2n + 1 + M):
+with the eps/2 check on and writes its artifacts into a temporary
+directory, as ``pairspec run`` does, and prints the peak of each phase in
+units of one d x d complex128 matrix (d = 2n + 1 + M):
 
     factor   building W and factoring it (``numkit.eigenbasis``)
     solve    Theta_in and the shared work before the two shifts fork
     lanes    the eps and eps/2 propagations, on two threads
     tail     the JSI, Schmidt spectrum and purity of the main Theta_out
+    write    the artifacts (``cli._write_run_artifacts``), with the run's
+             outputs still held
 
-and the peak of the whole run.  Run it from the repository root::
+and the peak of the whole command.  Run it from the repository root::
 
     python tools/peak_memory.py 64 256
 """
 
 import pathlib
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -26,7 +30,7 @@ from pairspec import cli, numkit, observables, scattering
 from pairspec.config import config_from_raw, parse_config_text
 
 _README = _ROOT / "README.md"
-PHASES = ("factor", "solve", "lanes", "tail")
+PHASES = ("factor", "solve", "lanes", "tail", "write")
 
 
 def readme_config(n):
@@ -83,8 +87,11 @@ def measure(n):
         setattr(module, name, wrapper)
     tracemalloc.start()
     try:
-        cli.execute_run(cfg)
-        phases.close()
+        with tempfile.TemporaryDirectory() as out_dir:
+            out = cli.execute_run(cfg)
+            phases.mark("write")
+            cli._write_run_artifacts(out_dir, cfg, out)
+            phases.close()
     finally:
         tracemalloc.stop()
         for module, name, real in saved:
