@@ -162,7 +162,11 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     if check_epsilon_stability:
         # The eps/2 shift is half of the one the solve runs at, decided here
         # by the solve's own rule.  On the eigen route both shifts' first
-        # passes come from one V^-1 Theta_in V^-dag, divided here.  The eps/2
+        # passes come from one V^-1 Theta_in V^-dag, divided here.  Sharing
+        # it keeps the run's RSS down: with each lane forming its own, the
+        # bits and the tracemalloc peak stayed the same, but run_n256's
+        # peak RSS rose 2-6 MiB, a d x d buffer first allocated on the
+        # helper thread that tracemalloc does not see.  The eps/2
         # propagation needs nothing else from the eps one, so it runs on a
         # helper thread meanwhile.  Leaving the pool joins that thread, also
         # when the main solve raises, whose error then wins.

@@ -38,10 +38,12 @@ with V touch only the core block (:meth:`Eigenbasis.block_congruence`) and
 products with W - s cost O(d^2).  :func:`solve_lyapunov` takes C and
 returns X in deflated coordinates (several shifts of one C can share
 V^-1 C V^-dag, :func:`lyapunov_quotients`), and :func:`adjoint_inverse`
-returns A^dag A^-1 there as the triple that :func:`congruence` and
-:func:`output_covariance` take; only :meth:`Eigenbasis.rotate` moves a
-matrix between those coordinates and W's.  A W without that structure is
-factored densely, with Q = I and every index in the core.
+returns A^dag A^-1 there as the triple that :func:`output_covariance`
+takes: for an arrowhead W a diagonal plus a rank-4 term, the one form the
+strip kernels read, else A^dag A^-1 held whole, which takes plain numpy.
+Only :meth:`Eigenbasis.rotate` moves a matrix between those coordinates
+and W's.  A W without that structure is factored densely, with Q = I and
+every index in the core.
 
 The O(d^2) passes (the Lyapunov residual, the pencil screen and
 division, Theta_out's assembly, the reflections) work a row strip at a
@@ -895,7 +897,8 @@ def solve_lyapunov(basis, C, shift, quotient=None):
 
     ``quotient`` is the first pass's bracket at this shift from
     :func:`lyapunov_quotients`; the solve takes it over and forms X in it.
-    It is read only on the eigen route, after the screen.
+    It is read only on the eigen route, after the screen; one that is not
+    d x d raises ValueError.
 
     C and X are in the basis's deflated coordinates: there products with V
     touch only the core block and products with A cost O(d^2).  The report
@@ -904,8 +907,9 @@ def solve_lyapunov(basis, C, shift, quotient=None):
     """
     C = _as_matrix(C, "C")
     d = basis.dim
-    if C.shape != (d, d):
-        raise ValueError(f"C must be {d}x{d}, got {C.shape}")
+    for name, M in (("C", C), ("quotient", quotient)):
+        if M is not None and np.shape(M) != (d, d):
+            raise ValueError(f"{name} must be {d}x{d}, got {np.shape(M)}")
     A = basis.shifted(shift)
     if not basis.usable:
         return solve_sylvester(np.asarray(A), C)
@@ -971,8 +975,9 @@ def adjoint_inverse(basis, z):
     2.1.4): O(d) work and no eigenvectors.  A W without that structure, or
     an arrowhead whose D has an entry below ``PIVOT_TOL * max|A|``, gets
     the whole of A^dag A^-1 as ``right`` (``diagonal`` and ``left`` None)
-    from the LU of :func:`linear_solve`.  Its residual is
-    :func:`adjoint_inverse_residual`.
+    from the LU of :func:`linear_solve`; :func:`output_covariance` and
+    :func:`adjoint_inverse_residual` (its residual) take such an S in plain
+    numpy, not a row strip at a time.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
     ``PIVOT_TOL * max|A|`` (the pivot rule of :func:`lu`), or at a pivot
@@ -996,19 +1001,14 @@ def adjoint_inverse(basis, z):
 
 def adjoint_inverse_residual(basis, z, diagonal, left, right):
     """||S A - A^dag||_F / ||A||_F for A = Q W Q - z I and S as
-    :func:`adjoint_inverse` returns it, taken a row strip at a time so that
-    no d x d temporary is made: S A - A^dag = B + left (right A) with the
-    arrowhead B = Delta A - A^dag, or rows of right A - A^dag when S is
-    held whole."""
+    :func:`adjoint_inverse` returns it.  For the rank form it is taken a
+    row strip at a time, so that no d x d temporary is made:
+    S A - A^dag = B + left (right A) with the arrowhead
+    B = Delta A - A^dag.  A whole S takes it in plain numpy."""
     A = basis.shifted(z)
-    d, total = basis.dim, 0.0
     if left is None:
-        A = np.asarray(A)
-        A_h = A.conj().T
-        for r0, r1 in _strips(d, d):
-            E = right[r0:r1] @ A - A_h[r0:r1]
-            total += np.vdot(E, E).real
-        return float(np.sqrt(total) / frobenius_norm(A))
+        return float(np.linalg.norm(right @ A - np.asarray(A).conj().T) / frobenius_norm(A))
+    d, total = basis.dim, 0.0
     D = A.diag
     B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
                   diagonal[A.tip] * A.row - A.col.conj(), A.tip)
@@ -1022,32 +1022,25 @@ def adjoint_inverse_residual(basis, z, diagonal, left, right):
 
 class _Congruence:
     """G = B X B^dag, read without forming G, for B = diag(``diagonal``) +
-    ``left`` @ ``right`` (left d x k, right k x d) or, when ``left`` is
-    None, the d x d B = ``right``.  G is Delta X conj(Delta) (no such term
-    for a dense B) plus outer @ inner: for the rank form
+    ``left`` @ ``right`` (left d x k, right k x d).  G is
+    Delta X conj(Delta) plus outer @ inner:
 
         B X B^dag = Delta X conj(Delta)
                     + [left, Delta X R^dag + left R X R^dag] [R X conj(Delta); left^dag]
 
-    with R = ``right``, whose factors are d x 2k, and for a dense B,
-    B (X B^dag).  X's rows are read only by :meth:`rows`, so X may be
-    overwritten a strip at a time once the vectors of G a caller needs are
-    taken."""
+    with R = ``right``, whose factors are d x 2k.  X's rows are read only
+    by :meth:`rows`, so X may be overwritten a strip at a time once the
+    vectors of G a caller needs are taken."""
 
     def __init__(self, diagonal, left, right, X):
         self.X, self.diagonal = X, diagonal
         XR = X @ right.conj().T
-        if left is None:
-            self.outer, self.inner = right, XR
-            return
         self.diagonal_h = diagonal.conj()
         self.outer = np.hstack((left, diagonal[:, None] * XR + left @ (right @ XR)))
         self.inner = np.vstack(((right @ X) * self.diagonal_h, left.conj().T))
 
     def rows(self, r0, r1, out):
         """G[r0:r1], written into ``out``."""
-        if self.diagonal is None:
-            return np.matmul(self.outer[r0:r1], self.inner, out=out)
         np.multiply(self.X[r0:r1], self.diagonal[r0:r1, None], out=out)
         out *= self.diagonal_h
         out += self.outer[r0:r1] @ self.inner
@@ -1056,42 +1049,26 @@ class _Congruence:
     def row(self, t):
         """G[t]."""
         g = self.outer[t] @ self.inner
-        if self.diagonal is not None:
-            g += self.X[t] * self.diagonal[t] * self.diagonal_h
+        g += self.X[t] * self.diagonal[t] * self.diagonal_h
         return g
 
     def column(self, t):
         """G[:, t]."""
         g = self.outer @ self.inner[:, t]
-        if self.diagonal is not None:
-            g += self.X[:, t] * self.diagonal * self.diagonal_h[t]
+        g += self.X[:, t] * self.diagonal * self.diagonal_h[t]
         return g
 
     def vector_times(self, v):
         """v^T G."""
         g = (v @ self.outer) @ self.inner
-        if self.diagonal is not None:
-            g += _vector_times(v * self.diagonal, self.X) * self.diagonal_h
+        g += _vector_times(v * self.diagonal, self.X) * self.diagonal_h
         return g
 
     def times(self, v):
         """G v."""
         g = self.outer @ (self.inner @ v)
-        if self.diagonal is not None:
-            g += self.diagonal * (self.X @ (self.diagonal_h * v))
+        g += self.diagonal * (self.X @ (self.diagonal_h * v))
         return g
-
-
-def congruence(diagonal, left, right, X):
-    """G = B X B^dag for B = diag(``diagonal``) + ``left`` @ ``right``, or
-    B = ``right`` when ``left`` is None (see :class:`_Congruence`), formed a
-    row strip at a time, so that besides the result only d x 2k arrays and
-    strips are made for the rank form."""
-    G = np.empty_like(X)
-    parts = _Congruence(diagonal, left, right, X)
-    for r0, r1 in _strips(*X.shape):
-        parts.rows(r0, r1, G[r0:r1])
-    return G
 
 
 def output_covariance(A, X, factors, C):
@@ -1099,24 +1076,26 @@ def output_covariance(A, X, factors, C):
 
         Theta = C + (A X + X A^dag) + (A^dag G + G A),  G = S X S^dag,
 
-    for S = diag(diagonal) + left @ right as ``factors`` = (diagonal, left,
-    right) hold it (:func:`adjoint_inverse`), Theta written over X.
+    for S as ``factors`` = (diagonal, left, right) hold it
+    (:func:`adjoint_inverse`), Theta written over X.
 
-    For an Arrowhead A, G is never formed: each row strip of A^dag G + G A
-    is made from that strip of G and G's tip row and column, conj(col)^T G
-    and G col (:class:`_Congruence`, :meth:`Arrowhead.product_strips` of
+    For S in its rank form, diag(diagonal) + left @ right with A an
+    Arrowhead, G is never formed: each row strip of A^dag G + G A is made
+    from that strip of G and G's tip row and column, conj(col)^T G and
+    G col (:class:`_Congruence`, :meth:`Arrowhead.product_strips` of
     A^dag), and added to the same strip of C + A X + X A^dag (the strips of
     :func:`_residual`); the strip is written after X's rows are read, so
-    besides Theta only strips and d x 8 arrays are made.  A dense A forms G
-    and the products whole."""
-    if not isinstance(A, Arrowhead):
+    besides Theta only strips and d x 8 arrays are made.  A whole S
+    (``left`` None, ``right`` = S), with a dense or an Arrowhead A, forms
+    G and the products in plain numpy."""
+    diagonal, left, right = factors
+    if left is None:
         R = C + (A @ X + X @ A.conj().T)
-        gap = float(np.linalg.norm(R))
-        G = congruence(*factors, X)
+        G = right @ X @ right.conj().T
         np.add(R, A.conj().T @ G + G @ A, out=X)
-        return X, gap
+        return X, float(np.linalg.norm(R))
     B = A.conj().T
-    G = _Congruence(*factors, X)
+    G = _Congruence(diagonal, left, right, X)
     t = A.tip
     g_spokes = (G.row(t), G.column(t), G.vector_times(B.row), G.times(B.row.conj()))
     strips = _strips(*X.shape)

@@ -38,6 +38,7 @@ Residuals are measured in deflated coordinates, which Q leaves unchanged
 up to rounding.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -61,9 +62,10 @@ class ScatteringMatrix:
     diag(``diagonal``) + ``left`` @ ``right``, as ``numkit.adjoint_inverse``
     returns it and ``numkit.output_covariance`` takes it: for an arrowhead
     W a d x 4 and a 4 x d factor, else S itself as ``right`` (``diagonal``
-    and ``left`` None).  ``matrix`` is S in the coordinates of ``basis``,
-    and ``residual``, ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one
-    diagnostic; both are formed on first access and cached.
+    and ``left`` None), which takes plain numpy products.  ``matrix`` is S
+    in the coordinates of ``basis``, and ``residual``,
+    ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one diagnostic; both
+    are formed on first access and cached.
     """
 
     diagonal: np.ndarray | None
@@ -151,12 +153,27 @@ def _eigenbasis(W):
     return numkit.eigenbasis(numkit.matrix_of(W))
 
 
+def _deflated(W, theta_in):
+    """(basis, theta_q): W's factorization, as :func:`_eigenbasis` gives it,
+    and the matrix of ``theta_in`` rotated into its deflated coordinates;
+    ValueError unless that matrix is d x d for W's d."""
+    basis = _eigenbasis(W)
+    theta = numkit.matrix_of(theta_in)
+    if theta.shape != (basis.dim, basis.dim):
+        raise ValueError(f"theta_in has shape {theta.shape}, but W is {basis.dim}x{basis.dim}")
+    return basis, basis.rotate(theta)
+
+
 def regularized_epsilon(W, epsilon):
     """The shift a solve at ``epsilon`` runs at: ``epsilon`` itself, or
     ``DEFAULT_EPSILON`` when epsilon = 0 meets a near-singular pencil in
     ``numkit.pencil_screen`` (the eigenbasis solve's screen, run on W's
     eigenvalues on either path).  W is as in
-    :func:`time_integrated_covariance`."""
+    :func:`time_integrated_covariance`.  An epsilon that is not real, or
+    is finite and negative, raises ValueError; one that is not finite is
+    left to ``Eigenbasis.shifted``, which refuses every such shift."""
+    if not isinstance(epsilon, numbers.Real) or -np.inf < epsilon < 0:
+        raise ValueError(f"epsilon must be a real number >= 0, got {epsilon!r}")
     if epsilon != 0.0:
         return epsilon
     try:
@@ -182,11 +199,12 @@ def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None):
     ``numkit.solve_lyapunov``: the first pass's bracket from
     ``numkit.lyapunov_quotients`` at the shift the solve runs at (in
     deflated coordinates, so a caller that passes it passes ``basis.q``),
-    which X is formed in.  A shift that is not finite raises ValueError.
-    Returns (X, SolveReport); X is a CovarianceMatrix when theta_in is one.
+    which X is formed in.  A theta_in that is not d x d for W's d, or an
+    epsilon that is not a real number at least 0, raises ValueError, as
+    does a shift that is not finite.  Returns (X, SolveReport); X is a
+    CovarianceMatrix when theta_in is one.
     """
-    basis = _eigenbasis(W)
-    theta_q = basis.rotate(numkit.matrix_of(theta_in))
+    basis, theta_q = _deflated(W, theta_in)
     eff_eps = regularized_epsilon(basis, epsilon)
     X, report = numkit.solve_lyapunov(basis, theta_q, eff_eps, quotient)
     report.regularized = eff_eps != epsilon
@@ -237,18 +255,19 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None):
     at a time, from X and S's diagonal and rank-4 factors, and writes each
     strip over the rows of X it has read: G = S X S^dag is never formed,
     and the call holds one d x d matrix of its own besides Theta_in.
+    An S held whole (see :class:`ScatteringMatrix`) forms G and the
+    products in plain numpy instead, Theta_out still written over X.
     (Forming G as A^dag (R X R^dag) A with R = (W - eps)^-1 would lose
     cond(A) digits when an eigenvalue of W lies near eps.)  X is not kept;
     :func:`time_integrated_covariance` returns it.
 
     ``quotient`` is the Lyapunov first pass's bracket at the shift the
     solve runs at (``numkit.lyapunov_quotients``, for a caller that solves
-    several shifts of one W and Theta_in); X is formed in it.  A shift that
-    is not finite raises ValueError.
+    several shifts of one W and Theta_in); X is formed in it.  theta_in,
+    epsilon and the shift raise ValueError as in
+    :func:`time_integrated_covariance`.
     """
-    theta_mat = numkit.matrix_of(theta_in)
-    basis = _eigenbasis(W)
-    theta_q = basis.rotate(theta_mat)
+    basis, theta_q = _deflated(W, theta_in)
 
     # The two public solves take W-coordinate matrices; basis.q (Q = I)
     # makes them read the deflated-coordinate ones as their own.
@@ -262,8 +281,7 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None):
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)
     if layout is None and isinstance(W, DynamicalMatrix):
-        layout = W.layout
-        grid = W.grid
+        layout, grid = W.layout, W.grid
 
     return PropagationResult(
         theta_out_q=theta_out,

@@ -487,13 +487,14 @@ def test_lyapunov_product_of_the_model_arrowhead_is_exactly_hermitian():
 @pytest.mark.parametrize("n", [64, 256])
 def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_sign, offset):
     # output_covariance adds A^dag G + G A without forming G = S X S^dag.
-    # Against G formed whole by congruence and both products added by the
-    # strip kernel of the residual, over these 8 cases at eps in
-    # {1e-3, 5e-4} the relative gap was at most 2.3e-16 on the paper sign
-    # and 4.5e-12 on the hamiltonian sign, whose lossless Theta_out is a
-    # small difference of large terms (both assemblies sit as close to its
-    # closed form; see test_hamiltonian_sign_matches_the_closed_form); the
-    # bounds keep a 4x margin.  It writes Theta_out over X, and its gap
+    # Against G = S X S^dag formed densely from S = diag(Delta) + L R and
+    # both products added by the strip kernel of the residual, over these
+    # 8 cases at eps in {1e-3, 5e-4} the relative gap was at most 3.6e-16
+    # on the paper sign and 5.3e-12 (one BLAS thread) to 7.3e-12 (two) on
+    # the hamiltonian sign, whose lossless Theta_out is a small difference
+    # of large terms (both assemblies sit as close to its closed form; see
+    # test_hamiltonian_sign_matches_the_closed_form); the bounds keep a
+    # margin of at least 2.7x.  It writes Theta_out over X, and its gap
     # norm is ||C + A X + X A^dag||_F.
     bound = 1e-15 if material_sign == "paper" else 2e-11
     step = 120.0 / (n - 1)
@@ -507,12 +508,21 @@ def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_s
         A = basis.shifted(eps)
         factors = numkit.adjoint_inverse(basis, eps)
         R = _lyapunov_sum(A, X, C)
-        ref = _lyapunov_sum(A.conj().T, numkit.congruence(*factors, X), R)
+        diagonal, left, right = factors
+        S = np.diag(diagonal) + left @ right
+        ref = _lyapunov_sum(A.conj().T, S @ X @ S.conj().T, R)
         gap_ref = np.linalg.norm(R)
         theta_out, gap = numkit.output_covariance(A, X, factors, C)
         assert theta_out is X
         assert np.linalg.norm(theta_out - ref) / np.linalg.norm(ref) < bound
         assert abs(gap - gap_ref) <= 1e-14 * gap_ref
+
+
+def test_solve_lyapunov_refuses_a_wrong_shaped_quotient():
+    basis = numkit.eigenbasis(_model())
+    d = basis.dim
+    with pytest.raises(ValueError, match=rf"quotient must be {d}x{d}, got \(3, 3\)"):
+        numkit.solve_lyapunov(basis, np.eye(d), 1e-3, quotient=np.zeros((3, 3)))
 
 
 def test_lyapunov_quotients_give_each_shift_its_own_first_pass():

@@ -189,6 +189,39 @@ def test_nonfinite_shift_raises(solve, shift):
         solve(theta, W, shift)
 
 
+@pytest.mark.parametrize("epsilon", [1e-3 + 0j, -1e-3, "0.001"],
+                         ids=["complex", "negative", "string"])
+@pytest.mark.parametrize("solve", [
+    lambda theta, W, eps: propagate(theta, W, epsilon=eps),
+    lambda theta, W, eps: time_integrated_covariance(W, theta, eps),
+], ids=["propagate", "time_integrated_covariance"])
+def test_epsilon_must_be_real_and_nonnegative(solve, epsilon):
+    # Refused where every solve takes its shift (regularized_epsilon),
+    # before either solve runs.
+    _, _, W, _, theta = small_system(n=4, m_count=2)
+    with pytest.raises(ValueError, match="epsilon must be a real number >= 0"):
+        solve(theta, W, epsilon)
+    # S itself takes any z where W - z is regular.
+    assert scattering_matrix(W, 1e-3 + 0j).residual < 1e-14
+
+
+@pytest.mark.parametrize("offset", ["equal", "half-step"])
+@pytest.mark.parametrize("solve", [
+    lambda theta, W: propagate(theta, W),
+    lambda theta, W: time_integrated_covariance(W, theta, 1e-3),
+], ids=["propagate", "time_integrated_covariance"])
+def test_wrong_shaped_theta_in_raises_naming_both_shapes(solve, offset):
+    # Checked before Theta_in is rotated, in both coordinate cases: with
+    # equal axes the d = 18 model deflates, so the reflection would read
+    # Theta_in first; on a half-step idler axis nothing deflates, so the
+    # solve would name its own C.
+    shift = 0.5 * 0.8 / 7 if offset == "half-step" else 0.0
+    _, _, W, _, _ = small_system(n=8, idler_span=(0.8 + shift, 1.6 + shift))
+    assert (numkit.eigenbasis(W.matrix).deflated_modes > 0) == (offset == "equal")
+    with pytest.raises(ValueError, match=r"theta_in has shape \(5, 5\), but W is 18x18"):
+        solve(np.eye(5), W)
+
+
 def test_g_to_zero_continuity():
     # ||Theta_out(g) - Theta_out(0)|| must decrease monotonically to zero.
     diffs = []
@@ -441,6 +474,31 @@ def test_dense_w_propagates_with_s_held_whole():
     assert np.linalg.norm(smat.matrix - S) / np.linalg.norm(S) < 1e-15
     assert smat.residual < 1e-14
     assert prop.identity_gap < 1e-13 and prop.hermiticity_defect < 1.5e-14
+
+
+def test_arrowhead_with_a_zero_diagonal_of_a_propagates_with_s_held_whole():
+    # W - eps is an arrowhead with its tip at index 0 whose D_1 = 1e-3 - eps
+    # is exactly 0, so S comes whole from one LU and Theta_out takes the
+    # plain numpy products, not the strip kernels of the rank form.  Here
+    # Theta_out was within 9.2e-17 of the same sum of plain numpy products
+    # formed independently, S's residual 9.1e-17, the identity gap 1.1e-16
+    # and the hermiticity defect 3.2e-16.
+    W = np.array([[-1j, 1.0, 0.5], [1.0, 1e-3, 0.0], [0.5, 0.0, -2j]])
+    eps = 1e-3
+    theta = random_covariance(np.random.default_rng(3), 3)
+    prop = propagate(theta, W, epsilon=eps)
+    smat = prop.scattering
+    assert prop.basis.arrowhead is not None
+    assert smat.diagonal is None and smat.left is None
+    A = W - eps * np.eye(3)
+    S = dense_scattering(A)
+    X, _ = time_integrated_covariance(W, theta, eps)
+    G = S @ X @ S.conj().T
+    ref = theta + A @ X + X @ A.conj().T + A.conj().T @ G + G @ A
+    assert np.linalg.norm(prop.theta_out - ref) / np.linalg.norm(ref) < 1e-15
+    assert np.linalg.norm(smat.matrix - S) / np.linalg.norm(S) < 1e-15
+    assert smat.residual < 1e-15
+    assert prop.identity_gap < 1e-15 and prop.hermiticity_defect < 1e-15
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
