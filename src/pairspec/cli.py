@@ -161,20 +161,18 @@ def execute_run(cfg: RunConfig, check_epsilon_stability=True, inputs=None):
     stability = None
     if check_epsilon_stability:
         # The eps/2 shift is half of the one the solve runs at, decided here
-        # by the solve's own rule.  On the eigen route both shifts' first
-        # passes come from one V^-1 Theta_in V^-dag, divided here.  Sharing
-        # it keeps the run's RSS down: with each lane forming its own, the
-        # bits and the tracemalloc peak stayed the same, but run_n256's
-        # peak RSS rose 2-6 MiB, a d x d buffer first allocated on the
-        # helper thread that tracemalloc does not see.  The eps/2
+        # by the solve's own rule.  Both shifts' first passes come from one
+        # V^-1 Theta_in V^-dag, divided here (on the Schur route, which
+        # numkit picks, each quotient is None and each solve forms its own).
+        # Sharing it keeps the run's RSS down: with each lane forming its
+        # own, the bits and the tracemalloc peak stayed the same, but
+        # run_n256's peak RSS rose 2-6 MiB, a d x d buffer first allocated
+        # on the helper thread that tracemalloc does not see.  The eps/2
         # propagation needs nothing else from the eps one, so it runs on a
         # helper thread meanwhile.  Leaving the pool joins that thread, also
         # when the main solve raises, whose error then wins.
         shift = scattering.regularized_epsilon(q, cfg.epsilon)
-        if basis.usable:
-            quotient, half_quotient = numkit.lyapunov_quotients(basis, theta_q, (shift, shift / 2.0))
-        else:
-            quotient = half_quotient = None
+        quotient, half_quotient = numkit.lyapunov_quotients(basis, theta_q, (shift, shift / 2.0))
         with ThreadPoolExecutor(max_workers=1) as pool:
             half = pool.submit(scattering.propagate, theta_q, q, epsilon=shift / 2.0,
                                quotient=half_quotient)

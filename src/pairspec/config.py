@@ -26,7 +26,7 @@ lists every key with its parser or allowed values and its default.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import nm_to_mev
@@ -141,6 +141,7 @@ KEYS = {
 
 @dataclass
 class RunConfig:
+    # config_from_raw passes every field, the defaults coming from KEYS.
     # Grid fields are None for file inputs (the file defines the grid).
     n: int | None
     signal_range: tuple | None
@@ -151,16 +152,16 @@ class RunConfig:
     sqrt_kappa: float
     epsilon: float
     input_kind: str
-    gaussian: dict | None = None
-    input_path: str | None = None
-    sweep_parameter: str | None = None
-    sweep_values: tuple = ()
-    sweep_material_counts: tuple = ()
-    output_dir: str = "out"
-    continuum_scaling: bool = False
-    sign_convention: str = "paper"
-    entropy_variant: str = "amplitude"
-    raw: dict = field(default_factory=dict)
+    gaussian: dict | None
+    input_path: str | None
+    sweep_parameter: str | None
+    sweep_values: tuple
+    sweep_material_counts: tuple
+    output_dir: str
+    continuum_scaling: bool
+    sign_convention: str
+    entropy_variant: str
+    raw: dict
 
 
 def parse_config_text(text, source="<config>"):

@@ -10,10 +10,11 @@ factorization.  The eigenbasis is accurate while cond_1(V) stays at or
 below :data:`EIGEN_COND_MAX` (``Eigenbasis.usable``); above it the
 Lyapunov solve runs the Schur path of :func:`solve_sylvester`.  Both
 Lyapunov routes solve A X + X A^dag = -C and share one pencil screen and
-one refinement rule.  The route is a fact of the basis, ``Eigenbasis.path``;
-a :class:`SolveReport` holds only what the solve measured or decided.
-:func:`adjoint_inverse` needs no eigenvectors and has no route: it forms
-A^dag A^-1 from W's arrowhead as a diagonal plus a rank-4 term.
+one refinement rule.  The route is a fact of the basis, ``Eigenbasis.path``,
+and only this module reads it; a :class:`SolveReport` holds only what the
+solve measured or decided.  :func:`adjoint_inverse` needs no eigenvectors
+and has no route: it forms A^dag A^-1 from W's arrowhead as a diagonal
+plus a rank-4 term, held as a :class:`ScatteringMatrix`.
 
 Every dense LU calls LAPACK getrf directly (:func:`_getrf`): it reports a
 zero pivot in its return value, not as a warning, so no solve touches the
@@ -36,11 +37,14 @@ the fallback.  The :class:`Eigenbasis` holds that one factorization, in
 deflated coordinates Q W Q, and Q.  The solves run there, where products
 with V touch only the core block (:meth:`Eigenbasis.block_congruence`) and
 products with W - s cost O(d^2).  :func:`solve_lyapunov` takes C and
-returns X in deflated coordinates (several shifts of one C can share
-V^-1 C V^-dag, :func:`lyapunov_quotients`), and :func:`adjoint_inverse`
-returns A^dag A^-1 there as the triple that :func:`output_covariance`
-takes: for an arrowhead W a diagonal plus a rank-4 term, the one form the
-strip kernels read, else A^dag A^-1 held whole, which takes plain numpy.
+returns X in deflated coordinates.  Every eigen-route pass of it forms its
+bracket (V^-1 C V^-dag) / -(l_i + conj(l_j)) in :func:`lyapunov_quotients`,
+where several shifts of one C can share V^-1 C V^-dag, and on the Schur
+route that function gives None per shift.  :func:`adjoint_inverse` returns
+A^dag A^-1 there as the :class:`ScatteringMatrix` that
+:func:`output_covariance` reads: for an arrowhead W a diagonal plus a
+rank-4 term, the one form the strip kernels read, else A^dag A^-1 held
+whole, which takes plain numpy.
 Only :meth:`Eigenbasis.rotate` moves a matrix between those coordinates
 and W's.  A W without that structure is factored densely, with Q = I and
 every index in the core.
@@ -52,6 +56,7 @@ strips, so that a solve's d x d arrays are its operands and results only.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -213,17 +218,14 @@ def _pencil_divide(lam, Y, out):
     return out
 
 
-def _refine(solve, A, C, X=None):
+def _refine(solve, A, C, X):
     """(X, its relative residual ||A X + X A^dag + C||_F / max(1, ||C||_F))
     from ``solve(rhs)``, which solves A X + X A^dag = -rhs for the
-    Arrowhead or array A, starting from the first pass X (``solve(C)`` when
-    None): one refinement pass follows only when the first pass's residual
-    is above :data:`REFINE_ABOVE`.  The residual matrix is stored only as
-    that pass's right-hand side; otherwise each strip is dropped once
-    summed."""
+    Arrowhead or array A, starting from the caller's first pass X: one
+    refinement pass follows only when the first pass's residual is above
+    :data:`REFINE_ABOVE`.  The residual matrix is stored only as that
+    pass's right-hand side; otherwise each strip is dropped once summed."""
     c_norm = max(1.0, np.linalg.norm(C))
-    if X is None:
-        X = solve(C)
     residual = _residual(A, X, C) / c_norm
     if not residual <= REFINE_ABOVE:
         rhs = np.empty_like(X)
@@ -297,7 +299,7 @@ def solve_sylvester(A, C, method="schur"):
         def tri_solve(rhs):
             return Q @ kernels.sylvester_triangular(T, Q_h @ -rhs @ Q) @ Q_h
 
-        X, residual = _refine(tri_solve, A, C)
+        X, residual = _refine(tri_solve, A, C, tri_solve(C))
     else:
         raise ValueError(f"unknown Sylvester method {method!r}")
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
@@ -897,8 +899,9 @@ def solve_lyapunov(basis, C, shift, quotient=None):
 
     ``quotient`` is the first pass's bracket at this shift from
     :func:`lyapunov_quotients`; the solve takes it over and forms X in it.
-    It is read only on the eigen route, after the screen; one that is not
-    d x d raises ValueError.
+    Without it, the first pass and the refinement pass take their brackets
+    from the same function's core.  It is read only on the eigen route,
+    after the screen; one that is not d x d raises ValueError.
 
     C and X are in the basis's deflated coordinates: there products with V
     touch only the core block and products with A cost O(d^2).  The report
@@ -914,34 +917,36 @@ def solve_lyapunov(basis, C, shift, quotient=None):
     if not basis.usable:
         return solve_sylvester(np.asarray(A), C)
     cond = pencil_screen(basis, shift)
-    lam = basis.values - shift
 
-    def eig_solve(rhs):
-        # Y = (V^-1 rhs V^-dag) / -(l_i + conj(l_j)), divided in place; the
-        # second congruence then overwrites Y with X.
-        Y = basis.block_congruence(basis.core_inverse, rhs)
-        _pencil_divide(lam, Y, Y)
+    def eig_solve(rhs, Y=None):
+        # X = V Y V^dag for the bracket Y of rhs, written over Y.
+        if Y is None:
+            [Y] = _quotients(basis, rhs, (shift,))
         return basis.block_congruence(basis.core_vectors, Y, copy=False)
 
-    X = None
-    if quotient is not None:
-        X = basis.block_congruence(basis.core_vectors, quotient, copy=False)
-    X, residual = _refine(eig_solve, A, C, X)
+    X, residual = _refine(eig_solve, A, C, eig_solve(C, quotient))
     return X, SolveReport(residual_norm=residual, condition_estimate=cond)
 
 
 def lyapunov_quotients(basis, C, shifts):
     """The bracket of :func:`solve_lyapunov`'s first pass at each of
     ``shifts``, (V^-1 C V^-dag) / -(l_i + conj(l_j)) with
-    l = lambda - shift, from one congruence of C (deflated coordinates; the
-    basis must be ``usable``).  Each is a new array but the last, which is
-    divided in place of V^-1 C V^-dag; ``solve_lyapunov(basis, C, shift,
-    quotient=...)`` takes one over.  The pencil is not screened here: a
-    quotient at a shift whose screen fails may hold inf or nan, and its
+    l = lambda - shift, from one congruence of C (deflated coordinates).
+    Each is a new array but the last, which is divided in place of
+    V^-1 C V^-dag; ``solve_lyapunov(basis, C, shift, quotient=...)`` takes
+    one over, and its own first and refinement passes take their brackets
+    from here too.  A basis that is not ``usable`` takes the Schur route,
+    which has no bracket: each shift gets None.  The pencil is not screened here:
+    a quotient at a shift whose screen fails may hold inf or nan, and its
     solve raises before reading it."""
     if not basis.usable:
-        raise ValueError("lyapunov_quotients needs a usable eigenbasis")
-    C_hat = basis.block_congruence(basis.core_inverse, _as_matrix(C, "C"))
+        return [None for _ in shifts]
+    return _quotients(basis, _as_matrix(C, "C"), shifts)
+
+
+def _quotients(basis, C, shifts):
+    """:func:`lyapunov_quotients` of a checked C on a usable basis."""
+    C_hat = basis.block_congruence(basis.core_inverse, C)
     with np.errstate(all="ignore"):
         quotients = [_pencil_divide(basis.values - s, C_hat, np.empty_like(C_hat))
                      for s in shifts[:-1]]
@@ -962,9 +967,54 @@ def frobenius_norm(A):
     return A.norm() if isinstance(A, Arrowhead) else float(np.linalg.norm(A))
 
 
+@dataclass
+class ScatteringMatrix:
+    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1) of a factored W.
+
+    S is held in the deflated coordinates of ``basis`` as
+    diag(``diagonal``) + ``left`` @ ``right``, as :func:`adjoint_inverse`
+    forms it and :func:`output_covariance` reads it: for an arrowhead W a
+    d x 4 and a 4 x d factor, else S itself as ``right`` (``diagonal`` and
+    ``left`` None), which takes plain numpy products.  ``matrix`` is S in
+    the coordinates of ``basis``, and ``residual``,
+    ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one diagnostic; both
+    are formed on first access and cached.  For the rank form the residual
+    is taken a row strip at a time, so that no d x d temporary is made:
+    S A - A^dag = B + left (right A) with the arrowhead B = Delta A - A^dag.
+    """
+
+    diagonal: np.ndarray | None
+    left: np.ndarray | None
+    right: np.ndarray
+    basis: Eigenbasis
+    z_used: complex
+
+    @cached_property
+    def matrix(self):
+        S = np.array(self.right) if self.left is None else np.diag(self.diagonal) + self.left @ self.right
+        return self.basis.rotate(S, copy=False)
+
+    @cached_property
+    def residual(self):
+        A, diagonal = self.basis.shifted(self.z_used), self.diagonal
+        if self.left is None:
+            return float(np.linalg.norm(self.right @ A - np.asarray(A).conj().T) / frobenius_norm(A))
+        d, total = self.basis.dim, 0.0
+        D = A.diag
+        B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
+                      diagonal[A.tip] * A.row - A.col.conj(), A.tip)
+        M = self.right @ A
+        for r0, r1 in _strips(d, d):
+            # Rows r0:r1 of I times B.
+            E = self.left[r0:r1] @ M + np.eye(r1 - r0, d, r0) @ B
+            total += np.vdot(E, E).real
+        return float(np.sqrt(total) / frobenius_norm(A))
+
+
 def adjoint_inverse(basis, z):
-    """A^dag A^-1 for A = Q W Q - z I, in the basis's deflated coordinates,
-    as (diagonal, left, right): A^dag A^-1 is diag(diagonal) + left @ right.
+    """S = A^dag A^-1 for A = Q W Q - z I, in the basis's deflated
+    coordinates, as the :class:`ScatteringMatrix` diag(diagonal) +
+    left @ right.
 
     When W is an arrowhead, A = D + U V^T with D = diag - z, U = [col, e_t]
     and V = [e_t, row], so A^dag = conj(D) + conj(V) U^dag and
@@ -976,8 +1026,8 @@ def adjoint_inverse(basis, z):
     an arrowhead whose D has an entry below ``PIVOT_TOL * max|A|``, gets
     the whole of A^dag A^-1 as ``right`` (``diagonal`` and ``left`` None)
     from the LU of :func:`linear_solve`; :func:`output_covariance` and
-    :func:`adjoint_inverse_residual` (its residual) take such an S in plain
-    numpy, not a row strip at a time.
+    ``ScatteringMatrix.residual`` take such an S in plain numpy, not a row
+    strip at a time.
 
     Raises SingularMatrix when min |lambda_i - z| falls below
     ``PIVOT_TOL * max|A|`` (the pivot rule of :func:`lu`), or at a pivot
@@ -988,7 +1038,7 @@ def adjoint_inverse(basis, z):
     _check_pivots(np.abs(basis.values - z), scale, "|lambda_{} - z|", "W - z")
     if not (isinstance(A, Arrowhead) and np.abs(A.diag).min() >= PIVOT_TOL * scale):
         A = np.asarray(A)
-        return None, None, linear_solve(A.T, A.conj()).T
+        return ScatteringMatrix(None, None, linear_solve(A.T, A.conj()).T, basis, complex(z))
     D, e_t = A.diag, np.eye(1, basis.dim, A.tip)[0]
     U, V = np.stack((A.col, e_t), axis=1), np.stack((e_t, A.row), axis=1)
     diagonal = D.conj() / D
@@ -996,28 +1046,7 @@ def adjoint_inverse(basis, z):
     K = np.eye(2) + V.T @ (U / D[:, None])
     left = np.hstack((diagonal[:, None] * U, V.conj()))
     right = MD - (MD @ U) @ np.linalg.solve(K, V.T / D)
-    return diagonal, left, right
-
-
-def adjoint_inverse_residual(basis, z, diagonal, left, right):
-    """||S A - A^dag||_F / ||A||_F for A = Q W Q - z I and S as
-    :func:`adjoint_inverse` returns it.  For the rank form it is taken a
-    row strip at a time, so that no d x d temporary is made:
-    S A - A^dag = B + left (right A) with the arrowhead
-    B = Delta A - A^dag.  A whole S takes it in plain numpy."""
-    A = basis.shifted(z)
-    if left is None:
-        return float(np.linalg.norm(right @ A - np.asarray(A).conj().T) / frobenius_norm(A))
-    d, total = basis.dim, 0.0
-    D = A.diag
-    B = Arrowhead(diagonal * D - D.conj(), diagonal * A.col - A.row.conj(),
-                  diagonal[A.tip] * A.row - A.col.conj(), A.tip)
-    M = right @ A
-    for r0, r1 in _strips(d, d):
-        # Rows r0:r1 of I times B.
-        E = left[r0:r1] @ M + np.eye(r1 - r0, d, r0) @ B
-        total += np.vdot(E, E).real
-    return float(np.sqrt(total) / frobenius_norm(A))
+    return ScatteringMatrix(diagonal, left, right, basis, complex(z))
 
 
 class _Congruence:
@@ -1071,13 +1100,13 @@ class _Congruence:
         return g
 
 
-def output_covariance(A, X, factors, C):
+def output_covariance(A, X, S, C):
     """(Theta, ||C + A X + X A^dag||_F) with
 
         Theta = C + (A X + X A^dag) + (A^dag G + G A),  G = S X S^dag,
 
-    for S as ``factors`` = (diagonal, left, right) hold it
-    (:func:`adjoint_inverse`), Theta written over X.
+    for the :class:`ScatteringMatrix` S (:func:`adjoint_inverse`), Theta
+    written over X.
 
     For S in its rank form, diag(diagonal) + left @ right with A an
     Arrowhead, G is never formed: each row strip of A^dag G + G A is made
@@ -1088,7 +1117,7 @@ def output_covariance(A, X, factors, C):
     besides Theta only strips and d x 8 arrays are made.  A whole S
     (``left`` None, ``right`` = S), with a dense or an Arrowhead A, forms
     G and the products in plain numpy."""
-    diagonal, left, right = factors
+    diagonal, left, right = S.diagonal, S.left, S.right
     if left is None:
         R = C + (A @ X + X @ A.conj().T)
         G = right @ X @ right.conj().T

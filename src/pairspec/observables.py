@@ -7,7 +7,7 @@ from scipy.linalg import lu_solve
 
 from . import numkit
 from .errors import DegenerateState, NonPositiveDeterminant, SingularCovariance, SingularMatrix
-from .states import CovarianceMatrix, JointSpectralAmplitude
+from .states import JointSpectralAmplitude
 
 
 @dataclass
@@ -127,8 +127,7 @@ def purity(theta):
     on the scale of Theta or on d: |det Theta| itself underflows for a
     healthy Theta at large d (0.5 I at d = 998 has |det| = 2^-998).
     """
-    mat = theta.matrix if isinstance(theta, CovarianceMatrix) else np.asarray(theta)
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = numkit.matrix_of(theta)
     log_abs, phase = numkit.log_determinant(mat)
     if not np.isfinite(log_abs) or (
         log_abs / mat.shape[0] - np.log(numkit.abs_max(mat)) < np.log(PURITY_DET_TOL)

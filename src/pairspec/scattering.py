@@ -18,11 +18,14 @@ and every product with W - eps costs O(d^2).  ``time_integrated_covariance``
 rotates its input in and its result out.
 
 The Lyapunov solve is ``numkit.solve_lyapunov``: in W's eigenbasis, or by
-the Schur solve when cond_1(V) is too large (near an exceptional point).
-The scattering matrix needs no eigenvectors: W - eps is an arrowhead there,
-a diagonal plus a rank-2 term, so S is a diagonal plus a rank-4 term
-(``numkit.adjoint_inverse``), and a :class:`ScatteringMatrix` keeps it in
-that form; its ``matrix`` and residual are formed only when they are read.
+the Schur solve when cond_1(V) is too large (near an exceptional point);
+numkit alone picks that route.  The scattering matrix needs no
+eigenvectors: W - eps is an arrowhead there, a diagonal plus a rank-2
+term, so S is a diagonal plus a rank-4 term, which
+``numkit.adjoint_inverse`` returns as a ``numkit.ScatteringMatrix``
+(re-exported here as :class:`ScatteringMatrix`); its ``matrix`` and
+residual are formed only when they are read, and this module never reads
+its factors.
 ``propagate`` rotates Theta_in in, forms the Lyapunov residual
 Theta_in + A X + X A^dag and A^dag G + G A for G = S X S^dag a row strip
 at a time and writes their sum over X (``numkit.output_covariance``; G is
@@ -47,45 +50,12 @@ import numpy as np
 from . import numkit
 from .errors import NearSingularPencil
 from .model import BlockLayout, DynamicalMatrix, FrequencyGrid
+from .numkit import ScatteringMatrix
 from .states import CovarianceMatrix, JointSpectralAmplitude
 
 # Default regularization (meV), and the one a solve at epsilon = 0 retries at
 # when the pencil is singular; every solve records whether it fired.
 DEFAULT_EPSILON = 1e-3
-
-
-@dataclass
-class ScatteringMatrix:
-    """Asymptotic mode map S = (W^dag - z)(W - z)^(-1) of a factored W.
-
-    S is held in the deflated coordinates of ``basis`` as
-    diag(``diagonal``) + ``left`` @ ``right``, as ``numkit.adjoint_inverse``
-    returns it and ``numkit.output_covariance`` takes it: for an arrowhead
-    W a d x 4 and a 4 x d factor, else S itself as ``right`` (``diagonal``
-    and ``left`` None), which takes plain numpy products.  ``matrix`` is S
-    in the coordinates of ``basis``, and ``residual``,
-    ||S A - A^dag||_F / ||A||_F for A = W - z, is S's one diagnostic; both
-    are formed on first access and cached.
-    """
-
-    diagonal: np.ndarray | None
-    left: np.ndarray | None
-    right: np.ndarray
-    basis: numkit.Eigenbasis
-    z_used: complex
-
-    @property
-    def factors(self):
-        return self.diagonal, self.left, self.right
-
-    @cached_property
-    def matrix(self):
-        S = np.array(self.right) if self.left is None else np.diag(self.diagonal) + self.left @ self.right
-        return self.basis.rotate(S, copy=False)
-
-    @cached_property
-    def residual(self):
-        return numkit.adjoint_inverse_residual(self.basis, self.z_used, *self.factors)
 
 
 @dataclass
@@ -169,10 +139,11 @@ def regularized_epsilon(W, epsilon):
     ``DEFAULT_EPSILON`` when epsilon = 0 meets a near-singular pencil in
     ``numkit.pencil_screen`` (the eigenbasis solve's screen, run on W's
     eigenvalues on either path).  W is as in
-    :func:`time_integrated_covariance`.  An epsilon that is not real, or
-    is finite and negative, raises ValueError; one that is not finite is
-    left to ``Eigenbasis.shifted``, which refuses every such shift."""
-    if not isinstance(epsilon, numbers.Real) or -np.inf < epsilon < 0:
+    :func:`time_integrated_covariance`.  An epsilon that is not real (a
+    bool included, which Python counts as one), or is finite and negative,
+    raises ValueError; one that is not finite is left to
+    ``Eigenbasis.shifted``, which refuses every such shift."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or -np.inf < epsilon < 0:
         raise ValueError(f"epsilon must be a real number >= 0, got {epsilon!r}")
     if epsilon != 0.0:
         return epsilon
@@ -217,18 +188,18 @@ def time_integrated_covariance(W, theta_in, epsilon, *, quotient=None):
 def scattering_matrix(W, z):
     """S = (W^dag - z)(W - z)^(-1).
 
-    Formed in deflated coordinates by ``numkit.adjoint_inverse``: for an
-    arrowhead W, S = Delta + L R with Delta = conj(D) / D for the diagonal D
-    of W - z, L d x 4 and R 4 x d, by Sherman-Morrison-Woodbury; otherwise
-    whole, from the LU of ``numkit.linear_solve``.  Raises SingularMatrix
+    Formed in deflated coordinates and returned by
+    ``numkit.adjoint_inverse``: for an arrowhead W, S = Delta + L R with
+    Delta = conj(D) / D for the diagonal D of W - z, L d x 4 and R 4 x d,
+    by Sherman-Morrison-Woodbury; otherwise whole, from the LU of
+    ``numkit.linear_solve``.  Raises SingularMatrix
     when (W - z) is singular at the requested z (min |lambda_i - z| below
     ``numkit.PIVOT_TOL * max|W - z|``, or a pivot of that LU); the caller
     is expected to retry with an epsilon shift.  Returns the
     :class:`ScatteringMatrix`, whose ``residual``
     ||S A - A^dag||_F / ||A||_F for A = W - z is S's one diagnostic.
     """
-    basis = _eigenbasis(W)
-    return ScatteringMatrix(*numkit.adjoint_inverse(basis, z), basis=basis, z_used=complex(z))
+    return numkit.adjoint_inverse(_eigenbasis(W), z)
 
 
 def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None):
@@ -275,8 +246,7 @@ def propagate(theta_in, W, epsilon=DEFAULT_EPSILON, *, quotient=None):
     X, lyap_report = time_integrated_covariance(q, theta_q, epsilon, quotient=quotient)
     eff_eps = DEFAULT_EPSILON if lyap_report.regularized else epsilon
     smat = scattering_matrix(q, eff_eps)
-    theta_out, gap_norm = numkit.output_covariance(basis.shifted(eff_eps), X, smat.factors,
-                                                   theta_q)
+    theta_out, gap_norm = numkit.output_covariance(basis.shifted(eff_eps), X, smat, theta_q)
 
     layout = getattr(theta_in, "layout", None)
     grid = getattr(theta_in, "grid", None)

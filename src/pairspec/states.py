@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gridtext
+from . import gridtext, numkit
 from .errors import (
     DegenerateWidth,
     InvalidRange,
@@ -101,7 +101,7 @@ class CovarianceMatrix:
         nrm = np.linalg.norm(self.matrix)
         if nrm == 0:
             return 0.0
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / nrm)
+        return float(numkit.antihermitian_norm(self.matrix) / nrm)
 
 
 def gaussian_jsa(grid, pump_center, sum_width, diff_width, diff_offset=0.0):

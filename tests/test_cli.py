@@ -1018,6 +1018,16 @@ def test_run_at_an_exceptional_point_takes_the_fallback(tmp_path):
     assert backward < 1e-15
 
 
+def test_lyapunov_quotients_give_the_fallback_route_none_per_shift():
+    # numkit alone reads the route: on the Schur route there is no bracket,
+    # so execute_run passes each propagate None and each solve forms its own.
+    W, theta = _model(config_from_raw(parse_config_text(EXCEPTIONAL_POINT_CONFIG)))
+    basis = numkit.eigenbasis(W.matrix)
+    assert basis.path == "fallback"
+    quotients = numkit.lyapunov_quotients(basis, basis.rotate(theta.matrix), (1e-3, 5e-4))
+    assert quotients == [None, None]
+
+
 # The runs off the secular eigen route keep the metrics they had while each
 # shift made its own V^-1 Theta_in V^-dag and Theta_out was assembled from a
 # formed G: the README config at n = 41 (a dense-eig core, whose first pass

@@ -309,10 +309,9 @@ def test_eigenbasis_condition_of_normal_and_defective_matrices():
 
 
 def _adjoint_inverse(basis, z):
-    """A^dag A^-1 for A = W - z I in W's coordinates, from the diagonal and
-    the two factors of numkit.adjoint_inverse (or the whole of it)."""
-    diagonal, left, right = numkit.adjoint_inverse(basis, z)
-    return basis.rotate(right if left is None else np.diag(diagonal) + left @ right)
+    """A^dag A^-1 for A = W - z I in W's coordinates, the matrix of the
+    ScatteringMatrix numkit.adjoint_inverse returns."""
+    return numkit.adjoint_inverse(basis, z).matrix
 
 
 @pytest.mark.parametrize("W, z", [
@@ -333,12 +332,12 @@ def test_adjoint_inverse_takes_one_lu_without_the_woodbury_form(W, z):
 
     basis = numkit.eigenbasis(W)
     with mock.patch.object(numkit, "linear_solve", counting):
-        diagonal, left, right = numkit.adjoint_inverse(basis, z)
+        smat = numkit.adjoint_inverse(basis, z)
     A = W - z * np.eye(W.shape[0])
     assert calls == [1]
-    assert diagonal is None and left is None
-    assert _rel(right, dense_scattering(A)) < 1e-14
-    assert numkit.adjoint_inverse_residual(basis, z, diagonal, left, right) < 1e-15
+    assert smat.diagonal is None and smat.left is None
+    assert _rel(smat.right, dense_scattering(A)) < 1e-14
+    assert smat.residual < 1e-15
 
 
 def test_adjoint_inverse_singular_raises():
@@ -506,13 +505,12 @@ def test_output_covariance_matches_congruence_and_lyapunov_product(n, material_s
     for eps in (1e-3, 5e-4):
         X, _ = numkit.solve_lyapunov(basis, C, eps)
         A = basis.shifted(eps)
-        factors = numkit.adjoint_inverse(basis, eps)
+        smat = numkit.adjoint_inverse(basis, eps)
         R = _lyapunov_sum(A, X, C)
-        diagonal, left, right = factors
-        S = np.diag(diagonal) + left @ right
+        S = np.diag(smat.diagonal) + smat.left @ smat.right
         ref = _lyapunov_sum(A.conj().T, S @ X @ S.conj().T, R)
         gap_ref = np.linalg.norm(R)
-        theta_out, gap = numkit.output_covariance(A, X, factors, C)
+        theta_out, gap = numkit.output_covariance(A, X, smat, C)
         assert theta_out is X
         assert np.linalg.norm(theta_out - ref) / np.linalg.norm(ref) < bound
         assert abs(gap - gap_ref) <= 1e-14 * gap_ref

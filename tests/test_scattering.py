@@ -189,8 +189,8 @@ def test_nonfinite_shift_raises(solve, shift):
         solve(theta, W, shift)
 
 
-@pytest.mark.parametrize("epsilon", [1e-3 + 0j, -1e-3, "0.001"],
-                         ids=["complex", "negative", "string"])
+@pytest.mark.parametrize("epsilon", [1e-3 + 0j, -1e-3, "0.001", True, np.True_],
+                         ids=["complex", "negative", "string", "bool", "numpy-bool"])
 @pytest.mark.parametrize("solve", [
     lambda theta, W, eps: propagate(theta, W, epsilon=eps),
     lambda theta, W, eps: time_integrated_covariance(W, theta, eps),

@@ -54,3 +54,25 @@ def test_peak_memory_reports_every_phase():
     assert d == 2 * 16 + 1 + 1
     assert set(peaks) == set(peak_memory.PHASES)
     assert all(value > 0 for value in peaks.values())
+
+
+def test_peak_memory_prints_each_phase_maximum_over_its_repeats(monkeypatch, capsys):
+    # Each n is measured REPEATS times; a column is its largest reading and
+    # the last the largest of them all, whichever run each came from.
+    peak_memory = _tool("peak_memory")
+    readings = iter([
+        {"factor": 1.0, "solve": 2.0, "lanes": 4.49, "tail": 3.0, "write": 5.0},
+        {"factor": 1.5, "solve": 2.0, "lanes": 4.66, "tail": 2.0, "write": 4.0},
+    ] + [{"factor": 1.0, "solve": 2.0, "lanes": 4.5, "tail": 2.0, "write": 4.0}] * 3)
+    calls = []
+
+    def fake(n):
+        calls.append(n)
+        return 2 * n + 2, next(readings)
+
+    monkeypatch.setattr(peak_memory, "measure", fake)
+    peak_memory.main([256])
+    assert calls == [256] * 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(max of 5 runs)")
+    assert lines[1].split() == ["256", "514", "1.50", "2.00", "4.66", "3.00", "5.00", "5.00"]
