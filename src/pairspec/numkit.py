@@ -941,16 +941,18 @@ def lyapunov_quotients(basis, C, shifts):
     solve raises before reading it."""
     if not basis.usable:
         return [None for _ in shifts]
-    return _quotients(basis, _as_matrix(C, "C"), shifts)
+    with np.errstate(all="ignore"):
+        return _quotients(basis, _as_matrix(C, "C"), shifts)
 
 
 def _quotients(basis, C, shifts):
-    """:func:`lyapunov_quotients` of a checked C on a usable basis."""
+    """:func:`lyapunov_quotients` of a checked C on a usable basis.  It
+    divides without a warning filter, so the screened passes of
+    :func:`solve_lyapunov` still warn on an overflow or invalid value."""
     C_hat = basis.block_congruence(basis.core_inverse, C)
-    with np.errstate(all="ignore"):
-        quotients = [_pencil_divide(basis.values - s, C_hat, np.empty_like(C_hat))
-                     for s in shifts[:-1]]
-        quotients.append(_pencil_divide(basis.values - shifts[-1], C_hat, C_hat))
+    quotients = [_pencil_divide(basis.values - s, C_hat, np.empty_like(C_hat))
+                 for s in shifts[:-1]]
+    quotients.append(_pencil_divide(basis.values - shifts[-1], C_hat, C_hat))
     return quotients
 
 

@@ -104,10 +104,10 @@ def measure(n):
     return d, {p: v / (16.0 * d * d) for p, v in phases.peaks.items()}
 
 
-def main(sizes, repeats=REPEATS):
-    print("n     d     " + "  ".join(f"{p:>6}" for p in PHASES) + f"    peak  (max of {repeats} runs)")
+def main(sizes):
+    print("n     d     " + "  ".join(f"{p:>6}" for p in PHASES) + f"    peak  (max of {REPEATS} runs)")
     for n in sizes:
-        runs = [measure(n) for _ in range(repeats)]
+        runs = [measure(n) for _ in range(REPEATS)]
         peaks = {p: max(r.get(p, 0.0) for _, r in runs) for p in PHASES}
         print(f"{n:<5} {runs[0][0]:<5} " + "  ".join(f"{peaks[p]:6.2f}" for p in PHASES)
               + f"  {max(peaks.values()):6.2f}")
